@@ -35,7 +35,7 @@ def _load_config(args):
         cfg = RunConfig.from_file(args.config)
     else:
         cfg = RunConfig()
-    for key in ("seed", "restarts", "steps", "jobs", "object_samples"):
+    for key in ("seed", "restarts", "steps", "object_samples"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -204,7 +204,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--restarts", type=int)
     p.add_argument("--steps", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--object-samples", type=int, dest="object_samples")
     p.set_defaults(func=cmd_synthesize)
 

@@ -67,19 +67,16 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
             signs[link.dof_index] = link.flexion_sign
     targets = np.clip(q + signs * delta, lower, upper)
     active = (signs != 0) & (np.abs(targets - q) > 1e-12)
-    segs = spec.segment_links()
+    sample_links = spec.sample_links()
 
-    def self_touch(posed, link):
-        pts = posed.segment_points(link)
-        for other in segs:
-            if other == link or (link, other) in spec.adjacent_pairs:
-                continue
-            d, _ = posed.link_sdf(other, pts)
-            if d.min() <= stop_sdf:
-                return True
-        return False
+    def self_touching(posed):
+        """Links with a sample within ``stop_sdf`` of a non-adjacent link."""
+        if not stop_self:
+            return set()
+        near = posed.self_distances().min(axis=0) <= stop_sdf
+        return set(sample_links[near].tolist())
 
-    def frozen(posed, dof):
+    def frozen(posed, dof, touching):
         for link in own.get(dof, ()):
             if object_sdf(posed.segment_points(link)).min() <= stop_sdf:
                 return True
@@ -88,13 +85,14 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
                 return True
             # the whole chain stops pressing once anything downstream
             # rests on another finger
-            if stop_self and self_touch(posed, link):
+            if link in touching:
                 return True
         return False
 
     posed = forward_kinematics(spec, _with_q(grasp, q))
+    touching = self_touching(posed)
     for dof in np.nonzero(active)[0]:
-        if frozen(posed, dof):
+        if frozen(posed, dof, touching):
             active[dof] = False
 
     step = (targets - q) / substeps
@@ -103,8 +101,9 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
             break
         q[active] += step[active]
         posed = forward_kinematics(spec, _with_q(grasp, q))
+        touching = self_touching(posed)
         for dof in np.nonzero(active)[0]:
-            if frozen(posed, dof):
+            if frozen(posed, dof, touching):
                 active[dof] = False
     # accumulated substeps can overshoot the limits by float rounding
     return np.clip(q, lower, upper)

@@ -8,14 +8,14 @@ hand segment and pinned to their nearest anchor point.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import transforms as tf
 from .errors import InvalidInputError, SchemaError
-from .geometry import MeshSDF, TriMesh, merge_meshes, sample_surface
+from .geometry import MeshSDF, TriMesh, sample_surface
 from .hands.model import PosedHand, forward_kinematics
 
 TAU_CONTACT = 0.5  # cm; membership threshold for the contact sets
@@ -45,15 +45,7 @@ class Demonstration:
     wrist_translation: np.ndarray
     anchors: dict                  # anchor name -> world position
     task_points: dict              # fingertip name -> wrist-frame position
-    segment_sdf_fns: dict = field(default_factory=dict)
-    segment_meshes: dict = field(default_factory=dict)
-
-    def hand_sdf(self, points):
-        points = np.atleast_2d(points)
-        best = np.full(len(points), np.inf)
-        for fn in self.segment_sdf_fns.values():
-            best = np.minimum(best, fn(points))
-        return best
+    hand_sdf: object               # world points -> signed distance to hand
 
     @property
     def segment_names(self):
@@ -68,11 +60,9 @@ def demonstration_from_hand(spec, grasp, object_mesh):
     """
     posed = forward_kinematics(spec, grasp)
     segments = {}
-    sdf_fns = {}
     for i in spec.segment_links():
         name = spec.links[i].name
         segments[name] = posed.samples[i]
-        sdf_fns[name] = _link_sdf_fn(posed, i)
     anchors = {a.name: p for a, p in zip(spec.anchors, posed.anchor_points)}
     Rw, tw = grasp.wrist_matrix()
     task_points = {f.name: Rw.T @ (p - tw)
@@ -81,63 +71,7 @@ def demonstration_from_hand(spec, grasp, object_mesh):
          if l.joint_type == "revolute"}
     return Demonstration(object_mesh, segments, q, grasp.rotation.copy(),
                          grasp.translation.copy(), anchors, task_points,
-                         segment_sdf_fns=sdf_fns)
-
-
-def _link_sdf_fn(posed, link):
-    def fn(points):
-        d, _ = posed.link_sdf(link, points)
-        return d
-    return fn
-
-
-def demonstration_hand_mesh(spec, grasp):
-    """Posed labeled hand mesh (for export/serialization): (mesh, face labels)."""
-    posed = forward_kinematics(spec, grasp)
-    meshes, labels, names = [], [], []
-    for i in spec.segment_links():
-        local = spec.link_meshes()[i]
-        world = local.transformed(posed.rotations[i], posed.translations[i])
-        meshes.append(world)
-        labels.extend([len(names)] * len(world.faces))
-        names.append(spec.links[i].name)
-    return merge_meshes(meshes), np.array(labels), names
-
-
-def demonstration_from_labeled_mesh(object_mesh, hand_mesh, face_labels,
-                                    segment_names, q, wrist_rotation,
-                                    wrist_translation, anchors, task_points,
-                                    samples_per_segment=48, seed=0):
-    """Demonstration from an externally posed, face-labeled hand mesh."""
-    face_labels = np.asarray(face_labels)
-    if len(face_labels) != len(hand_mesh.faces):
-        raise InvalidInputError("face labels must cover every hand face")
-    segments = {}
-    sdf_fns = {}
-    segment_meshes = {}
-    for k, name in enumerate(segment_names):
-        keep = face_labels == k
-        if not np.any(keep):
-            raise InvalidInputError(f"segment {name!r} has no faces")
-        sub = _submesh(hand_mesh, keep)
-        segment_meshes[name] = sub
-        segments[name] = sample_surface(sub, n=samples_per_segment,
-                                        seed=seed + k)
-        sdf_fns[name] = MeshSDF(sub).query
-    return Demonstration(object_mesh, segments, dict(q),
-                         np.asarray(wrist_rotation, float),
-                         np.asarray(wrist_translation, float),
-                         {k: np.asarray(v, float) for k, v in anchors.items()},
-                         {k: np.asarray(v, float) for k, v in task_points.items()},
-                         segment_sdf_fns=sdf_fns, segment_meshes=segment_meshes)
-
-
-def _submesh(mesh, face_mask):
-    faces = mesh.faces[face_mask]
-    used = np.unique(faces)
-    remap = np.zeros(len(mesh.vertices), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriMesh(mesh.vertices[used], remap[faces])
+                         posed.sdf)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +114,6 @@ class ContactBundle:
         if np.any(self.contact_object >= n):
             raise InvalidInputError("contact index out of range")
         return self
-
-    def segment_mean_omega(self):
-        return {name: float(np.mean(om)) if len(om) else 0.0
-                for name, om in self.omega_hand.items()}
 
 
 def _resolve_hand_sdf(hand_surface):
@@ -399,16 +329,11 @@ def rigid_transform_demo(demo, R, t):
     """Apply one rigid transform to the whole demonstration scene."""
     Rq = tf.matrix_to_quat(R)
     segments = {k: s.transformed(R, t) for k, s in demo.segments.items()}
-    meshes = {k: m.transformed(R, t) for k, m in demo.segment_meshes.items()}
-    sdf_fns = {}
-    for name, fn in demo.segment_sdf_fns.items():
-        sdf_fns[name] = _transformed_sdf(fn, R, t)
     return Demonstration(
         demo.object_mesh.transformed(R, t), segments, dict(demo.q),
         tf.quat_mul(Rq, demo.wrist_rotation), R @ demo.wrist_translation + t,
         {k: R @ v + t for k, v in demo.anchors.items()},
-        dict(demo.task_points), segment_sdf_fns=sdf_fns,
-        segment_meshes=meshes)
+        dict(demo.task_points), _transformed_sdf(demo.hand_sdf, R, t))
 
 
 def _transformed_sdf(fn, R, t):

@@ -9,7 +9,6 @@ from a demonstrated object to any instance of the same category
 ("contact diffusion").
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -426,13 +425,3 @@ def dsc_from_dict(doc):
         dims, np.asarray(lat["displacements"], float).reshape(*dims, 3),
         template_id=doc.get("template_id", ""))
     return field
-
-
-def save_dsc(path, field, cmap=None, report=None):
-    with open(path, "w") as fh:
-        json.dump(dsc_to_dict(field, cmap, report), fh)
-
-
-def load_dsc(path):
-    with open(path) as fh:
-        return dsc_from_dict(json.load(fh))

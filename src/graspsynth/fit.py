@@ -29,6 +29,9 @@ GRID_SPACING_CM = 0.25           # physical detail resolved by template grids
 NORMAL_EPS = 1e-8
 GRAZE_COS = 0.15   # drop near-silhouette points from the chamfer term
 DEFAULT_LOSS_CEILING = 5.0
+# fitted scale stays within this factor of the template's own size; a
+# cloud that needs more is not that object, and the loss overflows
+SCALE_LIMIT = 1e3
 OBJSTATE_SCHEMA = "objstate/1"
 
 
@@ -119,18 +122,6 @@ class ObjectState:
         R = tf.quat_to_matrix(self.rotation)
         sigma = self.s * template.diagonal_cm
         return sigma, R
-
-    def transform_canonical(self, template, points):
-        sigma, R = self.matrices(template)
-        return (np.asarray(points) @ R.T) * sigma + self.translation
-
-    def normalize_world(self, template, points):
-        sigma, R = self.matrices(template)
-        return ((np.asarray(points) - self.translation) @ R) / sigma
-
-    def reconstructed_mesh(self, template):
-        sigma, R = self.matrices(template)
-        return template.mesh.transformed(R * sigma, self.translation)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +351,7 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
 
 def _fit_one(observed, normals, template, init, max_iters, weights):
     base_R = tf.quat_to_matrix(init.rotation)
+    log_diag = np.log(template.diagonal_cm)
     x = np.concatenate([[np.log(init.s * template.diagonal_cm)],
                         init.translation, np.zeros(3)])
     view_dir = _view_direction(normals)
@@ -372,12 +364,16 @@ def _fit_one(observed, normals, template, init, max_iters, weights):
         accepted = False
         for _ in range(25):
             xc = x - step * grad
-            # re-compose the rotation increment into the base each step
-            cand_value, cand_terms, cand_aux = _ose_losses(
-                template, xc, base_R, observed, normals, weights, view_dir)
-            if cand_value < value - 1e-15:
-                accepted = True
-                break
+            # a candidate scale outside SCALE_LIMIT is rejected before any
+            # loss divides by it
+            if abs(xc[0] - log_diag) <= np.log(SCALE_LIMIT):
+                # re-compose the rotation increment into the base each step
+                cand_value, cand_terms, cand_aux = _ose_losses(
+                    template, xc, base_R, observed, normals, weights,
+                    view_dir)
+                if cand_value < value - 1e-15:
+                    accepted = True
+                    break
             step *= 0.5
         if not accepted:
             break

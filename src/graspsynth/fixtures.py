@@ -15,7 +15,7 @@ from .closure import close_until_contact
 from .contact import demonstration_from_hand
 from .errors import InvalidInputError
 from .geometry import MeshSDF, TriMesh, save_obj
-from .hands.model import Grasp, make_grasp
+from .hands.model import Grasp
 
 
 def cylinder_mesh(radius=2.8, height=12.0, segments=48):
@@ -314,7 +314,3 @@ def load_category(path):
     if doc.get("schema") != "category/1":
         raise InvalidInputError(f"{path}: not a category/1 manifest")
     return doc, path.parent
-
-
-def default_grasp(spec):
-    return make_grasp(spec)

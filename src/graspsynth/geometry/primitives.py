@@ -46,74 +46,165 @@ def primitive_sdf(prim, points, with_gradient=True):
     ``points`` are in the primitive's owning frame; the local pose is
     applied internally.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    local = (points - prim.translation) @ prim.rotation  # R^T (p - t)
-    if prim.kind == "sphere":
-        d, g = _sphere_sdf(local, prim.params[0])
-    elif prim.kind == "capsule":
-        d, g = _capsule_sdf(local, prim.params[0], prim.params[1])
-    else:
-        d, g = _box_sdf(local, np.asarray(prim.params, dtype=float))
-    if not with_gradient:
-        return d
-    return d, g @ prim.rotation.T
-
-
-def _sphere_sdf(p, r):
-    n = np.linalg.norm(p, axis=1)
-    d = n - r
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = p / n[:, None]
-    g[n < 1e-12] = np.array([0.0, 0.0, 1.0])  # center: any direction works
-    return d, g
-
-
-def _capsule_sdf(p, r, h):
-    q = p.copy()
-    q[:, 2] -= np.clip(p[:, 2], -h, h)
-    n = np.linalg.norm(q, axis=1)
-    d = n - r
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = q / n[:, None]
-    on_axis = n < 1e-12
-    g[on_axis] = 0.0
-    g[on_axis, 0] = 1.0  # radial tie: push out along +x
-    return d, g
-
-
-def _box_sdf(p, he):
-    q = np.abs(p) - he
-    outside = np.maximum(q, 0.0)
-    out_norm = np.linalg.norm(outside, axis=1)
-    inner = np.minimum(q.max(axis=1), 0.0)
-    d = out_norm + inner
-    g = np.zeros_like(p)
-    out_mask = out_norm > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g[out_mask] = (outside[out_mask] / out_norm[out_mask, None]) * np.sign(p[out_mask])
-    in_mask = ~out_mask
-    if np.any(in_mask):
-        rows = np.nonzero(in_mask)[0]
-        axis = q[rows].argmax(axis=1)
-        s = np.sign(p[rows, axis])
-        s[s == 0] = 1.0
-        g[rows, axis] = s
-    return d, g
+    return union_sdf([prim], points, with_gradient)
 
 
 def union_sdf(prims, points, with_gradient=True):
     """SDF of a union of primitives: min over members, gradient from argmin."""
-    points = np.atleast_2d(points)
-    best = np.full(len(points), np.inf)
-    grad = np.zeros((len(points), 3))
-    for prim in prims:
-        d, g = primitive_sdf(prim, points)
-        better = d < best
-        best[better] = d[better]
-        grad[better] = g[better]
+    out = PrimitiveStack({0: prims}).query(np.eye(3)[None], np.zeros((1, 3)),
+                                           points, with_gradient)
+    return out[:2] if with_gradient else out
+
+
+# The three SDF formulas. ``p`` holds local points on its last axis, with
+# any leading shape; ``params`` broadcasts against that leading shape.
+# Each returns (distance, unit gradient or None).
+
+
+def _sphere_sdf(p, params, with_gradient):
+    n = _norm(p)
+    # center: any direction works
+    return n - params[..., 0], (_unit(p, n, (0.0, 0.0, 1.0))
+                                if with_gradient else None)
+
+
+def _capsule_sdf(p, params, with_gradient):
+    h = params[..., 1]
+    q = p.copy()
+    q[..., 2] -= np.minimum(np.maximum(p[..., 2], -h), h)
+    n = _norm(q)
+    # on the axis: push out along +x
+    return n - params[..., 0], (_unit(q, n, (1.0, 0.0, 0.0))
+                                if with_gradient else None)
+
+
+def _box_sdf(p, params, with_gradient):
+    q = np.abs(p) - params
+    outside = np.maximum(q, 0.0)
+    out_norm = _norm(outside)
+    d = out_norm + np.minimum(q.max(axis=-1), 0.0)
     if not with_gradient:
-        return best
-    return best, grad
+        return d, None
+    sign = np.where(p < 0.0, -1.0, 1.0)
+    # outside: toward the nearest surface point; inside: out the nearest face
+    face = np.arange(3) == q.argmax(axis=-1)[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        toward = outside / out_norm[..., None]
+    return d, np.where((out_norm > 0)[..., None], toward, face) * sign
+
+
+def _norm(v):
+    """Euclidean norm over the last axis; the same arithmetic as
+    ``np.linalg.norm(v, axis=-1)`` without its slow length-3 reduction."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+                   + v[..., 2] * v[..., 2])
+
+
+def _unit(v, n, fallback):
+    """v / n, or ``fallback`` where n < 1e-12."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = v / n[..., None]
+    g[n < 1e-12] = fallback
+    return g
+
+
+_FORMULAS = {"sphere": _sphere_sdf, "capsule": _capsule_sdf, "box": _box_sdf}
+# points per kernel pass: bounds the (points x primitives x 3) temporaries
+CHUNK = 4096
+
+
+class PrimitiveStack:
+    """Primitives of several owners stacked for batched SDF queries.
+
+    ``groups`` maps an owner (a hand link index) to its non-empty list of
+    primitives, each posed in the owner's frame. Queries take the owner
+    frames as ``rotations`` (K, 3, 3) and ``translations`` (K, 3),
+    indexed by owner. Rows run by kind (in ``KINDS`` order), then owner
+    order, then list position, so one formula call covers each kind;
+    the nearest row wins ties in that order.
+    """
+
+    def __init__(self, groups):
+        owners = list(groups)
+        if any(not groups[o] for o in owners):
+            raise InvalidInputError("every owner needs at least one primitive")
+        rows = sorted((KINDS.index(p.kind), g, k)
+                      for g, o in enumerate(owners)
+                      for k, p in enumerate(groups[o]))
+        prims = [groups[owners[g]][k] for _, g, k in rows]
+        group = np.array([g for _, g, _ in rows], dtype=np.intp)
+        self.owner = np.array(owners, dtype=np.intp)[group]
+        self.rotation = np.array([p.rotation for p in prims])
+        # each row's own offset in its local frame, R^T t
+        self.offset = np.array([p.translation @ p.rotation for p in prims])
+        self.blocks = []    # (formula, row slice, parameters) per kind
+        for kind in KINDS:
+            ks = [r for r, p in enumerate(prims) if p.kind == kind]
+            if ks:
+                self.blocks.append((_FORMULAS[kind], slice(ks[0], ks[-1] + 1),
+                                    np.array([prims[r].params for r in ks],
+                                             dtype=float)))
+        # rows regrouped by owner, and where each owner's run starts
+        self._by_owner = np.argsort(group, kind="stable")
+        self._owner_starts = np.searchsorted(group[self._by_owner],
+                                             np.arange(len(owners)))
+
+    def _frames(self, rotations, translations):
+        """World rotation R (P, 3, 3) of each row, and the world-to-local
+        map as one product: local = points @ M - b, row k in columns
+        3k..3k+2."""
+        R = rotations[self.owner] @ self.rotation
+        b = (translations[self.owner][:, None] @ R)[:, 0] + self.offset
+        return R, R.transpose(1, 0, 2).reshape(3, -1), b.ravel()
+
+    def query(self, rotations, translations, points, with_gradient=False):
+        """Union SDF: min over all rows.
+
+        Returns the distances, or with ``with_gradient`` (distances,
+        world gradients, owner of the nearest row).
+        """
+        R, M, b = self._frames(rotations, translations)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        best = np.empty(len(points))
+        nearest = np.empty(len(points), dtype=np.intp)
+        grad = np.empty((len(points), 3)) if with_gradient else None
+        for s in range(0, len(points), CHUNK):
+            d, g = _evaluate(points[s:s + CHUNK] @ M - b, self.blocks,
+                             with_gradient)
+            k = d.argmin(axis=1)
+            n = np.arange(len(k))
+            best[s:s + CHUNK] = d[n, k]
+            nearest[s:s + CHUNK] = k
+            if with_gradient:
+                grad[s:s + CHUNK] = np.einsum("nij,nj->ni", R[k], g[n, k])
+        if not with_gradient:
+            return best
+        return best, grad, self.owner[nearest]
+
+    def owner_distances(self, rotations, translations, points):
+        """(G, N): each owner's union SDF at every point, owners in the
+        order of ``groups``."""
+        _, M, b = self._frames(rotations, translations)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.empty((len(self._owner_starts), len(points)))
+        for s in range(0, len(points), CHUNK):
+            d, _ = _evaluate(points[s:s + CHUNK] @ M - b, self.blocks, False)
+            out[:, s:s + CHUNK] = np.minimum.reduceat(
+                d[:, self._by_owner], self._owner_starts, axis=1).T
+        return out
+
+
+def _evaluate(local, blocks, with_gradient):
+    """Distances (m, P) and local gradients (m, P, 3) or None, from local
+    coordinates (m, 3P)."""
+    local = local.reshape(len(local), -1, 3)
+    d = np.empty(local.shape[:2])
+    g = np.empty(local.shape) if with_gradient else None
+    for formula, cols, params in blocks:
+        d[:, cols], g_cols = formula(local[:, cols], params, with_gradient)
+        if with_gradient:
+            g[:, cols] = g_cols
+    return d, g
 
 
 # ---------------------------------------------------------------------------

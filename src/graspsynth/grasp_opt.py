@@ -91,108 +91,6 @@ def _smooth_abs_grad(x):
     return x / np.sqrt(x ** 2 + MAP_SMOOTH ** 2)
 
 
-class _PrimitiveBatch:
-    """All hand primitives stacked for one-shot vectorized SDF queries."""
-
-    def __init__(self, spec, segment_links):
-        caps, boxes, spheres = [], [], []
-        for i in segment_links:
-            for prim in spec.links[i].primitives:
-                entry = (i, prim.rotation, prim.translation, prim.params)
-                {"capsule": caps, "box": boxes,
-                 "sphere": spheres}[prim.kind].append(entry)
-        self.groups = []
-        for kind, entries in (("capsule", caps), ("box", boxes),
-                              ("sphere", spheres)):
-            if not entries:
-                continue
-            self.groups.append({
-                "kind": kind,
-                "links": np.array([e[0] for e in entries]),
-                "R": np.stack([e[1] for e in entries]),
-                "t": np.stack([e[2] for e in entries]),
-                "params": np.array([e[3] for e in entries]),
-            })
-
-    def query(self, posed, points):
-        """(sdf, world gradient, winning link) under min over all prims."""
-        points = np.atleast_2d(points)
-        n = len(points)
-        best = np.full(n, np.inf)
-        grad = np.zeros((n, 3))
-        link = np.full(n, -1)
-        for g in self.groups:
-            Rw = posed.rotations[g["links"]] @ g["R"]          # (P, 3, 3)
-            tw = np.einsum("pij,pj->pi", posed.rotations[g["links"]],
-                           g["t"]) + posed.translations[g["links"]]
-            local = np.einsum("pji,pnj->pni", Rw, points[None] - tw[:, None])
-            if g["kind"] == "capsule":
-                r = g["params"][:, 0][:, None]
-                h = g["params"][:, 1][:, None]
-                q = local.copy()
-                q[:, :, 2] -= np.clip(local[:, :, 2], -h, h)
-                norm = np.linalg.norm(q, axis=2)
-                d = norm - r
-                gl = q / np.maximum(norm, 1e-12)[:, :, None]
-            elif g["kind"] == "sphere":
-                r = g["params"][:, 0][:, None]
-                norm = np.linalg.norm(local, axis=2)
-                d = norm - r
-                gl = local / np.maximum(norm, 1e-12)[:, :, None]
-            else:  # box
-                he = g["params"][:, None, :]
-                qb = np.abs(local) - he
-                outside = np.maximum(qb, 0.0)
-                out_norm = np.linalg.norm(outside, axis=2)
-                inner = np.minimum(qb.max(axis=2), 0.0)
-                d = out_norm + inner
-                gl = np.zeros_like(local)
-                out_mask = out_norm > 0
-                gl[out_mask] = (outside[out_mask]
-                                / out_norm[out_mask, None]) * np.sign(local[out_mask])
-                in_mask = ~out_mask
-                if np.any(in_mask):
-                    pi, ni = np.nonzero(in_mask)
-                    axis = qb[pi, ni].argmax(axis=1)
-                    s = np.sign(local[pi, ni, axis])
-                    s[s == 0] = 1.0
-                    gl[pi, ni, axis] = s
-            # gradients rotated to world only where this group wins
-            kbest = d.argmin(axis=0)
-            dmin = d[kbest, np.arange(n)]
-            better = dmin < best
-            if np.any(better):
-                rows = np.nonzero(better)[0]
-                kw = kbest[rows]
-                best[rows] = dmin[rows]
-                grad[rows] = np.einsum("nij,nj->ni", Rw[kw], gl[kw, rows])
-                link[rows] = g["links"][kw]
-        return best, grad, link
-
-
-def _segment_distances(p0, p1, q0, q1):
-    """Pairwise segment-segment distances, vectorized over rows."""
-    u = p1 - p0
-    v = q1 - q0
-    w0 = p0 - q0
-    a = np.einsum("ij,ij->i", u, u)
-    b = np.einsum("ij,ij->i", u, v)
-    c = np.einsum("ij,ij->i", v, v)
-    d = np.einsum("ij,ij->i", u, w0)
-    e = np.einsum("ij,ij->i", v, w0)
-    den = a * c - b * b
-    s = np.where(den > 1e-12, (b * e - c * d) / np.where(den > 1e-12, den, 1),
-                 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    t = np.where(c > 1e-12, (b * s + e) / np.where(c > 1e-12, c, 1), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    # one re-projection pass after clamping t
-    s = np.where(a > 1e-12, (b * t - d) / np.where(a > 1e-12, a, 1), 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    diff = (p0 + s[:, None] * u) - (q0 + t[:, None] * v)
-    return np.linalg.norm(diff, axis=1)
-
-
 class GraspScene:
     """Immutable per-(hand, bundle) precompute for the optimizer."""
 
@@ -234,49 +132,6 @@ class GraspScene:
             for i in self.segment_links)
         self.matched_segments = [i for i in self.segment_links
                                  if spec.links[i].name in self.omega_m_target]
-
-        self.prims = _PrimitiveBatch(spec, self.segment_links)
-        # conservative bounding capsule per link (from its local samples)
-        self._bound_caps = {}
-        for i in self.segment_links:
-            samples = spec.local_samples()[i].points
-            center = samples.mean(axis=0)
-            axis = np.zeros(3)
-            spread = samples - center
-            # principal direction from the covariance
-            cov = spread.T @ spread
-            _, vecs = np.linalg.eigh(cov)
-            axis = vecs[:, -1]
-            proj = spread @ axis
-            p0 = center + axis * proj.min()
-            p1 = center + axis * proj.max()
-            radial = np.linalg.norm(spread - np.outer(proj, axis), axis=1)
-            self._bound_caps[i] = (p0, p1, radial.max() + 0.1)
-        self.adjacent = spec.adjacent_pairs
-        self._candidate_pairs = [
-            (i, j) for i in self.segment_links for j in self.segment_links
-            if i != j and (i, j) not in self.adjacent]
-
-    def link_pairs(self, posed):
-        """Non-adjacent link pairs close enough to possibly intersect."""
-        if not self._candidate_pairs:
-            return []
-        p0s, p1s, q0s, q1s, margins = [], [], [], [], []
-        world = {}
-        for i in self.segment_links:
-            a, b, r = self._bound_caps[i]
-            R, t = posed.rotations[i], posed.translations[i]
-            world[i] = (R @ a + t, R @ b + t, r)
-        for i, j in self._candidate_pairs:
-            p0s.append(world[i][0])
-            p1s.append(world[i][1])
-            q0s.append(world[j][0])
-            q1s.append(world[j][1])
-            margins.append(world[i][2] + world[j][2])
-        dist = _segment_distances(np.array(p0s), np.array(p1s),
-                                  np.array(q0s), np.array(q1s))
-        keep = dist < np.array(margins)
-        return [p for p, k in zip(self._candidate_pairs, keep) if k]
 
 
 class _GradientAccumulator:
@@ -324,25 +179,12 @@ class _GradientAccumulator:
         return grad_q, grad_t, grad_r
 
 
-def _hand_sdf_batch(posed, scene, points):
-    """min-over-links SDF with gradients and the winning link per point."""
-    return scene.prims.query(posed, points)
-
-
 def _oriented_cloud_distance(scene, points):
     """Signed distance to the object via the oriented sample cloud."""
     dist, idx = scene.object_tree.query(points)
     normals = scene.object_normals[idx]
     signed = np.einsum("ij,ij->i", points - scene.object_points[idx], normals)
     return signed, normals, idx
-
-
-def _min_pair(points_a, points_b):
-    """(distance, index_a, index_b) of the closest pair between two sets."""
-    d = np.linalg.norm(points_a[:, None, :] - points_b[None, :, :], axis=2)
-    flat = d.argmin()
-    ia, ib = np.unravel_index(flat, d.shape)
-    return d[ia, ib], int(ia), int(ib)
 
 
 def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
@@ -360,7 +202,7 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
 
     # --- object-side SDF against the hand (contact map + interpenetration)
     obj_pts = scene.object_points
-    sdf_o, grad_o, link_o = _hand_sdf_batch(posed, scene, obj_pts)
+    sdf_o, grad_o, link_o = posed.sdf(obj_pts, with_gradient=True)
     omega_o_live = digitize(sdf_o)
     map_div = float(len(obj_pts)) if w.map_norm == "mean" else 1.0
     diff_o = omega_o_live - scene.omega_o_target
@@ -467,27 +309,20 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
               + w.lam4 * float(np.abs(dt).sum())
               + w.lam5 * rot_dist)
 
-    # --- self penetration (pair queries grouped by target link)
-    loss_sp = 0.0
-    by_target = {}
-    for i, j in scene.link_pairs(posed):
-        by_target.setdefault(j, []).append(i)
-    for j, sources in by_target.items():
-        pts = np.vstack([H[seg_slices[i]] for i in sources])
-        d_ij, g_ij = posed.link_sdf(j, pts)
-        pen = np.maximum(-d_ij, 0.0)
-        if not pen.any():
-            continue
-        loss_sp += w.lam7 * float(pen.sum())
-        if accumulate:
-            offset = 0
-            for i in sources:
-                n_i = seg_slices[i].stop - seg_slices[i].start
-                rows = np.nonzero(d_ij[offset:offset + n_i] < 0)[0] + offset
-                if len(rows):
-                    acc.add(i, pts[rows], -w.lam7 * g_ij[rows])
-                    acc.add(j, pts[rows], w.lam7 * g_ij[rows])
-                offset += n_i
+    # --- self penetration: every hand sample inside a non-adjacent link
+    d_self = posed.self_distances()
+    loss_sp = w.lam7 * float(np.maximum(-d_self, 0.0).sum())
+    if accumulate and loss_sp > 0.0:
+        segs = spec.segment_links()
+        sources = spec.sample_links()
+        rows, cols = np.nonzero(d_self < 0.0)
+        for r in np.unique(rows):
+            j, n = segs[r], cols[rows == r]
+            _, g = posed.link_sdf(j, H[n])
+            acc.add(j, H[n], w.lam7 * g)
+            for i in np.unique(sources[n]):
+                own = sources[n] == i
+                acc.add(int(i), H[n][own], -w.lam7 * g[own])
 
     terms = {
         "contact": loss_c,
@@ -563,16 +398,7 @@ def loss_interpenetration(posed, object_samples, weights=None):
 
 def loss_self_penetration(posed, weights=None):
     w = weights or LossWeights()
-    spec = posed.spec
-    total = 0.0
-    for i in spec.segment_links():
-        pts = posed.segment_points(i)
-        for j in spec.segment_links():
-            if i == j or (i, j) in spec.adjacent_pairs:
-                continue
-            d, _ = posed.link_sdf(j, pts)
-            total += float(np.maximum(-d, 0.0).sum())
-    return w.lam7 * total
+    return w.lam7 * float(np.maximum(-posed.self_distances(), 0.0).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import transforms as tf
-from ..errors import ConfigurationError, InvalidInputError
+from ..errors import InvalidInputError
 from ..geometry import sample_surface, tessellate
 from ..geometry.mesh import merge_meshes
+from ..geometry.primitives import PrimitiveStack
 
 
 @dataclass
@@ -113,6 +114,8 @@ class HandSpec:
         self._local_samples = None
         self._sample_seed = sample_seed
         self._link_meshes = None
+        self._primitive_stacks = {}
+        self._self_contact_mask = None
 
     def _validate_coupling_range(self):
         lo_a, hi_a = self.actuated_limits[:, 0], self.actuated_limits[:, 1]
@@ -167,6 +170,37 @@ class HandSpec:
                 pairs.add((i, j))
         return pairs
 
+    def primitive_stack(self, link=None):
+        """SDF kernel over every segment link's primitives, or over those
+        of one link (lazy)."""
+        if link not in self._primitive_stacks:
+            links = self.segment_links() if link is None else [link]
+            self._primitive_stacks[link] = PrimitiveStack(
+                {i: self.links[i].primitives for i in links})
+        return self._primitive_stacks[link]
+
+    def sample_links(self):
+        """Owning link of each row of the stacked hand samples."""
+        samples = self.local_samples()
+        return np.concatenate([np.full(len(samples[i].points), i)
+                               for i in sorted(samples)]).astype(np.intp)
+
+    def self_contact_links(self):
+        """(L, L) bool over segment_links(): the link pairs that count in
+        self-contact, i.e. distinct and not adjacent."""
+        segs, adjacent = self.segment_links(), self.adjacent_pairs
+        return np.array([[a != b and (a, b) not in adjacent for b in segs]
+                         for a in segs], dtype=bool)
+
+    def self_contact_mask(self):
+        """(L, N) bool (lazy): self_contact_links() rows against the link
+        of each stacked hand sample, so entry (l, n) says whether sample n
+        counts against segment link l."""
+        if self._self_contact_mask is None:
+            columns = np.searchsorted(self.segment_links(), self.sample_links())
+            self._self_contact_mask = self.self_contact_links()[:, columns]
+        return self._self_contact_mask
+
 
 @dataclass
 class Grasp:
@@ -207,9 +241,6 @@ class PosedHand:
     anchor_points: np.ndarray    # (A, 3)
     fingertip_points: np.ndarray  # (F, 3)
 
-    def link_pose(self, i):
-        return self.rotations[i], self.translations[i]
-
     def segment_points(self, i):
         return self.samples[i].points
 
@@ -218,34 +249,34 @@ class PosedHand:
         return np.vstack([self.samples[i].points for i in idx]), idx
 
     def sdf(self, points, with_gradient=False):
-        """Signed distance to the whole hand (min across link primitives)."""
-        points = np.atleast_2d(points)
-        best = np.full(len(points), np.inf)
-        grad = np.zeros((len(points), 3))
-        best_link = np.full(len(points), -1)
-        for i in self.spec.segment_links():
-            d, g = self.link_sdf(i, points)
-            better = d < best
-            best[better] = d[better]
-            grad[better] = g[better]
-            best_link[better] = i
-        if with_gradient:
-            return best, grad, best_link
-        return best
+        """Signed distance to the whole hand (min across link primitives).
+
+        With ``with_gradient``: (distance, world gradient, nearest link).
+        """
+        return self.spec.primitive_stack().query(
+            self.rotations, self.translations, points, with_gradient)
 
     def link_sdf(self, i, points):
-        """SDF of one link's primitive union, evaluated in world frame."""
-        from ..geometry.primitives import primitive_sdf
-        R, t = self.rotations[i], self.translations[i]
-        local = (np.atleast_2d(points) - t) @ R
-        best = np.full(len(local), np.inf)
-        grad = np.zeros((len(local), 3))
-        for prim in self.spec.links[i].primitives:
-            d, g = primitive_sdf(prim, local)
-            better = d < best
-            best[better] = d[better]
-            grad[better] = g[better]
-        return best, grad @ R.T
+        """SDF of one link's primitive union and its world gradient."""
+        d, g, _ = self.spec.primitive_stack(i).query(
+            self.rotations, self.translations, points, with_gradient=True)
+        return d, g
+
+    def link_distances(self, points):
+        """(L, N) SDF of every segment link (rows in segment_links() order)."""
+        return self.spec.primitive_stack().owner_distances(
+            self.rotations, self.translations, points)
+
+    def self_distances(self):
+        """(L, N) distance of every hand sample to every segment link.
+
+        Columns are the stacked hand samples (all_sample_points); pairs
+        that do not count in self-contact (a sample's own link and the
+        links adjacent to it) read +inf.
+        """
+        pts, _ = self.all_sample_points()
+        return np.where(self.spec.self_contact_mask(),
+                        self.link_distances(pts), np.inf)
 
 
 def forward_kinematics(spec, grasp):
@@ -362,10 +393,3 @@ def make_grasp(spec, q=None, rotation=None, translation=None):
     rotation = tf.IDENTITY_QUAT.copy() if rotation is None else rotation
     translation = np.zeros(3) if translation is None else translation
     return Grasp(q, rotation, translation)
-
-
-def require_fingertips(spec, names):
-    have = {f.name for f in spec.fingertip_frames}
-    missing = [n for n in names if n not in have]
-    if missing:
-        raise ConfigurationError(f"{spec.name}: unmapped fingertips {missing}")

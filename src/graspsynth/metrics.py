@@ -11,7 +11,6 @@ never conflated with simulator success rates.
 """
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,16 +126,7 @@ def penetration(posed, object_mesh, spacing=VOXEL_SPACING, object_sdf=None):
 
 def self_penetration(posed, spacing=VOXEL_SPACING):
     """(max depth cm, overlap volume cm^3) between non-adjacent links."""
-    spec = posed.spec
-    segs = spec.segment_links()
-    depth = 0.0
-    for i in segs:
-        pts = posed.segment_points(i)
-        for j in segs:
-            if i == j or (i, j) in spec.adjacent_pairs:
-                continue
-            d, _ = posed.link_sdf(j, pts)
-            depth = max(depth, float(np.maximum(-d, 0.0).max(initial=0.0)))
+    depth = float(np.maximum(-posed.self_distances(), 0.0).max(initial=0.0))
     if depth == 0.0:
         return 0.0, 0.0
 
@@ -149,16 +139,11 @@ def self_penetration(posed, spacing=VOXEL_SPACING):
                              indexing="ij")
     centers = lo + (np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) + 0.5) \
         * spacing
-    inside = {}
-    for i in segs:
-        d, _ = posed.link_sdf(i, centers)
-        inside[i] = d < 0
+    inside = posed.link_distances(centers) < 0
+    pairs = posed.spec.self_contact_links()
     overlap = np.zeros(len(centers), dtype=bool)
-    for i in segs:
-        for j in segs:
-            if j <= i or (i, j) in spec.adjacent_pairs:
-                continue
-            overlap |= inside[i] & inside[j]
+    for a in range(len(inside)):
+        overlap |= inside[a] & inside[pairs[a]].any(axis=0)
     return depth, float(np.count_nonzero(overlap)) * spacing ** 3
 
 
@@ -297,14 +282,15 @@ class MetricsReport:
     flags: list = field(default_factory=list)
 
     def validate(self):
-        assert self.epsilon >= 0
+        if not self.epsilon >= 0:
+            raise InvalidInputError(f"epsilon must be >= 0, got {self.epsilon}")
         for name in ("functionality_precision", "functionality_recall",
                      "iou"):
             v = getattr(self, name)
-            if not np.isnan(v):
-                assert 0.0 <= v <= 1.0, name
-        if not np.isnan(self.hrd):
-            assert 0.0 <= self.hrd <= np.pi + 1e-9
+            if not (np.isnan(v) or 0.0 <= v <= 1.0):
+                raise InvalidInputError(f"{name} must be in [0, 1], got {v}")
+        if not (np.isnan(self.hrd) or 0.0 <= self.hrd <= np.pi + 1e-9):
+            raise InvalidInputError(f"hrd must be in [0, pi], got {self.hrd}")
         return self
 
 
@@ -384,12 +370,6 @@ def report_from_dict(doc):
             setattr(report, key, np.nan if value is None else float(value))
     report.flags = list(doc.get("flags", []))
     return report
-
-
-def save_report(path, report, object_name="", grasp_name=""):
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report, object_name, grasp_name), fh,
-                  indent=1)
 
 
 def write_csv(path, rows):

@@ -12,7 +12,6 @@ import hashlib
 import json
 import pathlib
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,7 +41,6 @@ class RunConfig:
     lattice_k: int = 8
     beta_smooth: float = 10.0
     beta_mag: float = 0.1
-    jobs: int = 1
     weights: LossWeights = field(default_factory=LossWeights)
 
     @classmethod
@@ -78,8 +76,6 @@ def _validate_config(cfg):
         raise SchemaError("config: seed >= 0 and object_samples >= 32")
     if cfg.restarts < 1 or cfg.steps < 1 or cfg.refine_steps < 0:
         raise SchemaError("config: restarts/steps must be positive")
-    if cfg.jobs < 1:
-        raise SchemaError("config: jobs must be >= 1")
 
 
 def _sha256(path):
@@ -180,34 +176,16 @@ def run_category(category_doc, category_dir, demo, robot, config, out_dir,
     outputs = []
     failures = []
 
-    def run_one(name):
-        mesh = load_mesh(category_dir / name)
-        return synthesize_instance(robot, demo, demo_bundle, map_demo,
-                                   template_samples, mesh, config,
-                                   hrd_reference=demo.wrist_rotation)
-
-    results = {}
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {name: pool.submit(run_one, name) for name in instances}
-            for name, fut in futures.items():
-                try:
-                    results[name] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - isolation contract
-                    failures.append({"instance": name, "error": repr(exc),
-                                     "trace": traceback.format_exc()})
-    else:
-        for name in instances:
-            try:
-                results[name] = run_one(name)
-            except Exception as exc:  # noqa: BLE001 - isolation contract
-                failures.append({"instance": name, "error": repr(exc),
-                                 "trace": traceback.format_exc()})
-
     for name in instances:
-        if name not in results:
+        try:
+            mesh = load_mesh(category_dir / name)
+            res = synthesize_instance(robot, demo, demo_bundle, map_demo,
+                                      template_samples, mesh, config,
+                                      hrd_reference=demo.wrist_rotation)
+        except Exception as exc:  # noqa: BLE001 - isolation contract
+            failures.append({"instance": name, "error": repr(exc),
+                             "trace": traceback.format_exc()})
             continue
-        res = results[name]
         stem = pathlib.Path(name).stem
         files = {
             f"{stem}.grasp.json": grasp_to_dict(res["grasp"], hand=robot.name),

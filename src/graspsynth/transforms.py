@@ -102,14 +102,6 @@ def compose(Ra, ta, Rb, tb):
     return Ra @ Rb, Ra @ tb + ta
 
 
-def transform_points(R, t, points):
-    return np.asarray(points) @ R.T + t
-
-
-def inverse(R, t):
-    return R.T, -(R.T @ t)
-
-
 def rotation_between(a, b):
     """Smallest rotation carrying unit vector a onto unit vector b."""
     a = np.asarray(a, dtype=float)

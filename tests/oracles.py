@@ -158,3 +158,36 @@ def finite_difference_jacobian(fn, x, h=1e-6):
         dx[i] = h
         J[:, i] = (np.asarray(fn(x + dx)) - np.asarray(fn(x - dx))).ravel() / (2 * h)
     return J
+
+
+def self_penetration_bruteforce(posed):
+    """(sum, max) depth of hand samples inside other links, by plain loops.
+
+    Every ordered pair (i, j) of links counts unless i == j or one is the
+    other's nearest ancestor with geometry; the depth of link i's samples
+    in link j is the min of ``primitive_sdf`` over j's primitives.
+    """
+    from graspsynth.geometry import primitive_sdf
+
+    links = posed.spec.links
+
+    def geometric_parent(i):
+        j = links[i].parent
+        while j >= 0 and not links[j].primitives:
+            j = links[j].parent
+        return j
+
+    total = deepest = 0.0
+    for i in posed.samples:
+        for j, link in enumerate(links):
+            if (not link.primitives or i == j or geometric_parent(i) == j
+                    or geometric_parent(j) == i):
+                continue
+            R, t = posed.rotations[j], posed.translations[j]
+            local = (posed.samples[i].points - t) @ R
+            d = np.min([primitive_sdf(p, local, with_gradient=False)
+                        for p in link.primitives], axis=0)
+            depth = np.maximum(-d, 0.0)
+            total += float(depth.sum())
+            deepest = max(deepest, float(depth.max()))
+    return total, deepest

@@ -142,6 +142,7 @@ def test_fit_equivariance_under_rotation(library):
     assert ang < 2.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unrecognized_object(library):
     rng = np.random.default_rng(0)
     # diffuse blob much larger than any template, garbage normals

@@ -10,10 +10,13 @@ from graspsynth.grasp_opt import (GraspScene, LossWeights, evaluate,
                                   loss_interpenetration,
                                   loss_self_penetration, optimize,
                                   refine_physical)
+from graspsynth.hands import builtin_hand
 from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
-                                    forward_kinematics, make_grasp)
+                                    apply_coupling, forward_kinematics,
+                                    make_grasp)
+from graspsynth.metrics import self_penetration
 
-from oracles import rot_about
+from oracles import rot_about, self_penetration_bruteforce
 
 
 def sphere_hand(n_links=1, spacing=3.0, radius=0.5, samples=48):
@@ -99,6 +102,33 @@ def test_loss_self_penetration_rules():
     assert per_sample_max == pytest.approx(deepest, abs=0.05)
 
 
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_self_penetration_matches_bruteforce(hand):
+    # the optimizer term, the loss entry point and the metric depth all
+    # read one masked distance array; check each against plain pair loops
+    spec = builtin_hand(hand)
+    rng = np.random.default_rng(11)
+    scene = GraspScene(spec, bundle_for([[100.0, 100.0, 100.0]]))
+    lam7 = LossWeights().lam7
+    colliding = 0
+    for _ in range(6):
+        a = rng.uniform(spec.actuated_limits[:, 0], spec.actuated_limits[:, 1])
+        q, _ = apply_coupling(spec, a)
+        grasp = Grasp(q, tf.rotvec_to_quat(rng.normal(size=3)),
+                      rng.normal(scale=5.0, size=3))
+        posed = forward_kinematics(spec, grasp)
+        total, deepest = self_penetration_bruteforce(posed)
+        colliding += total > 0
+        _, terms, _ = evaluate(scene, grasp, grasp)
+        assert terms["self_penetration"] == pytest.approx(lam7 * total,
+                                                          rel=1e-9, abs=1e-12)
+        assert loss_self_penetration(posed) == pytest.approx(
+            lam7 * total, rel=1e-9, abs=1e-12)
+        assert self_penetration(posed)[0] == pytest.approx(deepest, rel=1e-9,
+                                                           abs=1e-12)
+    assert colliding > 0, hand
+
+
 def test_open_hand_no_self_penetration(cylinder_scene):
     spec = cylinder_scene["spec"]
     posed = forward_kinematics(spec, make_grasp(spec))
@@ -167,7 +197,7 @@ def test_loss_contact_self_consistency(cylinder_scene, cylinder_bundle):
     _, terms, _ = evaluate(scene, cylinder_scene["grasp"],
                            cylinder_scene["grasp"])
     # object-side live map is identical to the extracted one by construction
-    sdf, _, _ = scene.prims.query(posed, scene.object_points)
+    sdf, _, _ = posed.sdf(scene.object_points, with_gradient=True)
     from graspsynth.contact import digitize
     assert np.abs(digitize(sdf) - cylinder_bundle.omega_object).max() < 1e-9
     assert terms["gesture"] == 0.0

@@ -263,6 +263,18 @@ def test_evaluate_grasp_report(cylinder_scene, cylinder_bundle):
     assert report.penetration_depth < 0.3
 
 
+@pytest.mark.parametrize("name, value", [
+    ("epsilon", -1.0), ("functionality_precision", 3.0),
+    ("functionality_recall", -0.5), ("iou", 1.5), ("hrd", 4.0)])
+def test_report_validate_raises(name, value):
+    # a raised error, not an assert: python -O must not accept these
+    assert MetricsReport().validate() is not None
+    report = MetricsReport()
+    setattr(report, name, value)
+    with pytest.raises(InvalidInputError):
+        report.validate()
+
+
 def test_report_roundtrip_and_csv(tmp_path):
     report = MetricsReport(epsilon=0.1, penetration_depth=0.2,
                            functionality_precision=0.7,
