@@ -10,40 +10,24 @@ joints (flexion_sign 0) never move.
 
 import numpy as np
 
-from .hands.model import forward_kinematics
+from .hands.model import _ancestor_dofs, forward_kinematics
 
 STOP_SDF = 0.05  # cm
 
 
-def _own_links(spec):
-    """dof index -> geometric links whose nearest revolute ancestor is it."""
-    out = {}
-    for i, link in enumerate(spec.links):
-        if not (link.primitives and link.sample_count > 0):
-            continue
-        j = i
-        while j >= 0:
-            l = spec.links[j]
-            if l.joint_type == "revolute":
-                out.setdefault(l.dof_index, []).append(i)
-                break
-            j = l.parent
-    return out
-
-
-def _subtree_links(spec):
-    """dof index -> all geometric links that joint moves."""
-    out = {}
-    for i, link in enumerate(spec.links):
-        if not (link.primitives and link.sample_count > 0):
-            continue
-        j = i
-        while j >= 0:
-            l = spec.links[j]
-            if l.joint_type == "revolute":
-                out.setdefault(l.dof_index, []).append(i)
-            j = l.parent
-    return out
+def _dof_sample_masks(spec):
+    """(DoF, N) bool over the stacked hand samples: the samples each joint
+    carries directly (it is their link's nearest revolute ancestor), and
+    the samples it moves at all."""
+    sample_links = spec.sample_links()
+    carries = np.zeros((spec.dof, len(sample_links)), dtype=bool)
+    moves = np.zeros_like(carries)
+    for link in np.unique(sample_links):
+        dofs = [dof for _, dof in _ancestor_dofs(spec, link)]
+        if dofs:
+            carries[dofs[0], sample_links == link] = True
+            moves[np.ix_(dofs, sample_links == link)] = True
+    return carries, moves
 
 
 def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
@@ -59,52 +43,33 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     """
     q = grasp.q.copy()
     lower, upper = spec.lower, spec.upper
-    own = _own_links(spec)
-    subtree = _subtree_links(spec)
+    carries, moves = _dof_sample_masks(spec)
     signs = np.zeros(spec.dof)
     for link in spec.links:
         if link.joint_type == "revolute":
             signs[link.dof_index] = link.flexion_sign
     targets = np.clip(q + signs * delta, lower, upper)
     active = (signs != 0) & (np.abs(targets - q) > 1e-12)
-    sample_links = spec.sample_links()
 
-    def self_touching(posed):
-        """Links with a sample within ``stop_sdf`` of a non-adjacent link."""
-        if not stop_self:
-            return set()
-        near = posed.self_distances().min(axis=0) <= stop_sdf
-        return set(sample_links[near].tolist())
+    def stopped(q):
+        """Joints whose own samples touch the object, or that move a
+        sample that penetrates it (or, with ``stop_self``, rests on
+        another finger: the whole chain stops pressing)."""
+        posed = forward_kinematics(spec, _with_q(grasp, q))
+        d = object_sdf(posed.all_sample_points()[0])
+        blocked = d < -2 * stop_sdf
+        if stop_self:
+            blocked |= posed.self_distances().min(axis=0) <= stop_sdf
+        return ((carries & (d <= stop_sdf)).any(axis=1)
+                | (moves & blocked).any(axis=1))
 
-    def frozen(posed, dof, touching):
-        for link in own.get(dof, ()):
-            if object_sdf(posed.segment_points(link)).min() <= stop_sdf:
-                return True
-        for link in subtree.get(dof, ()):
-            if object_sdf(posed.segment_points(link)).min() < -2 * stop_sdf:
-                return True
-            # the whole chain stops pressing once anything downstream
-            # rests on another finger
-            if link in touching:
-                return True
-        return False
-
-    posed = forward_kinematics(spec, _with_q(grasp, q))
-    touching = self_touching(posed)
-    for dof in np.nonzero(active)[0]:
-        if frozen(posed, dof, touching):
-            active[dof] = False
-
+    active &= ~stopped(q)
     step = (targets - q) / substeps
     for _ in range(substeps):
         if not np.any(active):
             break
         q[active] += step[active]
-        posed = forward_kinematics(spec, _with_q(grasp, q))
-        touching = self_touching(posed)
-        for dof in np.nonzero(active)[0]:
-            if frozen(posed, dof, touching):
-                active[dof] = False
+        active &= ~stopped(q)
     # accumulated substeps can overshoot the limits by float rounding
     return np.clip(q, lower, upper)
 

@@ -59,10 +59,7 @@ def demonstration_from_hand(spec, grasp, object_mesh):
     primitives provide the segmented surface and exact SDFs.
     """
     posed = forward_kinematics(spec, grasp)
-    segments = {}
-    for i in spec.segment_links():
-        name = spec.links[i].name
-        segments[name] = posed.samples[i]
+    segments = _sampled_segments(posed)
     anchors = {a.name: p for a, p in zip(spec.anchors, posed.anchor_points)}
     Rw, tw = grasp.wrist_matrix()
     task_points = {f.name: Rw.T @ (p - tw)
@@ -146,17 +143,23 @@ def hand_contact_map(hand, object_mesh, tau_c=TAU_CONTACT, object_sdf=None):
     if isinstance(hand, Demonstration):
         segments = hand.segments
     elif isinstance(hand, PosedHand):
-        segments = {hand.spec.links[i].name: hand.samples[i]
-                    for i in hand.spec.segment_links()}
+        segments = _sampled_segments(hand)
     else:
         raise InvalidInputError(f"unsupported hand {type(hand)}")
-    omega = {}
-    contact = {}
-    for name, samples in segments.items():
-        d = np.maximum(object_sdf(samples.points), 0.0)
-        omega[name] = digitize(d)
-        contact[name] = np.nonzero(d <= tau_c)[0]
+    points = [samples.points for samples in segments.values()]
+    d = np.maximum(object_sdf(np.vstack(points)), 0.0)
+    by_segment = dict(zip(segments, np.split(
+        d, np.cumsum([len(p) for p in points])[:-1])))
+    omega = {name: digitize(v) for name, v in by_segment.items()}
+    contact = {name: np.nonzero(v <= tau_c)[0]
+               for name, v in by_segment.items()}
     return omega, contact
+
+
+def _sampled_segments(posed):
+    """Segment name -> world samples, for the links that carry samples."""
+    return {posed.spec.links[i].name: posed.samples[i]
+            for i in sorted(posed.samples)}
 
 
 def knuckle_partition(contact_points, segment_samples):

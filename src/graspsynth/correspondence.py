@@ -82,44 +82,21 @@ def lattice_for_bounds(lo, hi, k=LATTICE_K, pad_frac=0.05):
     return DeformationField(origin, spacing, (k, k, k), np.zeros((k, k, k, 3)))
 
 
-def _laplacian(disp):
-    """Node value minus neighbor mean, per coordinate (boundary-aware)."""
-    out = np.zeros_like(disp)
-    count = np.zeros(disp.shape[:3])
-    acc = np.zeros_like(disp)
+def _laplacian(dims):
+    """Sparse lattice Laplacian: node value minus the mean of its axis
+    neighbours (boundary nodes have fewer)."""
+    index = np.arange(int(np.prod(dims))).reshape(dims)
+    rows, cols = [], []
     for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(0, -1)
-        sl_b[axis] = slice(1, None)
-        acc[tuple(sl_a)] += disp[tuple(sl_b)]
-        acc[tuple(sl_b)] += disp[tuple(sl_a)]
-        count[tuple(sl_a)] += 1
-        count[tuple(sl_b)] += 1
-    out = disp - acc / count[..., None]
-    return out
-
-
-def _laplacian_adjoint(res, dims):
-    """Adjoint of _laplacian (L is symmetric up to the degree weights)."""
-    count = np.zeros(dims)
-    for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(0, -1)
-        sl_b[axis] = slice(1, None)
-        count[tuple(sl_a)] += 1
-        count[tuple(sl_b)] += 1
-    out = res.copy()
-    weighted = res / count[..., None]
-    for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(0, -1)
-        sl_b[axis] = slice(1, None)
-        out[tuple(sl_a)] -= weighted[tuple(sl_b)]
-        out[tuple(sl_b)] -= weighted[tuple(sl_a)]
-    return out
+        lo = np.delete(index, -1, axis=axis).ravel()
+        hi = np.delete(index, 0, axis=axis).ravel()
+        rows += [lo, hi]
+        cols += [hi, lo]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                          shape=(index.size, index.size))
+    mean = sparse.diags(1.0 / np.asarray(A.sum(axis=1)).ravel()) @ A
+    return (sparse.identity(index.size) - mean).tocsr()
 
 
 @dataclass
@@ -137,6 +114,8 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
     WT = W.T.tocsr()
     n_t, n_i = len(t_pts), len(i_pts)
     n_nodes = float(np.prod(field.dims))
+    L = _laplacian(field.dims)
+    LT = L.T.tocsr()
 
     def chamfer_terms(warped):
         d_ti, idx_ti = inst_tree.query(warped)
@@ -145,14 +124,14 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
         return value, idx_ti, idx_it
 
     def total_loss(disp):
-        warped = t_pts + W @ disp.reshape(-1, 3)
+        nodes = disp.reshape(-1, 3)
+        warped = t_pts + W @ nodes
         cham, idx_ti, idx_it = chamfer_terms(warped)
-        d3 = disp.reshape(*field.dims, 3)
-        lap = _laplacian(d3)
+        lap = L @ nodes
         # regularizers are per-node means so they balance the chamfer means
         reg = beta_smooth * float((lap ** 2).sum()) / n_nodes \
-            + beta_mag * float((d3 ** 2).sum()) / n_nodes
-        return cham + reg, cham, (warped, idx_ti, idx_it, lap, d3)
+            + beta_mag * float((nodes ** 2).sum()) / n_nodes
+        return cham + reg, cham, (warped, idx_ti, idx_it, lap, nodes)
 
     # diagonal preconditioner: data curvature per node + regularizer floor
     data_diag = np.asarray((W.multiply(W)).sum(axis=0)).ravel() * (2.0 / n_t)
@@ -166,16 +145,14 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
     momentum = np.zeros_like(disp)
     mu = 0.9
     for _ in range(max_iters):
-        warped, idx_ti, idx_it, lap, d3 = aux
+        warped, idx_ti, idx_it, lap, nodes = aux
         # chamfer gradient with the nearest-neighbor pairs frozen
         res_ti = (warped - i_pts[idx_ti]) * (2.0 / n_t)
         res_it = np.zeros_like(warped)
         np.add.at(res_it, idx_it, (warped[idx_it] - i_pts) * (2.0 / n_i))
         grad_nodes = WT @ (res_ti + res_it)
-        grad = grad_nodes \
-            + (2.0 * beta_smooth / n_nodes) \
-            * _laplacian_adjoint(lap, field.dims).reshape(-1, 3) \
-            + (2.0 * beta_mag / n_nodes) * d3.reshape(-1, 3)
+        grad = grad_nodes + (2.0 * beta_smooth / n_nodes) * (LT @ lap) \
+            + (2.0 * beta_mag / n_nodes) * nodes
         direction = grad.ravel() / precond
 
         accepted = False

@@ -377,13 +377,12 @@ def _fit_one(observed, normals, template, init, max_iters, weights):
             step *= 0.5
         if not accepted:
             break
-        # fold the accepted rotation increment into the base (identical
-        # state, fresh zero increment) and keep the candidate evaluation
-        base_R = tf.rotvec_to_matrix(xc[4:7]) @ base_R
+        # fold the accepted rotation increment into the base: the same
+        # state with a fresh zero increment, so the candidate's evaluation
+        # (its R is this base_R) stands
+        base_R = cand_aux["R"]
         x = np.concatenate([xc[:4], np.zeros(3)])
-        value, terms = cand_value, cand_terms
-        aux = _ose_losses(template, x, base_R, observed, normals, weights,
-                          view_dir)[2]
+        value, terms, aux = cand_value, cand_terms, cand_aux
         step = min(step * 1.7, 0.2)
 
     sigma = float(np.exp(x[0]))

@@ -31,7 +31,8 @@ from scipy.spatial import cKDTree
 from . import transforms as tf
 from .contact import digitize
 from .errors import InvalidInputError
-from .hands.model import Grasp, actuated_from_q, forward_kinematics
+from .hands.model import (Grasp, actuated_from_q, ancestor_axes,
+                          forward_kinematics)
 
 SMOOTH_EPS = 1e-6
 
@@ -103,8 +104,12 @@ class GraspScene:
         self.object_tree = cKDTree(self.object_points)
 
         name_to_link = {spec.links[i].name: i for i in spec.segment_links()}
-        self.segment_links = [i for i in spec.segment_links()
-                              if spec.links[i].sample_count > 0]
+        # rows of the stacked hand samples (all_sample_points) per link
+        samples = spec.local_samples()
+        self.segment_links = sorted(samples)
+        ends = np.cumsum([len(samples[i].points) for i in self.segment_links])
+        self.segment_slices = {i: slice(end - len(samples[i].points), end)
+                               for i, end in zip(self.segment_links, ends)}
         # attraction/repulsion targets, keyed by robot link index
         self.link_targets = {}
         self.link_target_trees = {}
@@ -138,8 +143,7 @@ class _GradientAccumulator:
     """Collects d(loss)/d(world point) pairs per link and contracts them
     against the kinematic Jacobians in closed form."""
 
-    def __init__(self, spec, posed):
-        self.spec = spec
+    def __init__(self, posed):
         self.posed = posed
         self.moments = {}   # link -> [sum V, sum P x V]
 
@@ -155,25 +159,14 @@ class _GradientAccumulator:
             self.moments[link] = [s0, s1]
 
     def gradient(self):
-        spec, posed = self.spec, self.posed
-        grad_q = np.zeros(spec.dof)
+        posed = self.posed
+        grad_q = np.zeros(posed.spec.dof)
         grad_t = np.zeros(3)
         grad_r = np.zeros(3)
         wrist_t = posed.grasp.translation
         for link, (s0, s1) in self.moments.items():
-            i = link
-            while i >= 0:
-                l = spec.links[i]
-                if l.joint_type == "revolute":
-                    if l.parent < 0:
-                        Rp, tp = posed.grasp.wrist_matrix()
-                    else:
-                        Rp = posed.rotations[l.parent]
-                        tp = posed.translations[l.parent]
-                    axis = Rp @ (l.origin_rotation @ l.axis)
-                    origin = Rp @ l.origin_translation + tp
-                    grad_q[l.dof_index] += axis @ (s1 - np.cross(origin, s0))
-                i = spec.links[i].parent
+            for dof, axis, origin in ancestor_axes(posed, link):
+                grad_q[dof] += axis @ (s1 - np.cross(origin, s0))
             grad_t += s0
             grad_r += s1 - np.cross(wrist_t, s0)
         return grad_q, grad_t, grad_r
@@ -197,7 +190,7 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
     w = weights or scene.weights
     spec = scene.spec
     posed = forward_kinematics(spec, grasp)
-    acc = _GradientAccumulator(spec, posed) if accumulate else None
+    acc = _GradientAccumulator(posed) if accumulate else None
     ref = gesture_reference if gesture_reference is not None else g_init
 
     # --- object-side SDF against the hand (contact map + interpenetration)
@@ -220,15 +213,8 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
 
     # --- hand-side contact map against the object cloud
     hand_map_term = 0.0
-    seg_slices = {}
-    all_pts = []
-    offset = 0
-    for i in scene.segment_links:
-        pts = posed.segment_points(i)
-        seg_slices[i] = slice(offset, offset + len(pts))
-        all_pts.append(pts)
-        offset += len(pts)
-    H = np.vstack(all_pts) if all_pts else np.zeros((0, 3))
+    seg_slices = scene.segment_slices
+    H, _ = posed.all_sample_points()
     d_m, n_m, _ = _oriented_cloud_distance(scene, H)
     omega_m_live = digitize(d_m)
     if scene.per_sample_hand_map:

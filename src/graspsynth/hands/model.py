@@ -335,9 +335,10 @@ def point_jacobian(spec, grasp, link, local_point, posed=None):
     return point_jacobian_world(spec, posed, link, p)
 
 
-def point_jacobian_world(spec, posed, link, world_point):
-    """Same Jacobian for a point already expressed in world coordinates."""
-    J = np.zeros((3, spec.dof + 6))
+def ancestor_axes(posed, link):
+    """(dof, world axis, world origin) of each joint moving the link,
+    innermost first."""
+    spec = posed.spec
     for jlink, dof in _ancestor_dofs(spec, link):
         # joint rotates about the world axis through the joint origin; the
         # axis lives after the origin transform, before the joint turn
@@ -346,8 +347,14 @@ def point_jacobian_world(spec, posed, link, world_point):
             Rp, tp = posed.grasp.wrist_matrix()
         else:
             Rp, tp = posed.rotations[l.parent], posed.translations[l.parent]
-        axis_world = Rp @ (l.origin_rotation @ l.axis)
-        origin_world = Rp @ l.origin_translation + tp
+        yield (dof, Rp @ (l.origin_rotation @ l.axis),
+               Rp @ l.origin_translation + tp)
+
+
+def point_jacobian_world(spec, posed, link, world_point):
+    """Same Jacobian for a point already expressed in world coordinates."""
+    J = np.zeros((3, spec.dof + 6))
+    for dof, axis_world, origin_world in ancestor_axes(posed, link):
         J[:, dof] = np.cross(axis_world, world_point - origin_world)
     J[:, spec.dof:spec.dof + 3] = np.eye(3)
     r = world_point - posed.grasp.translation

@@ -219,22 +219,14 @@ def closure_contacts(spec, grasp, object_mesh, object_sdf=None,
     q = march_closure(spec, grasp, object_sdf.query, delta=np.deg2rad(10.0),
                       stop_sdf=stop_sdf)
     closed = Grasp(q, grasp.rotation.copy(), grasp.translation.copy())
-    posed = forward_kinematics(spec, closed)
-    points = []
-    normals = []
-    links = set()
-    for i in spec.segment_links():
-        pts = posed.segment_points(i)
-        vals, grads = object_sdf.query_with_gradient(pts)
-        touching = vals <= contact_band
-        if np.any(touching):
-            links.add(i)
-            points.append(pts[touching])
-            normals.append(-grads[touching])   # forces push into the object
-    if points:
-        contacts = ContactSet(np.vstack(points), np.vstack(normals))
-    else:
-        contacts = None
+    pts, _ = forward_kinematics(spec, closed).all_sample_points()
+    vals, grads = object_sdf.query_with_gradient(pts)
+    touching = vals <= contact_band
+    links = set(spec.sample_links()[touching].tolist())
+    contacts = None
+    if np.any(touching):
+        # forces push into the object
+        contacts = ContactSet(pts[touching], -grads[touching])
     return contacts, links, q
 
 

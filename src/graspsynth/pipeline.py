@@ -91,10 +91,11 @@ def _dump(path, doc):
         json.dump(doc, fh, sort_keys=True)
 
 
-def synthesize_instance(robot, demo, bundle_demo, map_demo, template_samples,
+def synthesize_instance(robot, init, bundle_demo, map_demo, template_samples,
                         instance_mesh, config, hrd_reference=None):
-    """Contact diffusion + retarget + optimize + refine + metrics for one
-    instance mesh. Returns a dict of result objects."""
+    """Contact diffusion + optimize + refine + metrics for one instance
+    mesh, starting from the retargeted demonstration ``init`` (a
+    RetargetResult). Returns a dict of result objects."""
     i_samples = sample_surface(instance_mesh, n=config.object_samples,
                                seed=config.seed)
     field_i, fit_report = fit_deformation(
@@ -104,8 +105,6 @@ def synthesize_instance(robot, demo, bundle_demo, map_demo, template_samples,
     map_i = correspond(template_samples, i_samples, field_i)
     bundle_i = diffuse_contacts(bundle_demo, map_demo, map_i)
 
-    problem = problem_from_demo(demo, robot)
-    init = retarget(problem)
     scene = GraspScene(robot, bundle_i, config.weights)
     report = optimize(robot, init.grasp, bundle_i, weights=config.weights,
                       restarts=config.restarts, steps=config.steps,
@@ -175,11 +174,14 @@ def run_category(category_doc, category_dir, demo, robot, config, out_dir,
     instances = list(category_doc["instances"])
     outputs = []
     failures = []
+    init = None
 
     for name in instances:
         try:
             mesh = load_mesh(category_dir / name)
-            res = synthesize_instance(robot, demo, demo_bundle, map_demo,
+            if init is None:  # depends only on the demo and the hand
+                init = retarget(problem_from_demo(demo, robot))
+            res = synthesize_instance(robot, init, demo_bundle, map_demo,
                                       template_samples, mesh, config,
                                       hrd_reference=demo.wrist_rotation)
         except Exception as exc:  # noqa: BLE001 - isolation contract

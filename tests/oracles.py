@@ -191,3 +191,83 @@ def self_penetration_bruteforce(posed):
             total += float(depth.sum())
             deepest = max(deepest, float(depth.max()))
     return total, deepest
+
+
+def march_closure_per_link(spec, grasp, object_sdf, delta, stop_sdf,
+                           substeps, stop_self):
+    """Closure march by the per-link rule, by plain loops over links.
+
+    A flexion joint freezes when a link it carries directly (the joint is
+    the link's nearest revolute ancestor) has a sample within ``stop_sdf``
+    of the object, or when any link it moves has a sample deeper than
+    ``2 * stop_sdf`` or, with ``stop_self``, a sample within ``stop_sdf``
+    of a hand link other than itself and its geometric parent and
+    children. Each link is queried on its own; returns the final q.
+    """
+    from graspsynth.hands.model import Grasp, forward_kinematics
+
+    links = spec.links
+    sampled = [i for i, l in enumerate(links)
+               if l.primitives and l.sample_count > 0]
+
+    def joints_above(i):
+        out = []
+        while i >= 0:
+            if links[i].joint_type == "revolute":
+                out.append(links[i].dof_index)
+            i = links[i].parent
+        return out
+
+    def geometric_parent(i):
+        j = links[i].parent
+        while j >= 0 and not links[j].primitives:
+            j = links[j].parent
+        return j
+
+    def link_state(q):
+        posed = forward_kinematics(
+            spec, Grasp(q.copy(), grasp.rotation, grasp.translation))
+        nearest, touching = {}, {}
+        for i in sampled:
+            pts = posed.samples[i].points
+            nearest[i] = float(object_sdf(pts).min())
+            touching[i] = False
+            for j, link in enumerate(links):
+                if (not stop_self or not link.primitives or i == j
+                        or geometric_parent(i) == j
+                        or geometric_parent(j) == i):
+                    continue
+                if posed.link_sdf(j, pts)[0].min() <= stop_sdf:
+                    touching[i] = True
+        return nearest, touching
+
+    def frozen(dof, nearest, touching):
+        for i in sampled:
+            joints = joints_above(i)
+            if joints and joints[0] == dof and nearest[i] <= stop_sdf:
+                return True
+            if dof in joints and (nearest[i] < -2 * stop_sdf or touching[i]):
+                return True
+        return False
+
+    q = np.array(grasp.q, dtype=float)
+    sign = np.zeros(spec.dof)
+    for link in links:
+        if link.joint_type == "revolute":
+            sign[link.dof_index] = link.flexion_sign
+    target = np.clip(q + sign * delta, spec.lower, spec.upper)
+    active = [sign[k] != 0 and abs(target[k] - q[k]) > 1e-12
+              for k in range(spec.dof)]
+    step = (target - q) / substeps
+    for sub in range(substeps + 1):
+        if sub > 0:
+            if not any(active):
+                break
+            for k in range(spec.dof):
+                if active[k]:
+                    q[k] += step[k]
+        nearest, touching = link_state(q)
+        for k in range(spec.dof):
+            if active[k] and frozen(k, nearest, touching):
+                active[k] = False
+    return np.clip(q, spec.lower, spec.upper)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graspsynth.correspondence import (correspond, diffuse_contacts,
+from graspsynth.correspondence import (_laplacian, correspond,
+                                       diffuse_contacts,
                                        dsc_from_dict, dsc_to_dict,
                                        fit_deformation, lattice_for_bounds,
                                        load_keypoints, pck, save_keypoints,
@@ -46,6 +47,23 @@ def test_warped_beats_unwarped(bottle_pair):
     field, report = fit_deformation(t_samples, i_samples)
     after = chamfer(field.warp(t_samples.points), i_samples.points)
     assert after < before
+
+
+def test_laplacian_is_node_minus_neighbour_mean():
+    dims = (3, 4, 2)
+    index = np.arange(24).reshape(dims)
+    x = np.random.default_rng(0).normal(size=(24, 3))
+    want = np.empty_like(x)
+    for node in np.ndindex(*dims):
+        neighbours = []
+        for axis in range(3):
+            for step in (-1, 1):
+                other = list(node)
+                other[axis] += step
+                if 0 <= other[axis] < dims[axis]:
+                    neighbours.append(index[tuple(other)])
+        want[index[node]] = x[index[node]] - x[neighbours].mean(axis=0)
+    assert np.allclose(_laplacian(dims) @ x, want, rtol=0.0, atol=1e-12)
 
 
 def test_degenerate_instance_rejected(bottle_pair):
