@@ -1,8 +1,7 @@
 """Mesh and point-cloud kernel: SDF queries, sampling, voxels, chamfer."""
 
 from .chamfer import chamfer
-from .grid import (OccupancyGrid, SdfGrid, iou, occupancy_from_mesh,
-                   occupancy_from_sdf, sdf_grid_from_mesh, voxelize)
+from .grid import OccupancyGrid, SdfGrid, iou, sdf_grid_from_mesh, voxelize
 from .mesh import (TriMesh, bbox_diagonal, load_mesh, load_point_cloud,
                    merge_meshes, save_obj, save_ply)
 from .primitives import Primitive, primitive_sdf, tessellate, union_sdf
@@ -13,7 +12,7 @@ __all__ = [
     "TriMesh", "SurfaceSamples", "OccupancyGrid", "SdfGrid", "Primitive",
     "MeshSDF", "TriangleBVH",
     "bbox_diagonal", "chamfer", "iou", "load_mesh", "load_point_cloud",
-    "merge_meshes", "mesh_sdf", "occupancy_from_mesh", "occupancy_from_sdf",
+    "merge_meshes", "mesh_sdf",
     "primitive_sdf", "sample_surface", "save_obj", "save_ply",
     "sdf_grid_from_mesh", "tessellate", "union_sdf", "voxelize",
     "winding_numbers",

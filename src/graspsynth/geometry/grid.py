@@ -1,9 +1,10 @@
 """Occupancy grids and dense SDF grids.
 
 Voxelization marks a cell occupied iff its center lies strictly inside
-the mesh. Inside tests rasterize z-axis columns against the triangles
-and take crossing parity; columns that graze a shared edge fall back to
-winding numbers.
+the mesh, and SDF grid nodes take their sign the same way: both ask
+``MeshSDF.inside`` (BVH ray parity, winding numbers for grazing rays),
+the one inside test for meshes. Cell centers of every padded grid come
+from ``cell_centers``.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from ..errors import InvalidInputError
-from .sdf import TriangleBVH, winding_numbers
+from .sdf import MeshSDF
 
 DEFAULT_SPACING = 0.25  # cm
 PAD_CELLS = 2
@@ -34,9 +35,7 @@ class OccupancyGrid:
         self.occupancy.setflags(write=False)
 
     def cell_centers(self):
-        ii, jj, kk = np.meshgrid(*[np.arange(d) for d in self.dims], indexing="ij")
-        idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-        return self.origin + (idx + 0.5) * self.spacing
+        return cell_centers(self.origin, self.spacing, self.dims)
 
     @property
     def cell_volume(self):
@@ -49,119 +48,34 @@ class OccupancyGrid:
         return int(self.occupancy.sum())
 
 
-def _grid_layout(lo, hi, spacing, pad_cells=PAD_CELLS):
-    origin = lo - pad_cells * spacing
-    extent = (hi - lo) + 2 * pad_cells * spacing
+def padded_layout(lo, hi, spacing):
+    """Origin and dims of a cell grid covering [lo, hi] plus PAD_CELLS."""
+    origin = lo - PAD_CELLS * spacing
+    extent = (hi - lo) + 2 * PAD_CELLS * spacing
     dims = tuple(int(np.ceil(e / spacing - 1e-9)) for e in extent)
     dims = tuple(max(d, 1) for d in dims)
     return origin, dims
 
 
-def _column_crossings(mesh, xs, ys):
-    """Z values where each (x, y) column crosses the surface.
+def _lattice(dims):
+    """(N, 3) integer index of every cell, C order."""
+    return np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"),
+                    axis=-1).reshape(-1, 3)
 
-    Returns (crossings, ambiguous): a list-of-lists over the flattened
-    column grid and a boolean mask of columns whose parity is unreliable.
-    """
-    nx, ny = len(xs), len(ys)
-    crossings = [[] for _ in range(nx * ny)]
-    ambiguous = np.zeros(nx * ny, dtype=bool)
-    tri = mesh.triangles
-    x0 = xs[0]
-    y0 = ys[0]
-    dx = xs[1] - xs[0] if nx > 1 else 1.0
-    dy = ys[1] - ys[0] if ny > 1 else 1.0
 
-    for t in range(len(tri)):
-        a, b, c = tri[t]
-        n = np.cross(b - a, c - a)
-        if abs(n[2]) < 1e-14:  # column-parallel face: no z crossing
-            continue
-        txmin, txmax = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
-        tymin, tymax = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
-        i0 = max(int(np.ceil((txmin - x0) / dx - 1e-12)), 0)
-        i1 = min(int(np.floor((txmax - x0) / dx + 1e-12)), nx - 1)
-        j0 = max(int(np.ceil((tymin - y0) / dy - 1e-12)), 0)
-        j1 = min(int(np.floor((tymax - y0) / dy + 1e-12)), ny - 1)
-        if i0 > i1 or j0 > j1:
-            continue
-        gx, gy = np.meshgrid(xs[i0:i1 + 1], ys[j0:j1 + 1], indexing="ij")
-        px = gx.ravel() - a[0]
-        py = gy.ravel() - a[1]
-        # 2-D barycentric in the xy projection
-        ux, uy = b[0] - a[0], b[1] - a[1]
-        vx, vy = c[0] - a[0], c[1] - a[1]
-        det = ux * vy - uy * vx
-        s = (px * vy - py * vx) / det
-        r = (ux * py - uy * px) / det
-        inside = (s >= 0) & (r >= 0) & (s + r <= 1)
-        border = ((np.abs(s) < 1e-12) | (np.abs(r) < 1e-12)
-                  | (np.abs(1 - s - r) < 1e-12))
-        if not np.any(inside):
-            continue
-        z = a[2] + s * (b[2] - a[2]) + r * (c[2] - a[2])
-        flat_i = (np.arange(i0, i1 + 1)[:, None] * ny
-                  + np.arange(j0, j1 + 1)[None, :]).ravel()
-        for f, ins, brd, zc in zip(flat_i, inside, border, z):
-            if ins:
-                crossings[f].append(zc)
-                if brd:
-                    ambiguous[f] = True
-    return crossings, ambiguous
+def cell_centers(origin, spacing, dims):
+    """Centers origin + (i + 0.5) * spacing of every cell, C order."""
+    return origin + (_lattice(dims) + 0.5) * spacing
 
 
 def voxelize(mesh, spacing=DEFAULT_SPACING):
     """Occupancy grid of the mesh at the given spacing (cm)."""
     if not mesh.is_watertight():
         raise InvalidInputError("voxelize requires a watertight mesh")
-    lo, hi = mesh.bounds()
-    origin, dims = _grid_layout(lo, hi, spacing)
-    occ = occupancy_from_mesh(mesh, origin, spacing, dims)
-    return OccupancyGrid(np.asarray(origin, dtype=float), float(spacing), dims, occ)
-
-
-def occupancy_from_mesh(mesh, origin, spacing, dims):
-    """Inside test of all cell centers via column parity."""
-    nx, ny, nz = dims
-    xs = origin[0] + (np.arange(nx) + 0.5) * spacing
-    ys = origin[1] + (np.arange(ny) + 0.5) * spacing
-    zs = origin[2] + (np.arange(nz) + 0.5) * spacing
-    crossings, ambiguous = _column_crossings(mesh, xs, ys)
-    occ = np.zeros((nx, ny, nz), dtype=bool)
-    ztol = 1e-9 * (np.abs(mesh.vertices).max() + 1.0)
-    for i in range(nx):
-        for j in range(ny):
-            f = i * ny + j
-            cz = crossings[f]
-            if not cz:
-                continue
-            cz = np.sort(np.asarray(cz))
-            below = np.searchsorted(cz, zs, side="left")
-            occ[i, j] = below % 2 == 1
-            if not ambiguous[f] and np.any(np.abs(zs[:, None] - cz[None, :]) < ztol):
-                ambiguous[f] = True
-    amb_cols = np.nonzero(ambiguous)[0]
-    if len(amb_cols):
-        ii, jj = amb_cols // ny, amb_cols % ny
-        centers = np.column_stack([np.repeat(xs[ii], nz),
-                                   np.repeat(ys[jj], nz),
-                                   np.tile(zs, len(amb_cols))])
-        wn = winding_numbers(centers, mesh) > 0.5
-        occ[np.repeat(ii, nz), np.repeat(jj, nz),
-            np.tile(np.arange(nz), len(amb_cols))] = wn
-    return occ
-
-
-def occupancy_from_sdf(sdf_fn, origin, spacing, dims, chunk=65536):
-    """Occupancy grid from any callable SDF (cell center strictly inside)."""
-    nx, ny, nz = dims
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    centers = origin + (np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) + 0.5) * spacing
-    occ = np.empty(len(centers), dtype=bool)
-    for s in range(0, len(centers), chunk):
-        occ[s:s + chunk] = sdf_fn(centers[s:s + chunk]) < 0
-    return occ.reshape(dims)
+    origin, dims = padded_layout(*mesh.bounds(), spacing)
+    occ = MeshSDF(mesh).inside(cell_centers(origin, spacing, dims))
+    return OccupancyGrid(np.asarray(origin, dtype=float), float(spacing), dims,
+                         occ.reshape(dims))
 
 
 def iou(a, b):
@@ -264,9 +178,10 @@ class SdfGrid:
 def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):
     """Dense SDF grid: exact distances in a narrow band, propagated beyond.
 
-    The narrow band around the surface gets exact point-triangle
-    distances; farther nodes take the distance to the nearest band node
-    plus that node's exact value (error O(spacing), fine in the far field).
+    Node signs come from ``MeshSDF.inside``. The narrow band around the
+    sign change gets exact point-triangle distances; farther nodes take
+    the distance to the nearest band node plus that node's exact value
+    (error O(spacing), fine in the far field).
     """
     if not mesh.is_watertight():
         raise InvalidInputError("sdf grid requires a watertight mesh")
@@ -274,10 +189,9 @@ def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):
     origin = lo - pad_cells * spacing
     dims = tuple(int(np.ceil((h - l + 2 * pad_cells * spacing) / spacing)) + 1
                  for l, h in zip(lo, hi))
-    nx, ny, nz = dims
-    # node positions coincide with centers of a half-shifted cell grid
-    node_origin = origin - 0.5 * spacing
-    inside = occupancy_from_mesh(mesh, node_origin, spacing, dims)
+    sdf = MeshSDF(mesh)
+    nodes = origin + _lattice(dims) * spacing
+    inside = sdf.inside(nodes).reshape(dims)
 
     boundary = np.zeros(dims, dtype=bool)
     for axis in range(3):
@@ -290,18 +204,8 @@ def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):
         boundary[tuple(sl_b)] |= diff
     band = ndimage.binary_dilation(boundary, iterations=band_cells)
 
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    nodes = origin + np.stack([ii, jj, kk], axis=-1) * spacing
     values = np.full(dims, np.nan)
-
-    band_idx = np.nonzero(band)
-    band_pts = nodes[band_idx]
-    bvh = TriangleBVH(mesh)
-    d = np.empty(len(band_pts))
-    for s in range(0, len(band_pts), 8192):
-        d[s:s + 8192], _ = bvh.min_distance(band_pts[s:s + 8192])
-    values[band_idx] = d
+    values[band] = sdf.bvh.min_distance(nodes[band.ravel()])[0]
 
     far = ~band
     if np.any(far):

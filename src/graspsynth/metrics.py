@@ -21,9 +21,8 @@ from . import transforms as tf
 from .closure import STOP_SDF, march_closure
 from .contact import digitize
 from .errors import InvalidInputError, SchemaError
-from .geometry import (MeshSDF, bbox_diagonal, iou, occupancy_from_sdf,
-                       sample_surface, voxelize)
-from .geometry.grid import OccupancyGrid
+from .geometry import MeshSDF, bbox_diagonal, iou, sample_surface
+from .geometry.grid import OccupancyGrid, cell_centers, padded_layout
 from .hands.model import Grasp, forward_kinematics
 
 METRICS_SCHEMA = "metrics/1"
@@ -110,17 +109,24 @@ def epsilon_quality(contacts, torque_scale, origin=(0.0, 0.0, 0.0)):
 
 
 def penetration(posed, object_mesh, spacing=VOXEL_SPACING, object_sdf=None):
-    """(max depth cm, overlap volume cm^3) of a posed hand into an object."""
+    """(max depth cm, overlap volume cm^3) of a posed hand into an object.
+
+    Depth is the deepest hand sample under the object SDF. Volume counts
+    the cells of the object's padded voxel grid (``voxelize`` layout)
+    whose centers are inside both the hand and the object; only the
+    cells inside the hand ask ``object_sdf.inside``.
+    """
+    if not object_mesh.is_watertight():
+        raise InvalidInputError("penetration requires a watertight mesh")
     if object_sdf is None:
         object_sdf = MeshSDF(object_mesh)
     pts, _ = posed.all_sample_points()
     depth = float(np.maximum(-object_sdf.query(pts), 0.0).max(initial=0.0))
 
-    grid = voxelize(object_mesh, spacing=spacing)
-    hand_occ = occupancy_from_sdf(lambda p: posed.sdf(p), grid.origin,
-                                  grid.spacing, grid.dims)
-    volume = float(np.count_nonzero(grid.occupancy & hand_occ)) \
-        * grid.cell_volume
+    origin, dims = padded_layout(*object_mesh.bounds(), spacing)
+    centers = cell_centers(origin, spacing, dims)
+    in_hand = centers[posed.sdf(centers) < 0]
+    volume = float(np.count_nonzero(object_sdf.inside(in_hand))) * spacing ** 3
     return depth, volume
 
 
@@ -131,14 +137,9 @@ def self_penetration(posed, spacing=VOXEL_SPACING):
         return 0.0, 0.0
 
     all_pts, _ = posed.all_sample_points()
-    lo = all_pts.min(axis=0) - 2 * spacing
-    hi = all_pts.max(axis=0) + 2 * spacing
-    dims = tuple(int(np.ceil((h - l) / spacing)) for l, h in zip(lo, hi))
-    nx, ny, nz = dims
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    centers = lo + (np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) + 0.5) \
-        * spacing
+    origin, dims = padded_layout(all_pts.min(axis=0), all_pts.max(axis=0),
+                                 spacing)
+    centers = cell_centers(origin, spacing, dims)
     inside = posed.link_distances(centers) < 0
     pairs = posed.spec.self_contact_links()
     overlap = np.zeros(len(centers), dtype=bool)

@@ -271,3 +271,14 @@ def march_closure_per_link(spec, grasp, object_sdf, delta, stop_sdf,
             if active[k] and frozen(k, nearest, touching):
                 active[k] = False
     return np.clip(q, spec.lower, spec.upper)
+
+
+def penetration_volume_full_grid(posed, mesh, spacing=0.25):
+    """Hand-object overlap volume over every cell of the object's voxel
+    grid: cells whose center ``voxelize`` marks occupied and the hand SDF
+    puts inside, times the cell volume."""
+    from graspsynth.geometry import voxelize
+
+    grid = voxelize(mesh, spacing=spacing)
+    in_hand = (posed.sdf(grid.cell_centers()) < 0).reshape(grid.dims)
+    return float(np.count_nonzero(grid.occupancy & in_hand)) * spacing ** 3

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from graspsynth.geometry import MeshSDF, TriMesh, mesh_sdf
+from graspsynth.fit import GRID_SPACING_CM, canonicalize
+from graspsynth.fixtures import CATEGORY_TEMPLATES
+from graspsynth.geometry import MeshSDF, TriMesh, mesh_sdf, sdf_grid_from_mesh
 
 from conftest import make_sphere, make_unit_cube
 from oracles import mesh_signed_distance
@@ -82,3 +84,16 @@ def test_sphere_radial_profile():
     pts = np.column_stack([r, np.zeros_like(r), np.zeros_like(r)])
     vals = mesh_sdf(sph, pts)
     assert np.allclose(vals, r - 2.0, atol=0.02)
+
+
+@pytest.mark.parametrize("category", ["bottle", "tumbler", "wand"])
+def test_sdf_grid_matches_mesh_sdf(category):
+    # near the surface every grid node holds the exact signed distance,
+    # sign included, of the mesh SDF at that node
+    mesh, diag, _ = canonicalize(CATEGORY_TEMPLATES[category]())
+    grid = sdf_grid_from_mesh(mesh, GRID_SPACING_CM / diag)
+    nodes = grid.origin + np.indices(grid.dims).reshape(3, -1).T * grid.spacing
+    want = MeshSDF(mesh).query(nodes)
+    near = (np.abs(want) <= grid.spacing) & (np.abs(want) > 1e-9)
+    assert near.sum() > 1000
+    assert np.array_equal(grid.values.ravel()[near], want[near])

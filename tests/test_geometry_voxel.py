@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from graspsynth.errors import InvalidInputError
-from graspsynth.geometry import TriMesh, iou, voxelize
+from graspsynth.fixtures import category_instances, cylinder_mesh
+from graspsynth.geometry import (MeshSDF, TriMesh, iou, voxelize,
+                                 winding_numbers)
 
 from conftest import make_sphere, make_unit_cube
 
@@ -50,6 +52,27 @@ def _mesh_volume(mesh):
     tri = mesh.triangles
     return float(np.abs(np.einsum("ij,ij->i", tri[:, 0],
                                   np.cross(tri[:, 1], tri[:, 2])).sum()) / 6.0)
+
+
+@pytest.mark.parametrize("name", ["cylinder", "bottle", "tumbler", "wand",
+                                  "cube", "sphere"])
+def test_voxelize_matches_winding_numbers(name):
+    # away from the surface, a cell is occupied iff its center's winding
+    # number says inside
+    if name == "cylinder":
+        mesh = cylinder_mesh()
+    elif name == "cube":
+        mesh = make_unit_cube()
+    elif name == "sphere":
+        mesh = make_sphere()
+    else:
+        mesh = category_instances(name)[1][1]
+    grid = voxelize(mesh, spacing=0.25)
+    centers = grid.cell_centers()
+    clear = MeshSDF(mesh).bvh.min_distance(centers)[0] > 1e-6
+    want = winding_numbers(centers[clear], mesh) > 0.5
+    assert np.array_equal(grid.occupancy.ravel()[clear], want)
+    assert want.any() and not want.all()
 
 
 def test_nonwatertight_rejected():

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from graspsynth import transforms as tf
 from graspsynth.contact import ContactBundle
 from graspsynth.errors import InvalidInputError
-from graspsynth.fixtures import cylinder_mesh
-from graspsynth.geometry import Primitive, tessellate, voxelize
-from graspsynth.hands.model import HandSpec, Link, forward_kinematics, make_grasp
+from graspsynth.fixtures import (category_instances, cylinder_mesh,
+                                 wrap_grasp_pose)
+from graspsynth.geometry import (MeshSDF, Primitive, TriMesh, tessellate,
+                                 voxelize)
+from graspsynth.hands import builtin_hand
+from graspsynth.hands.model import (Grasp, HandSpec, Link, apply_coupling,
+                                    forward_kinematics, make_grasp)
 from graspsynth.metrics import (ContactSet, closure_success, epsilon_quality,
                                 evaluate_grasp, functionality_pr, hrd,
                                 MetricsReport, ncd, penetration,
@@ -14,7 +20,8 @@ from graspsynth.metrics import (ContactSet, closure_success, epsilon_quality,
                                 self_penetration, wrench_set, write_csv)
 
 from conftest import make_sphere, make_unit_cube
-from oracles import rot_about, support_function_radius
+from oracles import (penetration_volume_full_grid, rot_about,
+                     support_function_radius)
 
 
 def antipodal_contacts(mu=0.5, m=8):
@@ -121,6 +128,42 @@ def test_penetration_sphere_halfspace_depth():
                                 translation=np.array([0.0, 0.0, -5.0])))
     depth, _ = penetration(posed, slab)
     assert depth == pytest.approx(1.5, abs=0.05)
+
+
+def test_penetration_rejects_open_mesh():
+    # refused before any object SDF is built (which would warn)
+    cube = make_unit_cube()
+    spec = box_hand(center=(0.5, 0.5, 0.5))
+    posed = forward_kinematics(spec, make_grasp(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError):
+            penetration(posed, TriMesh(cube.vertices, cube.faces[:-1]))
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_penetration_volume_matches_full_grid(hand):
+    # the volume asks the object only at the cells inside the hand; it
+    # must equal the full-grid count of voxelize & hand occupancy
+    spec = builtin_hand(hand)
+    lo, hi = spec.actuated_limits[:, 0], spec.actuated_limits[:, 1]
+    rng = np.random.default_rng(5)
+    volumes = []
+    for mesh in (cylinder_mesh(), category_instances("bottle")[1][2]):
+        sdf = MeshSDF(mesh)
+        rotation, translation = wrap_grasp_pose(mesh)
+        for _ in range(2):
+            q, _ = apply_coupling(spec, lo + rng.uniform(0.3, 0.9, spec.doa)
+                                  * (hi - lo))
+            t = translation + rng.uniform(-0.5, 0.5, 3)
+            posed = forward_kinematics(spec, Grasp(q, rotation, t))
+            deepest = float(sdf.query(posed.all_sample_points()[0]).min())
+            t[1] -= rng.uniform(0.2, 1.0) + deepest
+            posed = forward_kinematics(spec, Grasp(q, rotation, t))
+            _, volume = penetration(posed, mesh, object_sdf=sdf)
+            assert volume == penetration_volume_full_grid(posed, mesh)
+            volumes.append(volume)
+    assert max(volumes) > 0
 
 
 def test_self_penetration_zero_open_hand(cylinder_scene):
