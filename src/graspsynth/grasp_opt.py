@@ -11,6 +11,13 @@ pairs, so one pass of cross-product moments per link yields the full
 joint-space gradient. Point-set distances freeze their argmin pair per
 step; live contact maps are recomputed every evaluation.
 
+An evaluation is split in two. The forward pass (``_ForwardPass``) poses
+the hand, takes every distance and argmin pair the loss needs and keeps
+them; the gradient pass (``_ForwardPass.gradient``) contracts that kept
+state without posing or querying again. The descent gives each
+line-search candidate one forward pass and runs the gradient pass only
+over the accepted candidate's state.
+
 The anchor-alignment term L_A is a hinge: each anchor adds
 ``anchor_weight * dist``, its distance to the nearest assigned object
 point, only while that distance exceeds ``d2``; within ``d2`` it adds no
@@ -151,7 +158,7 @@ class _GradientAccumulator:
         points = np.atleast_2d(points)
         vectors = np.atleast_2d(vectors)
         s0 = vectors.sum(axis=0)
-        s1 = np.cross(points, vectors).sum(axis=0)
+        s1 = _cross(points, vectors).sum(axis=0)
         if link in self.moments:
             self.moments[link][0] += s0
             self.moments[link][1] += s1
@@ -166,10 +173,24 @@ class _GradientAccumulator:
         wrist_t = posed.grasp.translation
         for link, (s0, s1) in self.moments.items():
             for dof, axis, origin in ancestor_axes(posed, link):
-                grad_q[dof] += axis @ (s1 - np.cross(origin, s0))
+                grad_q[dof] += axis @ (s1 - _cross(origin, s0))
             grad_t += s0
-            grad_r += s1 - np.cross(wrist_t, s0)
+            grad_r += s1 - _cross(wrist_t, s0)
         return grad_q, grad_t, grad_r
+
+
+def _cross(a, b):
+    """``np.cross`` of (..., 3) arrays written out by components.
+
+    Same products and differences as ``np.cross``, so the same bits, in
+    an array of the same layout (summing it over axis 0 adds the rows in
+    the same order), without ``np.cross``'s ``moveaxis`` overhead.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def _oriented_cloud_distance(scene, points):
@@ -180,161 +201,211 @@ def _oriented_cloud_distance(scene, points):
     return signed, normals, idx
 
 
+def _max_depth(signed):
+    """Deepest penetration (cm) among signed distances, 0 if none."""
+    return float(np.maximum(-signed, 0.0).max(initial=0.0))
+
+
+class _ForwardPass:
+    """The loss of one grasp, and the state its gradient pass reads.
+
+    Construction poses the hand and takes every distance the loss needs:
+    the hand SDF at the object points, the oriented-cloud distance of the
+    hand samples ``H``, the attraction/repulsion and anchor argmin pairs
+    and the self distances. ``gradient()`` contracts that state into the
+    (actuated, translation, rotation) gradient without posing the hand or
+    querying anything again.
+    """
+
+    def __init__(self, scene, grasp, ref, w):
+        spec = scene.spec
+        self.scene, self.grasp, self.ref, self.w = scene, grasp, ref, w
+        self.posed = posed = forward_kinematics(spec, grasp)
+
+        # --- object-side SDF against the hand (contact map + interpenetration)
+        obj_pts = scene.object_points
+        self.sdf_o, self.grad_o, self.link_o = posed.sdf(obj_pts,
+                                                         with_gradient=True)
+        self.map_div = float(len(obj_pts)) if w.map_norm == "mean" else 1.0
+        self.diff_o = digitize(self.sdf_o) - scene.omega_o_target
+        contact_map_term = float(_smooth_abs(self.diff_o).sum()) / self.map_div
+        loss_ip = w.lam6 * float(np.maximum(-self.sdf_o, 0.0).sum())
+
+        # --- hand-side contact map against the object cloud
+        seg_slices = scene.segment_slices
+        self.H, _ = posed.all_sample_points()
+        self.d_m, self.n_m, _ = _oriented_cloud_distance(scene, self.H)
+        omega_m_live = digitize(self.d_m)
+        # per matched segment: (link, live - target map[, scale])
+        self.hand_difs = []
+        if scene.per_sample_hand_map:
+            n_matched = sum(spec.links[k].sample_count
+                            for k in scene.matched_segments)
+            self.hand_div = float(n_matched) if w.map_norm == "mean" else 1.0
+            for i in scene.matched_segments:
+                target = scene.omega_m_target[spec.links[i].name]
+                self.hand_difs.append((i, omega_m_live[seg_slices[i]] - target))
+            hand_map_term = (float(np.concatenate(
+                [_smooth_abs(dif) for _, dif in self.hand_difs]).sum())
+                / self.hand_div if self.hand_difs else 0.0)
+        else:
+            # segment-mean comparison for mismatched layouts, scaled to the
+            # same magnitude the per-sample sum would have
+            per_seg = []
+            n_segs = max(len(scene.matched_segments), 1)
+            for i in scene.matched_segments:
+                sl = seg_slices[i]
+                n_seg = sl.stop - sl.start
+                scale = float(n_seg) if w.map_norm == "sum" else 1.0 / n_segs
+                target_mean = float(np.mean(
+                    scene.omega_m_target[spec.links[i].name]))
+                dif = float(np.mean(omega_m_live[sl])) - target_mean
+                per_seg.append(_smooth_abs(np.array([dif]))[0] * scale)
+                self.hand_difs.append((i, dif, scale))
+            hand_map_term = float(np.sum(per_seg)) if per_seg else 0.0
+
+        # --- knuckle attraction / non-pair repulsion: one KD query per
+        # target tree over all of H (a point's result does not depend on
+        # the others), then each segment's first argmin per tree
+        trees = scene.link_target_trees
+        queried = [tree.query(self.H) for tree in trees.values()]
+        dists = np.reshape([d for d, _ in queried], (len(trees), len(self.H)))
+        attract = 0.0
+        repel = 0.0
+        self.pulls = []     # (link, point, target point, distance, weight)
+        for i in scene.segment_links:
+            sl = seg_slices[i]
+            first = dists[:, sl].argmin(axis=1) + sl.start
+            for j, (d, nearest), ia in zip(trees, queried, first):
+                dist = float(d[ia])
+                target = scene.link_targets[j]
+                if i == j:
+                    attract += dist
+                    if dist > 1e-12:
+                        self.pulls.append((i, self.H[ia], target[nearest[ia]],
+                                           dist, w.lam1))
+                else:
+                    repel += min(dist, w.d1)
+                    if 1e-12 < dist < w.d1:
+                        self.pulls.append((i, self.H[ia], target[nearest[ia]],
+                                           dist, -w.lam2))
+        loss_c = (contact_map_term + hand_map_term + w.lam1 * attract
+                  - w.lam2 * repel)
+
+        # --- anchor alignment
+        loss_a = 0.0
+        for k, target in scene.anchor_targets.items():
+            a_pt = posed.anchor_points[k]
+            d = np.linalg.norm(target - a_pt, axis=1)
+            ib = int(d.argmin())
+            dist = float(d[ib])
+            if dist > w.d2:
+                loss_a += w.anchor_weight * dist
+                if dist > 1e-12 and w.anchor_weight > 0:
+                    self.pulls.append((spec.anchors[k].link, a_pt, target[ib],
+                                       dist, w.anchor_weight))
+
+        # --- gesture regularization
+        self.dq = grasp.q - ref.q
+        self.dt = grasp.translation - ref.translation
+        rot_dist = tf.quat_rotation_distance(grasp.rotation, ref.rotation)
+        loss_g = (w.lam3 * float(np.abs(self.dq).sum())
+                  + w.lam4 * float(np.abs(self.dt).sum())
+                  + w.lam5 * rot_dist)
+
+        # --- self penetration: every hand sample inside a non-adjacent link
+        self.d_self = posed.self_distances()
+        loss_sp = w.lam7 * float(np.maximum(-self.d_self, 0.0).sum())
+
+        self.terms = {
+            "contact": loss_c,
+            "anchor": loss_a,
+            "gesture": loss_g,
+            "interpenetration": loss_ip,
+            "self_penetration": loss_sp,
+        }
+        self.total = float(sum(self.terms.values()))
+
+    def cloud_depth(self):
+        """Deepest hand sample under the oriented object cloud (cm)."""
+        return _max_depth(self.d_m)
+
+    def gradient(self):
+        """d(total)/d(actuated, wrist translation, wrist rotation vector)."""
+        scene, w, posed, H = self.scene, self.w, self.posed, self.H
+        spec = scene.spec
+        acc = _GradientAccumulator(posed)
+
+        w_map = (_smooth_abs_grad(self.diff_o) * _digitize_slope(self.sdf_o)
+                 / self.map_div)
+        w_ip = np.where(self.sdf_o < 0.0, -w.lam6, 0.0)
+        w_d = w_map + w_ip
+        live = w_d != 0.0
+        for link in np.unique(self.link_o[live]):
+            rows = live & (self.link_o == link)
+            acc.add(int(link), scene.object_points[rows],
+                    (-w_d[rows, None]) * self.grad_o[rows])
+
+        seg_slices = scene.segment_slices
+        if scene.per_sample_hand_map:
+            for i, dif in self.hand_difs:
+                if len(dif):
+                    sl = seg_slices[i]
+                    w_m = (_smooth_abs_grad(dif) * _digitize_slope(self.d_m[sl])
+                           / self.hand_div)
+                    acc.add(i, H[sl], w_m[:, None] * self.n_m[sl])
+        else:
+            for i, dif, scale in self.hand_difs:
+                sl = seg_slices[i]
+                n_seg = sl.stop - sl.start
+                w_m = (_smooth_abs_grad(np.array([dif]))[0]
+                       * _digitize_slope(self.d_m[sl]) * (scale / n_seg))
+                acc.add(i, H[sl], w_m[:, None] * self.n_m[sl])
+
+        for link, point, target, dist, weight in self.pulls:
+            acc.add(link, point, weight * ((point - target) / dist))
+
+        if self.terms["self_penetration"] > 0.0:
+            segs = spec.segment_links()
+            sources = spec.sample_links()
+            rows, cols = np.nonzero(self.d_self < 0.0)
+            for r in np.unique(rows):
+                j, n = segs[r], cols[rows == r]
+                _, g = posed.link_sdf(j, H[n])
+                acc.add(j, H[n], w.lam7 * g)
+                for i in np.unique(sources[n]):
+                    own = sources[n] == i
+                    acc.add(int(i), H[n][own], -w.lam7 * g[own])
+
+        grad_q, grad_t, grad_r = acc.gradient()
+        # gesture gradient (smoothed L1; rotation via the quaternion chain)
+        dq, dt, grasp, ref = self.dq, self.dt, self.grasp, self.ref
+        grad_q += w.lam3 * dq / np.sqrt(dq ** 2 + SMOOTH_EPS ** 2)
+        grad_t += w.lam4 * dt / np.sqrt(dt ** 2 + SMOOTH_EPS ** 2)
+        dot = float(np.dot(ref.rotation, grasp.rotation))
+        if abs(dot) < 1.0 - 1e-9:
+            dabs = -2.0 / np.sqrt(1.0 - dot ** 2) * np.sign(dot)
+            for k in range(3):
+                u = np.zeros(4)
+                u[1 + k] = 0.5
+                dq_dr = tf.quat_mul(u, grasp.rotation)
+                grad_r[k] += w.lam5 * dabs * float(np.dot(ref.rotation, dq_dr))
+        grad_a = spec.coupling.T @ grad_q
+        return np.concatenate([grad_a, grad_t, grad_r])
+
+
 def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
              gesture_reference=None):
     """Total loss, per-term breakdown, and optionally the gradient.
 
+    One forward pass (``_ForwardPass``) gives the loss and its terms;
+    with ``accumulate`` its gradient pass runs over the same state.
     ``gesture_reference`` overrides the grasp the gesture term compares
     against (used by physical refinement); default is ``g_init``.
     """
-    w = weights or scene.weights
-    spec = scene.spec
-    posed = forward_kinematics(spec, grasp)
-    acc = _GradientAccumulator(posed) if accumulate else None
     ref = gesture_reference if gesture_reference is not None else g_init
-
-    # --- object-side SDF against the hand (contact map + interpenetration)
-    obj_pts = scene.object_points
-    sdf_o, grad_o, link_o = posed.sdf(obj_pts, with_gradient=True)
-    omega_o_live = digitize(sdf_o)
-    map_div = float(len(obj_pts)) if w.map_norm == "mean" else 1.0
-    diff_o = omega_o_live - scene.omega_o_target
-    contact_map_term = float(_smooth_abs(diff_o).sum()) / map_div
-    interpen = float(np.maximum(-sdf_o, 0.0).sum())
-    loss_ip = w.lam6 * interpen
-    if accumulate:
-        w_map = _smooth_abs_grad(diff_o) * _digitize_slope(sdf_o) / map_div
-        w_ip = np.where(sdf_o < 0.0, -w.lam6, 0.0)
-        w_d = w_map + w_ip
-        live = w_d != 0.0
-        for link in np.unique(link_o[live]):
-            rows = live & (link_o == link)
-            acc.add(int(link), obj_pts[rows], (-w_d[rows, None]) * grad_o[rows])
-
-    # --- hand-side contact map against the object cloud
-    hand_map_term = 0.0
-    seg_slices = scene.segment_slices
-    H, _ = posed.all_sample_points()
-    d_m, n_m, _ = _oriented_cloud_distance(scene, H)
-    omega_m_live = digitize(d_m)
-    if scene.per_sample_hand_map:
-        n_matched = sum(spec.links[k].sample_count
-                        for k in scene.matched_segments)
-        hand_div = float(n_matched) if w.map_norm == "mean" else 1.0
-        diffs = []
-        for i in scene.matched_segments:
-            sl = seg_slices[i]
-            target = scene.omega_m_target[spec.links[i].name]
-            dif = omega_m_live[sl] - target
-            diffs.append(_smooth_abs(dif))
-            if accumulate and len(dif):
-                w_m = _smooth_abs_grad(dif) * _digitize_slope(d_m[sl]) / hand_div
-                acc.add(i, H[sl], w_m[:, None] * n_m[sl])
-        if diffs:
-            hand_map_term = float(np.concatenate(diffs).sum()) / hand_div
-    else:
-        # segment-mean comparison for mismatched layouts, scaled to the
-        # same magnitude the per-sample sum would have
-        per_seg = []
-        n_segs = max(len(scene.matched_segments), 1)
-        for i in scene.matched_segments:
-            sl = seg_slices[i]
-            n_seg = sl.stop - sl.start
-            scale = float(n_seg) if w.map_norm == "sum" else 1.0 / n_segs
-            target_mean = float(np.mean(scene.omega_m_target[spec.links[i].name]))
-            live_mean = float(np.mean(omega_m_live[sl]))
-            dif = live_mean - target_mean
-            per_seg.append(_smooth_abs(np.array([dif]))[0] * scale)
-            if accumulate:
-                w_m = (_smooth_abs_grad(np.array([dif]))[0]
-                       * _digitize_slope(d_m[sl]) * (scale / n_seg))
-                acc.add(i, H[sl], w_m[:, None] * n_m[sl])
-        hand_map_term = float(np.sum(per_seg)) if per_seg else 0.0
-
-    # --- knuckle attraction / non-pair repulsion
-    attract = 0.0
-    repel = 0.0
-    for i in scene.segment_links:
-        pts_i = H[seg_slices[i]]
-        for j, tree in scene.link_target_trees.items():
-            d, nearest = tree.query(pts_i)
-            ia = int(d.argmin())
-            dist = float(d[ia])
-            ib = int(nearest[ia])
-            target = scene.link_targets[j]
-            if i == j:
-                attract += dist
-                if accumulate and dist > 1e-12:
-                    unit = (pts_i[ia] - target[ib]) / dist
-                    acc.add(i, pts_i[ia], w.lam1 * unit)
-            else:
-                repel += min(dist, w.d1)
-                if accumulate and 1e-12 < dist < w.d1:
-                    unit = (pts_i[ia] - target[ib]) / dist
-                    acc.add(i, pts_i[ia], -w.lam2 * unit)
-    loss_c = contact_map_term + hand_map_term + w.lam1 * attract - w.lam2 * repel
-
-    # --- anchor alignment
-    loss_a = 0.0
-    for k, target in scene.anchor_targets.items():
-        a_pt = posed.anchor_points[k]
-        d = np.linalg.norm(target - a_pt, axis=1)
-        ib = int(d.argmin())
-        dist = float(d[ib])
-        if dist > w.d2:
-            loss_a += w.anchor_weight * dist
-            if accumulate and dist > 1e-12 and w.anchor_weight > 0:
-                unit = (a_pt - target[ib]) / dist
-                acc.add(spec.anchors[k].link, a_pt, w.anchor_weight * unit)
-
-    # --- gesture regularization
-    dq = grasp.q - ref.q
-    dt = grasp.translation - ref.translation
-    rot_dist = tf.quat_rotation_distance(grasp.rotation, ref.rotation)
-    loss_g = (w.lam3 * float(np.abs(dq).sum())
-              + w.lam4 * float(np.abs(dt).sum())
-              + w.lam5 * rot_dist)
-
-    # --- self penetration: every hand sample inside a non-adjacent link
-    d_self = posed.self_distances()
-    loss_sp = w.lam7 * float(np.maximum(-d_self, 0.0).sum())
-    if accumulate and loss_sp > 0.0:
-        segs = spec.segment_links()
-        sources = spec.sample_links()
-        rows, cols = np.nonzero(d_self < 0.0)
-        for r in np.unique(rows):
-            j, n = segs[r], cols[rows == r]
-            _, g = posed.link_sdf(j, H[n])
-            acc.add(j, H[n], w.lam7 * g)
-            for i in np.unique(sources[n]):
-                own = sources[n] == i
-                acc.add(int(i), H[n][own], -w.lam7 * g[own])
-
-    terms = {
-        "contact": loss_c,
-        "anchor": loss_a,
-        "gesture": loss_g,
-        "interpenetration": loss_ip,
-        "self_penetration": loss_sp,
-    }
-    total = float(sum(terms.values()))
-    if not accumulate:
-        return total, terms, None
-
-    grad_q, grad_t, grad_r = acc.gradient()
-    # gesture gradient (smoothed L1; rotation via the quaternion chain)
-    grad_q += w.lam3 * dq / np.sqrt(dq ** 2 + SMOOTH_EPS ** 2)
-    grad_t += w.lam4 * dt / np.sqrt(dt ** 2 + SMOOTH_EPS ** 2)
-    dot = float(np.dot(ref.rotation, grasp.rotation))
-    if abs(dot) < 1.0 - 1e-9:
-        dabs = -2.0 / np.sqrt(1.0 - dot ** 2) * np.sign(dot)
-        for k in range(3):
-            u = np.zeros(4)
-            u[1 + k] = 0.5
-            dq_dr = tf.quat_mul(u, grasp.rotation)
-            grad_r[k] += w.lam5 * dabs * float(np.dot(ref.rotation, dq_dr))
-    grad_a = scene.spec.coupling.T @ grad_q
-    return total, terms, np.concatenate([grad_a, grad_t, grad_r])
+    fwd = _ForwardPass(scene, grasp, ref, weights or scene.weights)
+    return fwd.total, fwd.terms, fwd.gradient() if accumulate else None
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +481,17 @@ def _state_to_grasp(scene, a, t, base_quat):
 
 
 def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
-             step_init=0.01, stop_penetration=None):
-    """Monotone projected descent from one start; returns (grasp, rows)."""
+             step_init=0.01, stop_depth=None):
+    """Monotone projected descent from one start; returns (grasp, rows).
+
+    Each line-search candidate gets one forward pass; the gradient pass
+    runs only over an accepted step's forward state, when the next step
+    needs it. With ``stop_depth`` the descent ends at the first accepted
+    step whose oriented-cloud penetration depth is below it.
+    """
     spec = scene.spec
+    w = weights or scene.weights
+    ref = gesture_reference if gesture_reference is not None else g_init
     lo_a = spec.actuated_limits[:, 0]
     hi_a = spec.actuated_limits[:, 1]
     a = np.clip(actuated_from_q(spec, g_start.q), lo_a, hi_a)
@@ -425,40 +504,31 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
                 tf.quat_normalize(tf.quat_mul(tf.rotvec_to_quat(x[na + 3:]),
                                               quat)))
 
-    grasp = _state_to_grasp(scene, a, t, base_quat)
-    value, terms, grad = evaluate(scene, grasp, g_init, weights=weights,
-                                  accumulate=True,
-                                  gesture_reference=gesture_reference)
-    rows = [{"step": 0, "total": value, **terms}]
-    if not np.isfinite(value):
+    fwd = _ForwardPass(scene, _state_to_grasp(scene, a, t, base_quat), ref, w)
+    rows = [{"step": 0, "total": fwd.total, **fwd.terms}]
+    if not np.isfinite(fwd.total):
         raise InvalidInputError("non-finite loss at optimization start")
     step = step_init
     for it in range(1, steps + 1):
+        grad = fwd.gradient()
         x0 = np.concatenate([a, t, np.zeros(3)])
-        accepted = False
         for _ in range(20):
             xc = x0 - step * grad
             a_c, t_c, quat_c = unpack(xc, base_quat)
-            cand = _state_to_grasp(scene, a_c, t_c, quat_c)
-            cand_value, cand_terms, _ = evaluate(
-                scene, cand, g_init, weights=weights,
-                gesture_reference=gesture_reference)
-            if cand_value < value - 1e-12:
-                accepted = True
+            cand = _ForwardPass(scene, _state_to_grasp(scene, a_c, t_c, quat_c),
+                                ref, w)
+            if cand.total < fwd.total - 1e-12:
                 break
             step *= 0.5
-        if not accepted:
+        else:       # no candidate lowered the loss
             break
         a, t, base_quat = a_c, t_c, quat_c
-        grasp = cand
-        value, terms, grad = evaluate(scene, grasp, g_init, weights=weights,
-                                      accumulate=True,
-                                      gesture_reference=gesture_reference)
-        rows.append({"step": it, "total": value, **terms})
+        fwd = cand
+        rows.append({"step": it, "total": fwd.total, **fwd.terms})
         step = min(step * 1.8, 0.5)
-        if stop_penetration is not None and stop_penetration(grasp):
+        if stop_depth is not None and fwd.cloud_depth() < stop_depth:
             break
-    return grasp, rows
+    return fwd.grasp, rows
 
 
 def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
@@ -512,40 +582,36 @@ def penetration_depth_cloud(scene, grasp):
     posed = forward_kinematics(scene.spec, grasp)
     pts, _ = posed.all_sample_points()
     signed, _, _ = _oriented_cloud_distance(scene, pts)
-    return float(np.maximum(-signed, 0.0).max(initial=0.0))
+    return _max_depth(signed)
 
 
-def refine_physical(spec, grasp, bundle, object_mesh=None, weights=None,
+def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
                     max_steps=100, scene=None):
     """Push a grasp out of penetration while staying close to it.
 
     Optimizes gesture-to-input + contact + anchor + penetration terms
     with the penetration weights scaled 10x, until the maximum
-    penetration depth drops below 0.1 cm or the step budget runs out.
-    Grasps that stay above 0.5 cm depth are returned flagged infeasible.
+    penetration depth against the oriented object cloud drops below
+    0.1 cm or the step budget runs out. Grasps that stay above 0.5 cm
+    depth are returned flagged infeasible; that final depth is measured
+    with ``object_sdf`` (a ``MeshSDF``), or against the cloud when it is
+    not given.
     """
     base = weights or LossWeights()
     weights = replace(base, lam6=base.lam6 * 10.0, lam7=base.lam7 * 10.0)
     scene = scene or GraspScene(spec, bundle, weights)
 
-    def depth_of(g):
-        if object_mesh is not None:
-            from .geometry import MeshSDF
-            posed = forward_kinematics(spec, g)
-            pts, _ = posed.all_sample_points()
-            sdf = MeshSDF(object_mesh).query(pts)
-            return float(np.maximum(-sdf, 0.0).max(initial=0.0))
-        return penetration_depth_cloud(scene, g)
-
     if penetration_depth_cloud(scene, grasp) < REFINE_PENETRATION_GOAL:
-        out = grasp.copy()
-        return out
+        return grasp.copy()
 
-    stop = (lambda g: penetration_depth_cloud(scene, g)
-            < REFINE_PENETRATION_GOAL)
-    refined, rows = _descend(scene, grasp, grasp, max_steps, weights,
-                             gesture_reference=grasp, stop_penetration=stop)
-    final_depth = depth_of(refined)
+    refined, _ = _descend(scene, grasp, grasp, max_steps, weights,
+                          gesture_reference=grasp,
+                          stop_depth=REFINE_PENETRATION_GOAL)
+    if object_sdf is None:
+        final_depth = penetration_depth_cloud(scene, refined)
+    else:
+        pts, _ = forward_kinematics(spec, refined).all_sample_points()
+        final_depth = _max_depth(object_sdf.query(pts))
     out = refined.copy()
     if final_depth >= REFINE_PENETRATION_FAIL:
         out.flags = sorted(set(out.flags) | {"infeasible"})

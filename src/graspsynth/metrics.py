@@ -299,6 +299,8 @@ def evaluate_grasp(spec, grasp, object_mesh, truth_bundle=None,
                    hrd_reference=None, object_sdf=None, mu=FRICTION_MU,
                    cone_edges=CONE_EDGES):
     """Full metric suite for one grasp on one object."""
+    if not object_mesh.is_watertight():
+        raise InvalidInputError("evaluate_grasp requires a watertight mesh")
     if object_sdf is None:
         object_sdf = MeshSDF(object_mesh)
     posed = forward_kinematics(spec, grasp)

@@ -19,8 +19,8 @@ import numpy as np
 from .contact import TAU_CONTACT, bundle_to_dict, extract_bundle
 from .correspondence import (correspond, diffuse_contacts, dsc_to_dict,
                              fit_deformation)
-from .errors import SchemaError
-from .geometry import load_mesh, sample_surface
+from .errors import InvalidInputError, SchemaError
+from .geometry import MeshSDF, load_mesh, sample_surface
 from .grasp_opt import (GraspScene, LossWeights, optimize, refine_physical)
 from .hands.schema import grasp_to_dict
 from .metrics import evaluate_grasp, report_to_dict
@@ -96,6 +96,8 @@ def synthesize_instance(robot, init, bundle_demo, map_demo, template_samples,
     """Contact diffusion + optimize + refine + metrics for one instance
     mesh, starting from the retargeted demonstration ``init`` (a
     RetargetResult). Returns a dict of result objects."""
+    if not instance_mesh.is_watertight():
+        raise InvalidInputError("instance mesh is not watertight")
     i_samples = sample_surface(instance_mesh, n=config.object_samples,
                                seed=config.seed)
     field_i, fit_report = fit_deformation(
@@ -109,13 +111,15 @@ def synthesize_instance(robot, init, bundle_demo, map_demo, template_samples,
     report = optimize(robot, init.grasp, bundle_i, weights=config.weights,
                       restarts=config.restarts, steps=config.steps,
                       seed=config.seed, scene=scene)
+    object_sdf = MeshSDF(instance_mesh)
     refined = refine_physical(robot, report.grasp, bundle_i,
-                              object_mesh=instance_mesh,
                               weights=config.weights,
-                              max_steps=config.refine_steps)
+                              max_steps=config.refine_steps,
+                              object_sdf=object_sdf)
     metrics = evaluate_grasp(robot, refined, instance_mesh,
                              truth_bundle=bundle_i,
-                             hrd_reference=hrd_reference)
+                             hrd_reference=hrd_reference,
+                             object_sdf=object_sdf)
     return {
         "grasp": refined,
         "opt_report": report,

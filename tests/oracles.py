@@ -282,3 +282,226 @@ def penetration_volume_full_grid(posed, mesh, spacing=0.25):
     grid = voxelize(mesh, spacing=spacing)
     in_hand = (posed.sdf(grid.cell_centers()) < 0).reshape(grid.dims)
     return float(np.count_nonzero(grid.occupancy & in_hand)) * spacing ** 3
+
+
+def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
+                               gesture_reference=None):
+    """The optimizer loss as one whole pass, gradient included on request.
+
+    The attraction/repulsion block queries each target tree once per hand
+    segment (17 x 6 = 102 queries for the human hand), and per-link
+    moments use ``np.cross``. Kept as the reference the split forward /
+    gradient passes of ``grasp_opt`` must match bit for bit.
+    """
+    from graspsynth import transforms as tf
+    from graspsynth.contact import digitize
+    from graspsynth.grasp_opt import (SMOOTH_EPS, _digitize_slope,
+                                      _oriented_cloud_distance, _smooth_abs,
+                                      _smooth_abs_grad)
+    from graspsynth.hands.model import ancestor_axes, forward_kinematics
+
+    w = weights or scene.weights
+    spec = scene.spec
+    posed = forward_kinematics(spec, grasp)
+    ref = gesture_reference if gesture_reference is not None else g_init
+    moments = {}
+
+    def add(link, points, vectors):
+        points = np.atleast_2d(points)
+        vectors = np.atleast_2d(vectors)
+        s0 = vectors.sum(axis=0)
+        s1 = np.cross(points, vectors).sum(axis=0)
+        if link in moments:
+            moments[link][0] += s0
+            moments[link][1] += s1
+        else:
+            moments[link] = [s0, s1]
+
+    obj_pts = scene.object_points
+    sdf_o, grad_o, link_o = posed.sdf(obj_pts, with_gradient=True)
+    map_div = float(len(obj_pts)) if w.map_norm == "mean" else 1.0
+    diff_o = digitize(sdf_o) - scene.omega_o_target
+    contact_map_term = float(_smooth_abs(diff_o).sum()) / map_div
+    loss_ip = w.lam6 * float(np.maximum(-sdf_o, 0.0).sum())
+    if accumulate:
+        w_d = (_smooth_abs_grad(diff_o) * _digitize_slope(sdf_o) / map_div
+               + np.where(sdf_o < 0.0, -w.lam6, 0.0))
+        live = w_d != 0.0
+        for link in np.unique(link_o[live]):
+            rows = live & (link_o == link)
+            add(int(link), obj_pts[rows], (-w_d[rows, None]) * grad_o[rows])
+
+    hand_map_term = 0.0
+    seg_slices = scene.segment_slices
+    H, _ = posed.all_sample_points()
+    d_m, n_m, _ = _oriented_cloud_distance(scene, H)
+    omega_m_live = digitize(d_m)
+    if scene.per_sample_hand_map:
+        n_matched = sum(spec.links[k].sample_count
+                        for k in scene.matched_segments)
+        hand_div = float(n_matched) if w.map_norm == "mean" else 1.0
+        diffs = []
+        for i in scene.matched_segments:
+            sl = seg_slices[i]
+            dif = omega_m_live[sl] - scene.omega_m_target[spec.links[i].name]
+            diffs.append(_smooth_abs(dif))
+            if accumulate and len(dif):
+                w_m = _smooth_abs_grad(dif) * _digitize_slope(d_m[sl]) / hand_div
+                add(i, H[sl], w_m[:, None] * n_m[sl])
+        if diffs:
+            hand_map_term = float(np.concatenate(diffs).sum()) / hand_div
+    else:
+        per_seg = []
+        n_segs = max(len(scene.matched_segments), 1)
+        for i in scene.matched_segments:
+            sl = seg_slices[i]
+            n_seg = sl.stop - sl.start
+            scale = float(n_seg) if w.map_norm == "sum" else 1.0 / n_segs
+            target_mean = float(np.mean(scene.omega_m_target[spec.links[i].name]))
+            dif = float(np.mean(omega_m_live[sl])) - target_mean
+            per_seg.append(_smooth_abs(np.array([dif]))[0] * scale)
+            if accumulate:
+                w_m = (_smooth_abs_grad(np.array([dif]))[0]
+                       * _digitize_slope(d_m[sl]) * (scale / n_seg))
+                add(i, H[sl], w_m[:, None] * n_m[sl])
+        hand_map_term = float(np.sum(per_seg)) if per_seg else 0.0
+
+    attract = 0.0
+    repel = 0.0
+    for i in scene.segment_links:
+        pts_i = H[seg_slices[i]]
+        for j, tree in scene.link_target_trees.items():
+            d, nearest = tree.query(pts_i)
+            ia = int(d.argmin())
+            dist = float(d[ia])
+            ib = int(nearest[ia])
+            target = scene.link_targets[j]
+            if i == j:
+                attract += dist
+                if accumulate and dist > 1e-12:
+                    unit = (pts_i[ia] - target[ib]) / dist
+                    add(i, pts_i[ia], w.lam1 * unit)
+            else:
+                repel += min(dist, w.d1)
+                if accumulate and 1e-12 < dist < w.d1:
+                    unit = (pts_i[ia] - target[ib]) / dist
+                    add(i, pts_i[ia], -w.lam2 * unit)
+    loss_c = contact_map_term + hand_map_term + w.lam1 * attract - w.lam2 * repel
+
+    loss_a = 0.0
+    for k, target in scene.anchor_targets.items():
+        a_pt = posed.anchor_points[k]
+        d = np.linalg.norm(target - a_pt, axis=1)
+        ib = int(d.argmin())
+        dist = float(d[ib])
+        if dist > w.d2:
+            loss_a += w.anchor_weight * dist
+            if accumulate and dist > 1e-12 and w.anchor_weight > 0:
+                unit = (a_pt - target[ib]) / dist
+                add(spec.anchors[k].link, a_pt, w.anchor_weight * unit)
+
+    dq = grasp.q - ref.q
+    dt = grasp.translation - ref.translation
+    loss_g = (w.lam3 * float(np.abs(dq).sum())
+              + w.lam4 * float(np.abs(dt).sum())
+              + w.lam5 * tf.quat_rotation_distance(grasp.rotation,
+                                                   ref.rotation))
+
+    d_self = posed.self_distances()
+    loss_sp = w.lam7 * float(np.maximum(-d_self, 0.0).sum())
+    if accumulate and loss_sp > 0.0:
+        segs = spec.segment_links()
+        sources = spec.sample_links()
+        rows, cols = np.nonzero(d_self < 0.0)
+        for r in np.unique(rows):
+            j, n = segs[r], cols[rows == r]
+            _, g = posed.link_sdf(j, H[n])
+            add(j, H[n], w.lam7 * g)
+            for i in np.unique(sources[n]):
+                own = sources[n] == i
+                add(int(i), H[n][own], -w.lam7 * g[own])
+
+    terms = {"contact": loss_c, "anchor": loss_a, "gesture": loss_g,
+             "interpenetration": loss_ip, "self_penetration": loss_sp}
+    total = float(sum(terms.values()))
+    if not accumulate:
+        return total, terms, None
+
+    grad_q = np.zeros(spec.dof)
+    grad_t = np.zeros(3)
+    grad_r = np.zeros(3)
+    for link, (s0, s1) in moments.items():
+        for dof, axis, origin in ancestor_axes(posed, link):
+            grad_q[dof] += axis @ (s1 - np.cross(origin, s0))
+        grad_t += s0
+        grad_r += s1 - np.cross(grasp.translation, s0)
+    grad_q += w.lam3 * dq / np.sqrt(dq ** 2 + SMOOTH_EPS ** 2)
+    grad_t += w.lam4 * dt / np.sqrt(dt ** 2 + SMOOTH_EPS ** 2)
+    dot = float(np.dot(ref.rotation, grasp.rotation))
+    if abs(dot) < 1.0 - 1e-9:
+        dabs = -2.0 / np.sqrt(1.0 - dot ** 2) * np.sign(dot)
+        for k in range(3):
+            u = np.zeros(4)
+            u[1 + k] = 0.5
+            grad_r[k] += w.lam5 * dabs * float(
+                np.dot(ref.rotation, tf.quat_mul(u, grasp.rotation)))
+    grad_a = spec.coupling.T @ grad_q
+    return total, terms, np.concatenate([grad_a, grad_t, grad_r])
+
+
+def descend_reevaluate(scene, g_start, g_init, steps, weights,
+                       gesture_reference=None, step_init=0.01,
+                       stop_penetration=None):
+    """Monotone projected descent that evaluates each accepted candidate
+    a second time, with the gradient (``_evaluate_per_link_queries``).
+
+    Returns (grasp, rows, grads): the final grasp, the per-step term rows
+    and the gradient taken at the start and after every accepted step.
+    ``stop_penetration(grasp)`` ends the descent after an accepted step.
+    """
+    from graspsynth import transforms as tf
+    from graspsynth.grasp_opt import _state_to_grasp
+    from graspsynth.hands.model import actuated_from_q
+
+    spec = scene.spec
+    lo_a = spec.actuated_limits[:, 0]
+    hi_a = spec.actuated_limits[:, 1]
+    a = np.clip(actuated_from_q(spec, g_start.q), lo_a, hi_a)
+    t = g_start.translation.copy()
+    base_quat = g_start.rotation.copy()
+
+    def evaluate(grasp, accumulate):
+        return _evaluate_per_link_queries(scene, grasp, g_init, weights,
+                                          accumulate, gesture_reference)
+
+    grasp = _state_to_grasp(scene, a, t, base_quat)
+    value, terms, grad = evaluate(grasp, True)
+    rows = [{"step": 0, "total": value, **terms}]
+    grads = [grad]
+    step = step_init
+    for it in range(1, steps + 1):
+        x0 = np.concatenate([a, t, np.zeros(3)])
+        accepted = False
+        for _ in range(20):
+            xc = x0 - step * grad
+            a_c = np.clip(xc[:spec.doa], lo_a, hi_a)
+            t_c = xc[spec.doa:spec.doa + 3]
+            quat_c = tf.quat_normalize(tf.quat_mul(
+                tf.rotvec_to_quat(xc[spec.doa + 3:]), base_quat))
+            cand = _state_to_grasp(scene, a_c, t_c, quat_c)
+            cand_value, _, _ = evaluate(cand, False)
+            if cand_value < value - 1e-12:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        a, t, base_quat = a_c, t_c, quat_c
+        grasp = cand
+        value, terms, grad = evaluate(grasp, True)
+        rows.append({"step": it, "total": value, **terms})
+        grads.append(grad)
+        step = min(step * 1.8, 0.5)
+        if stop_penetration is not None and stop_penetration(grasp):
+            break
+    return grasp, rows, grads

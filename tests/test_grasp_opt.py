@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from graspsynth import grasp_opt
 from graspsynth import transforms as tf
 from graspsynth.contact import ContactBundle, extract_bundle
 from graspsynth.errors import InvalidInputError
-from graspsynth.geometry import Primitive
+from graspsynth.geometry import MeshSDF, Primitive
 from graspsynth.grasp_opt import (GraspScene, LossWeights, evaluate,
                                   loss_anchor, loss_contact, loss_gesture,
                                   loss_interpenetration,
@@ -16,7 +17,8 @@ from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
                                     make_grasp)
 from graspsynth.metrics import self_penetration
 
-from oracles import rot_about, self_penetration_bruteforce
+from oracles import (descend_reevaluate, rot_about,
+                     self_penetration_bruteforce)
 
 
 def sphere_hand(n_links=1, spacing=3.0, radius=0.5, samples=48):
@@ -255,6 +257,92 @@ def test_gradient_matches_finite_differences(cylinder_scene, cylinder_bundle):
     assert np.abs(grad - fd).max() / scale < 1e-3
 
 
+def test_cross_by_components_matches_np_cross():
+    # same bits as np.cross, per row and summed over rows as the
+    # gradient accumulator sums them
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 17, 64, 2048):
+        a, b = rng.normal(size=(2, n, 3)) * 10.0 ** rng.uniform(-4, 4, (2, n, 1))
+        assert np.array_equal(grasp_opt._cross(a, b), np.cross(a, b))
+        assert np.array_equal(grasp_opt._cross(a, b).sum(axis=0),
+                              np.cross(a, b).sum(axis=0))
+    for _ in range(200):
+        a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-4, 4, (2, 1))
+        assert np.array_equal(grasp_opt._cross(a, b), np.cross(a, b))
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
+                                             cylinder_bundle, monkeypatch):
+    # one forward pass per candidate, the gradient pass over the accepted
+    # candidate's state and one KD query per target tree must reproduce
+    # the descent that evaluated every accepted candidate twice, bit for bit
+    spec = cylinder_scene["spec"] if hand == "human" else builtin_hand(hand)
+    g = cylinder_scene["grasp"]
+    lo, hi = spec.actuated_limits[:, 0], spec.actuated_limits[:, 1]
+    g_init = Grasp(apply_coupling(spec, lo + 0.5 * (hi - lo))[0],
+                   g.rotation.copy(), g.translation.copy())
+    weights = LossWeights()
+    scene = GraspScene(spec, cylinder_bundle, weights)
+    grads = []
+    gradient = grasp_opt._ForwardPass.gradient
+
+    def recorded(fwd):
+        grads.append(gradient(fwd))
+        return grads[-1]
+
+    monkeypatch.setattr(grasp_opt._ForwardPass, "gradient", recorded)
+
+    def check(start, g0, steps, w, gesture_reference=None, stop_depth=None):
+        grads.clear()
+        grasp, rows = grasp_opt._descend(scene, start, g0, steps, w,
+                                         gesture_reference=gesture_reference,
+                                         stop_depth=stop_depth)
+        stop = None if stop_depth is None else (
+            lambda gr: grasp_opt.penetration_depth_cloud(scene, gr)
+            < stop_depth)
+        o_grasp, o_rows, o_grads = descend_reevaluate(
+            scene, start, g0, steps, w, gesture_reference=gesture_reference,
+            stop_penetration=stop)
+        assert len(rows) == len(o_rows) > 1
+        for row, o_row in zip(rows, o_rows):
+            assert list(row) == list(o_row)
+            assert np.array_equal(list(row.values()), list(o_row.values()))
+        for attr in ("q", "rotation", "translation"):
+            assert np.array_equal(getattr(grasp, attr), getattr(o_grasp, attr))
+        # the last accepted step's gradient is taken only if a step follows
+        assert len(o_grads) - 1 <= len(grads) <= len(o_grads)
+        for grad, o_grad in zip(grads, o_grads):
+            assert np.array_equal(grad, o_grad)
+        _, _, final_grad = evaluate(scene, grasp, g0, weights=w,
+                                    accumulate=True,
+                                    gesture_reference=gesture_reference)
+        assert np.array_equal(final_grad, o_grads[-1])
+        return o_rows
+
+    rng = np.random.default_rng(3)
+    rows = []
+    for r in range(3):
+        start = g_init.copy()
+        if r:
+            a = np.clip(actuated_from_q(spec, start.q)
+                        + rng.normal(0.0, 0.05, spec.doa), lo, hi)
+            start = Grasp(np.clip(spec.coupling @ a, spec.lower, spec.upper),
+                          tf.quat_normalize(tf.quat_mul(
+                              tf.rotvec_to_quat(rng.normal(0.0, 0.05, 3)),
+                              start.rotation)),
+                          start.translation + rng.normal(0.0, 0.5, 3))
+        rows += check(start, g_init, 6, weights)
+    # physical refinement: gesture reference, 10x penetration weights and
+    # the stop on the accepted step's cloud depth
+    pressed = Grasp(g_init.q.copy(), g_init.rotation.copy(),
+                    g_init.translation + np.array([0.0, -1.0, 0.0]))
+    refine_w = LossWeights(lam6=10.0, lam7=10.0)
+    rows += check(pressed, pressed, 10, refine_w, gesture_reference=pressed,
+                  stop_depth=grasp_opt.REFINE_PENETRATION_GOAL)
+    assert any(row["interpenetration"] > 0 for row in rows)
+
+
 def test_optimize_monotone_and_within_limits(cylinder_scene, cylinder_bundle):
     spec = cylinder_scene["spec"]
     grasp = cylinder_scene["grasp"]
@@ -293,7 +381,7 @@ def test_refine_already_feasible_unchanged(cylinder_scene, cylinder_bundle):
     feasible = Grasp(g.q * 0.4, g.rotation.copy(),
                      g.translation + np.array([0.0, 2.0, 0.0]))
     refined = refine_physical(spec, feasible, cylinder_bundle,
-                              object_mesh=cylinder_scene["mesh"])
+                              object_sdf=MeshSDF(cylinder_scene["mesh"]))
     assert np.abs(refined.q - feasible.q).max() < 1e-6
     assert np.abs(refined.translation - feasible.translation).max() < 1e-6
     assert "infeasible" not in refined.flags
@@ -305,8 +393,8 @@ def test_refine_pushes_out_of_penetration(cylinder_scene, cylinder_bundle):
     mesh = cylinder_scene["mesh"]
     bad = Grasp(grasp.q.copy(), grasp.rotation.copy(),
                 grasp.translation + np.array([0.0, -1.0, 0.0]))
-    refined = refine_physical(spec, bad, cylinder_bundle, object_mesh=mesh)
-    from graspsynth.geometry import MeshSDF
+    refined = refine_physical(spec, bad, cylinder_bundle,
+                              object_sdf=MeshSDF(mesh))
     posed = forward_kinematics(spec, refined)
     pts, _ = posed.all_sample_points()
     depth = float(np.maximum(-MeshSDF(mesh).query(pts), 0).max())
@@ -318,7 +406,6 @@ def test_refine_box_scene_reaches_tolerance():
     # sphere-link hand pressed ~1 cm into a box object: refined below 0.1 cm
     from conftest import make_unit_cube
     from graspsynth.contact import demonstration_from_hand, extract_bundle
-    from graspsynth.geometry import MeshSDF
     box = make_unit_cube(center=(0.0, 0.0, 0.0), edge=6.0)
     links = [Link("ball", -1, np.eye(3), np.zeros(3), "fixed",
                   primitives=[Primitive("sphere", (1.0,))], sample_count=256)]
@@ -328,7 +415,7 @@ def test_refine_box_scene_reaches_tolerance():
     demo = demonstration_from_hand(spec, pressed, box)
     bundle = extract_bundle(demo, n_samples=2048, seed=0)
     bad = make_grasp(spec, translation=np.array([0.0, 0.0, 3.0]))
-    refined = refine_physical(spec, bad, bundle, object_mesh=box)
+    refined = refine_physical(spec, bad, bundle, object_sdf=MeshSDF(box))
     posed = forward_kinematics(spec, refined)
     pts, _ = posed.all_sample_points()
     depth = float(np.maximum(-MeshSDF(box).query(pts), 0.0).max(initial=0.0))
@@ -345,6 +432,6 @@ def test_refine_flags_hopeless_case(cylinder_scene):
     grasp = make_grasp(spec)
     demo = demonstration_from_hand(spec, grasp, ball)
     bundle = extract_bundle(demo, n_samples=256, seed=0)
-    refined = refine_physical(spec, grasp, bundle, object_mesh=ball,
+    refined = refine_physical(spec, grasp, bundle, object_sdf=MeshSDF(ball),
                               max_steps=10)
     assert "infeasible" in refined.flags

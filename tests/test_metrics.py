@@ -141,6 +141,19 @@ def test_penetration_rejects_open_mesh():
             penetration(posed, TriMesh(cube.vertices, cube.faces[:-1]))
 
 
+def test_evaluate_grasp_rejects_open_mesh():
+    # the typed refusal comes before the object SDF is built, so no
+    # "not watertight" warning and no BVH for a grasp that cannot be scored
+    cube = make_unit_cube()
+    spec = builtin_hand("pinch1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError):
+            evaluate_grasp(spec, make_grasp(spec),
+                           TriMesh(cube.vertices, cube.faces[:-1]))
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
 def test_penetration_volume_matches_full_grid(hand):
     # the volume asks the object only at the cells inside the hand; it

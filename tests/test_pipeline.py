@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from graspsynth.contact import extract_bundle
 from graspsynth.fixtures import (category_instances, load_category,
                                  template_demo, write_category)
+from graspsynth.geometry import TriMesh, load_mesh, save_obj
 from graspsynth.grasp_opt import GraspScene, LossWeights, evaluate
 from graspsynth.hands import builtin_hand
 from graspsynth.hands.model import forward_kinematics
@@ -62,6 +64,25 @@ def test_grasps_within_limits(small_run):
         q = np.asarray(doc["q"])
         assert np.all(q >= robot.lower - 1e-9)
         assert np.all(q <= robot.upper + 1e-9)
+
+
+def test_open_instance_is_refused_before_its_sdf(tmp_path):
+    # an open instance mesh fails on its own, with the typed error and
+    # before any object SDF is built (no "not watertight" warning)
+    write_category(tmp_path / "wand", "wand", n=2)
+    doc, cat_dir = load_category(tmp_path / "wand")
+    mesh = load_mesh(cat_dir / "wand_1.obj")
+    save_obj(cat_dir / "wand_1.obj", TriMesh(mesh.vertices, mesh.faces[:-1]))
+    demo, _, _, _ = template_demo("wand")
+    config = RunConfig(seed=2, object_samples=256, restarts=1, steps=2,
+                       refine_steps=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        manifest = run_category(doc, cat_dir, demo, builtin_hand("pinch1"),
+                                config, tmp_path / "out")
+    assert [f["instance"] for f in manifest["failures"]] == ["wand_1.obj"]
+    assert "InvalidInputError" in manifest["failures"][0]["error"]
+    assert not any("watertight" in str(w.message) for w in caught)
 
 
 def test_segment_mean_hand_map_path():
