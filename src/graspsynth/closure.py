@@ -40,6 +40,13 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     segment reaches another non-adjacent hand link (used when authoring
     demonstrations, so thumbs do not curl through fingers). Returns the
     final q.
+
+    After the first substep only the samples that an advancing joint
+    moves are queried; the rest keep their previous values. That is
+    exact when ``object_sdf`` gives each point a value that does not
+    depend on the other points in the call (``MeshSDF.query`` does),
+    because forward kinematics poses a link whose joints did not change
+    bit for bit as before.
     """
     q = grasp.q.copy()
     lower, upper = spec.lower, spec.upper
@@ -51,25 +58,33 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     targets = np.clip(q + signs * delta, lower, upper)
     active = (signs != 0) & (np.abs(targets - q) > 1e-12)
 
-    def stopped(q):
+    def stopped(q, d, moved=None):
         """Joints whose own samples touch the object, or that move a
         sample that penetrates it (or, with ``stop_self``, rests on
-        another finger: the whole chain stops pressing)."""
+        another finger: the whole chain stops pressing), and the object
+        distances of all samples, re-queried where ``moved``."""
         posed = forward_kinematics(spec, _with_q(grasp, q))
-        d = object_sdf(posed.all_sample_points()[0])
+        points = posed.all_sample_points()[0]
+        if moved is None:
+            d = object_sdf(points)
+        else:
+            d = d.copy()
+            d[moved] = object_sdf(points[moved])
         blocked = d < -2 * stop_sdf
         if stop_self:
             blocked |= posed.self_distances().min(axis=0) <= stop_sdf
         return ((carries & (d <= stop_sdf)).any(axis=1)
-                | (moves & blocked).any(axis=1))
+                | (moves & blocked).any(axis=1)), d
 
-    active &= ~stopped(q)
+    halted, d = stopped(q, None)
+    active &= ~halted
     step = (targets - q) / substeps
     for _ in range(substeps):
         if not np.any(active):
             break
         q[active] += step[active]
-        active &= ~stopped(q)
+        halted, d = stopped(q, d, moves[active].any(axis=0))
+        active &= ~halted
     # accumulated substeps can overshoot the limits by float rounding
     return np.clip(q, lower, upper)
 

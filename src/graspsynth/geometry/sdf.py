@@ -1,10 +1,20 @@
 """Signed distance queries against triangle meshes.
 
-Unsigned distance uses exact point-triangle closest distances with a
-BVH subset traversal; sign comes from ray-crossing parity through the
-same BVH, with a winding-number fallback for rays that graze edges.
-Inside is negative, outside positive. Non-watertight meshes fall back to
-unsigned distance with positive sign (with a warning).
+``MeshSDF.query`` makes one BVH pass per batch: exact point-triangle
+distances, and the sign from the feature (vertex, edge or face) that
+holds the closest point. Each feature carries an angle-weighted
+pseudonormal (Bærentzen & Aanæs, "Signed distance computation using the
+angle weighted pseudonormal", IEEE TVCG 2005): a point is inside when
+it lies behind the pseudonormal of its closest feature. Inside is
+negative, outside positive. Non-watertight meshes fall back to unsigned
+distance with positive sign (with a warning).
+
+``MeshSDF.inside`` keeps ray-crossing parity through the same BVH, with
+a winding-number fallback for rays that graze edges. Its callers
+(voxelization, SDF grids, penetration volume) ask about dense grids,
+where a closest-feature sign costs several times the ray casts (1.48 s
+against 0.23 s on the bottle template's 38,637 grid nodes, 2-core VM)
+and can flip nodes that lie within 1e-15 of a cap.
 """
 
 import warnings
@@ -25,10 +35,17 @@ _RAY_DIRECTIONS = [
 ]
 
 
+# closest-point features of a triangle (a, b, c), as indexed by
+# closest_point_on_triangles and MeshSDF's pseudonormal table
+VERTEX_A, VERTEX_B, VERTEX_C, EDGE_AB, EDGE_BC, EDGE_CA, FACE = range(7)
+
+
 def closest_point_on_triangles(p, a, b, c):
     """Closest point on each triangle (a, b, c) to each query p, pairwise.
 
-    All inputs (K, 3); vectorized region-case analysis (Ericson).
+    All inputs (K, 3); vectorized region-case analysis (Ericson). Returns
+    the (K, 3) closest points and the (K,) feature holding each, one of
+    ``VERTEX_A`` ... ``FACE``.
     """
     ab = b - a
     ac = c - a
@@ -46,32 +63,37 @@ def closest_point_on_triangles(p, a, b, c):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
+    # each pair takes the first region whose test holds, in Ericson's order
+    feature = np.select(
+        [(d1 <= 0) & (d2 <= 0), (d3 >= 0) & (d4 <= d3),
+         (vc <= 0) & (d1 >= 0) & (d3 <= 0), (d6 >= 0) & (d5 <= d6),
+         (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+         (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)],
+        [VERTEX_A, VERTEX_B, EDGE_AB, VERTEX_C, EDGE_CA, EDGE_BC],
+        FACE).astype(np.int8)
+    order = np.argsort(feature, kind="stable")
+    bounds = np.searchsorted(feature[order], np.arange(FACE + 2))
+    rows = [order[bounds[f]:bounds[f + 1]] for f in range(FACE + 1)]
+
     out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
+    for f, corner in ((VERTEX_A, a), (VERTEX_B, b), (VERTEX_C, c)):
+        out[rows[f]] = corner[rows[f]]
 
-    def assign(mask, value):
-        m = mask & ~done
-        if np.any(m):
-            out[m] = value[m] if value.ndim == 2 else value
-            done[m] = True
+    def along(m, start, edge, num, den):
+        out[m] = start[m] + edge * (num / np.where(den != 0, den, 1.0))[:, None]
 
-    assign((d1 <= 0) & (d2 <= 0), a)
-    assign((d3 >= 0) & (d4 <= d3), b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = d1 / np.where(d1 - d3 != 0, d1 - d3, 1.0)
-        assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ab * v_ab[:, None])
-        assign((d6 >= 0) & (d5 <= d6), c)
-        v_ac = d2 / np.where(d2 - d6 != 0, d2 - d6, 1.0)
-        assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ac * v_ac[:, None])
-        den_bc = (d4 - d3) + (d5 - d6)
-        v_bc = (d4 - d3) / np.where(den_bc != 0, den_bc, 1.0)
-        assign((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-               b + (c - b) * v_bc[:, None])
-        denom = va + vb + vc
-        denom = np.where(denom != 0, denom, 1.0)
-        assign(np.ones(len(p), dtype=bool),
-               a + ab * (vb / denom)[:, None] + ac * (vc / denom)[:, None])
-    return out
+    m = rows[EDGE_AB]
+    along(m, a, ab[m], d1[m], d1[m] - d3[m])
+    m = rows[EDGE_CA]
+    along(m, a, ac[m], d2[m], d2[m] - d6[m])
+    m = rows[EDGE_BC]
+    along(m, b, c[m] - b[m], d4[m] - d3[m], (d4[m] - d3[m]) + (d5[m] - d6[m]))
+    m = rows[FACE]
+    denom = va[m] + vb[m] + vc[m]
+    denom = np.where(denom != 0, denom, 1.0)
+    out[m] = (a[m] + ab[m] * (vb[m] / denom)[:, None]
+              + ac[m] * (vc[m] / denom)[:, None])
+    return out, feature
 
 
 class TriangleBVH:
@@ -105,7 +127,7 @@ class TriangleBVH:
             if len(idx) <= leaf_size:
                 node_start[node_id] = len(leaf_tris)
                 node_count[node_id] = len(idx)
-                leaf_tris.extend(idx.tolist())
+                leaf_tris.extend(np.sort(idx).tolist())
                 return node_id
             cen = centroids[idx]
             axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
@@ -128,13 +150,21 @@ class TriangleBVH:
     # -- distance ----------------------------------------------------------
 
     def min_distance(self, points):
-        """Exact unsigned distance and closest triangle index per query."""
+        """Exact unsigned distance and closest triangle index per query.
+
+        Of the triangles at the closest distance, the one with the lowest
+        index wins, so each point's result does not depend on the other
+        points in the call: nodes within the best distance so far are
+        searched (ties included), and a leaf lists its triangles in index
+        order.
+        """
         points = np.atleast_2d(points)
         n = len(points)
         # seed upper bounds with the centroid-nearest triangle
         _, seed_tri = self._centroid_tree.query(points)
         seed = self.tri[seed_tri]
-        cp = closest_point_on_triangles(points, seed[:, 0], seed[:, 1], seed[:, 2])
+        cp, _ = closest_point_on_triangles(points, seed[:, 0], seed[:, 1],
+                                           seed[:, 2])
         best = np.linalg.norm(points - cp, axis=1)
         best_tri = np.asarray(seed_tri, dtype=np.int64)
 
@@ -153,23 +183,26 @@ class TriangleBVH:
                 nq, nt = len(idx), len(tris)
                 pts = np.repeat(points[idx], nt, axis=0)
                 tri = np.tile(self.tri[tris], (nq, 1, 1))
-                cp = closest_point_on_triangles(pts, tri[:, 0], tri[:, 1], tri[:, 2])
+                cp, _ = closest_point_on_triangles(pts, tri[:, 0], tri[:, 1],
+                                                   tri[:, 2])
                 d = np.linalg.norm(pts - cp, axis=1).reshape(nq, nt)
                 col = d.argmin(axis=1)
                 dmin = d[np.arange(nq), col]
-                improved = dmin < best[idx]
+                won = tris[col]
+                improved = (dmin < best[idx]) | ((dmin == best[idx])
+                                                 & (won < best_tri[idx]))
                 upd = idx[improved]
                 best[upd] = dmin[improved]
-                best_tri[upd] = tris[col[improved]]
+                best_tri[upd] = won[improved]
                 return
             dl = aabb_dist(idx, left)
             dr = aabb_dist(idx, right)
-            if np.median(dl) <= np.median(dr):
-                descend(left, idx[dl < best[idx]])
-                descend(right, idx[dr < best[idx]])
+            if dl.sum() <= dr.sum():       # nearer child first
+                descend(left, idx[dl <= best[idx]])
+                descend(right, idx[dr <= best[idx]])
             else:
-                descend(right, idx[dr < best[idx]])
-                descend(left, idx[dl < best[idx]])
+                descend(right, idx[dr <= best[idx]])
+                descend(left, idx[dl <= best[idx]])
 
         descend(0, np.arange(n))
         return best, best_tri
@@ -262,6 +295,48 @@ def winding_numbers(points, mesh, chunk=512):
     return out
 
 
+def _pseudonormals(mesh):
+    """(F, 7, 3) pseudonormal of each face's features, indexed like
+    ``closest_point_on_triangles``' features.
+
+    A vertex takes the angle-weighted sum of its faces' normals, an edge
+    the sum of its two faces' normals, the face its own normal. Both
+    faces of an edge and all faces of a vertex read the same vector.
+    Normals point out of the enclosed volume whichever way the faces
+    wind.
+    """
+    tri = mesh.triangles
+    faces = mesh.faces
+    normals = mesh.face_normals()
+    if np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])) < 0:
+        normals = -normals                  # wound inward: negative volume
+    table = np.empty((len(faces), 7, 3))
+    table[:, FACE] = normals
+    vertex_normals = np.zeros((len(mesh.vertices), 3))
+    for k in range(3):
+        e1 = tri[:, (k + 1) % 3] - tri[:, k]
+        e2 = tri[:, (k + 2) % 3] - tri[:, k]
+        angle = np.arctan2(np.linalg.norm(np.cross(e1, e2), axis=1),
+                           np.einsum("ij,ij->i", e1, e2))
+        np.add.at(vertex_normals, faces[:, k], angle[:, None] * normals)
+    table[:, [VERTEX_A, VERTEX_B, VERTEX_C]] = vertex_normals[faces]
+    edges = np.stack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]],
+                     axis=1).reshape(-1, 2)
+    key = edges.min(axis=1) * (len(mesh.vertices) + 1) + edges.max(axis=1)
+    _, edge_of = np.unique(key, return_inverse=True)
+    edge_normals = np.zeros((edge_of.max() + 1, 3))
+    np.add.at(edge_normals, edge_of, np.repeat(normals, 3, axis=0))
+    table[:, [EDGE_AB, EDGE_BC, EDGE_CA]] = edge_normals[edge_of].reshape(-1, 3, 3)
+    return table
+
+
+def _as_points(points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("query points must be finite")
+    return points
+
+
 class MeshSDF:
     """Reusable signed-distance evaluator for one mesh."""
 
@@ -273,18 +348,30 @@ class MeshSDF:
         if not self.watertight:
             warnings.warn("mesh is not watertight; returning unsigned distances")
         self.bvh = TriangleBVH(mesh)
+        self._pseudonormals = _pseudonormals(mesh) if self.watertight else None
 
     def query(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if not np.all(np.isfinite(points)):
-            raise InvalidInputError("query points must be finite")
-        dist, _ = self.bvh.min_distance(points)
+        """Signed distance per point, in one BVH pass.
+
+        Each point's value depends on that point alone, not on the rest
+        of the call (``TriangleBVH.min_distance`` breaks ties by
+        triangle index).
+        """
+        points = _as_points(points)
+        dist, tri = self.bvh.min_distance(points)
         if not self.watertight:
             return dist
-        return np.where(self.inside(points), -dist, dist)
+        corners = self.bvh.tri[tri]
+        closest, feature = closest_point_on_triangles(
+            points, corners[:, 0], corners[:, 1], corners[:, 2])
+        normal = self._pseudonormals[tri, feature]
+        behind = np.einsum("ij,ij->i", points - closest, normal) < 0
+        return np.where(behind, -dist, dist)
 
     def inside(self, points):
-        points = np.atleast_2d(points)
+        """Ray-crossing parity per point, recast along the next direction
+        where a ray grazes an edge, winding numbers where all of them do."""
+        points = _as_points(points)
         pending = np.arange(len(points))
         result = np.zeros(len(points), dtype=bool)
         for d in _RAY_DIRECTIONS:
@@ -299,17 +386,20 @@ class MeshSDF:
         return result
 
     def query_with_gradient(self, points, h=1e-3):
-        """Signed distance plus central-difference unit gradients."""
+        """Signed distance plus central-difference unit gradients.
+
+        One ``query`` over the point and its six offsets, stacked.
+        """
         points = np.atleast_2d(points)
-        values = self.query(points)
-        grads = np.empty_like(points)
-        for k in range(3):
-            dp = np.zeros(3)
-            dp[k] = h
-            grads[:, k] = (self.query(points + dp) - self.query(points - dp)) / (2 * h)
+        n = len(points)
+        steps = np.eye(3) * h
+        values = self.query(np.concatenate(
+            [points] + [points + dp for dp in steps]
+            + [points - dp for dp in steps])).reshape(7, n)
+        grads = np.ascontiguousarray(((values[1:4] - values[4:7]) / (2 * h)).T)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         grads = grads / np.maximum(norms, 1e-12)
-        return values, grads
+        return values[0], grads
 
 
 def mesh_sdf(mesh, queries, detail=False):

@@ -77,6 +77,68 @@ def mesh_signed_distance(mesh, p, direction=(1.0, 0.0, 0.0)):
     return -d if ray_parity_inside(mesh, p, direction) else d
 
 
+def bvh_min_distance_recursive(bvh, points):
+    """Unsigned distance and a closest triangle per query by the recursive
+    BVH descent that ``TriangleBVH.min_distance`` used before it broke
+    ties by triangle index: nearer child first by median box distance,
+    boxes pruned at the best distance so far. Its distances are the
+    reference the production traversal must match bit for bit."""
+    from graspsynth.geometry.sdf import closest_point_on_triangles
+
+    points = np.atleast_2d(points)
+    _, seed_tri = bvh._centroid_tree.query(points)
+    seed = bvh.tri[seed_tri]
+    cp, _ = closest_point_on_triangles(points, seed[:, 0], seed[:, 1], seed[:, 2])
+    best = np.linalg.norm(points - cp, axis=1)
+    best_tri = np.asarray(seed_tri, dtype=np.int64)
+
+    def aabb_dist(idx, node):
+        d = np.maximum(bvh.node_min[node] - points[idx], 0.0)
+        d = np.maximum(d, points[idx] - bvh.node_max[node])
+        return np.linalg.norm(d, axis=1)
+
+    def descend(node, idx):
+        if len(idx) == 0:
+            return
+        left, right = bvh.node_left[node], bvh.node_right[node]
+        if left < 0:
+            s, c = bvh.node_start[node], bvh.node_count[node]
+            tris = bvh.leaf_tris[s:s + c]
+            nq, nt = len(idx), len(tris)
+            pts = np.repeat(points[idx], nt, axis=0)
+            tri = np.tile(bvh.tri[tris], (nq, 1, 1))
+            cp, _ = closest_point_on_triangles(pts, tri[:, 0], tri[:, 1], tri[:, 2])
+            d = np.linalg.norm(pts - cp, axis=1).reshape(nq, nt)
+            col = d.argmin(axis=1)
+            dmin = d[np.arange(nq), col]
+            improved = dmin < best[idx]
+            upd = idx[improved]
+            best[upd] = dmin[improved]
+            best_tri[upd] = tris[col[improved]]
+            return
+        dl = aabb_dist(idx, left)
+        dr = aabb_dist(idx, right)
+        if np.median(dl) <= np.median(dr):
+            descend(left, idx[dl < best[idx]])
+            descend(right, idx[dr < best[idx]])
+        else:
+            descend(right, idx[dr < best[idx]])
+            descend(left, idx[dl < best[idx]])
+
+    descend(0, np.arange(len(points)))
+    return best, best_tri
+
+
+def ray_parity_query(sdf, points):
+    """``MeshSDF.query`` as it was before closest-feature signs: the
+    recursive BVH distance, signed by ``MeshSDF.inside`` (ray parity)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    dist, _ = bvh_min_distance_recursive(sdf.bvh, points)
+    if not sdf.watertight:
+        return dist
+    return np.where(sdf.inside(points), -dist, dist)
+
+
 def nearest_neighbor_matrix(p, q):
     """Index of the nearest q point for each p point, via the full matrix."""
     d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)

@@ -84,3 +84,46 @@ def test_march_closure_matches_per_link(hand, cylinder_sdf):
             assert contacts is None
     # the object stop, the self-touch stop and the contacts all took part
     assert frozen_early > 0 and self_stopped > 0 and contacts_seen > 0
+
+
+@pytest.mark.parametrize("hand", ["human", "pinch1"])
+def test_march_closure_requeries_only_moved_samples(hand, cylinder_sdf,
+                                                    monkeypatch):
+    # after its first object query a march asks only about the samples
+    # that the joints advanced in that substep move; every other sample
+    # sits bit for bit where it was, so its previous value still holds
+    import graspsynth.closure as closure
+
+    mesh, sdf = cylinder_sdf
+    spec = builtin_hand(hand)
+    _, moves = closure._dof_sample_masks(spec)
+    grasps = _grasps_near(spec, mesh, sdf, np.random.default_rng(3))
+    posed = []
+    asked = []
+    real_fk = closure.forward_kinematics
+
+    def recording_fk(spec, grasp):
+        result = real_fk(spec, grasp)
+        posed.append((grasp.q.copy(), result.all_sample_points()[0]))
+        return result
+
+    def recording_sdf(points):
+        asked.append(np.array(points))
+        return sdf.query(points)
+
+    monkeypatch.setattr(closure, "forward_kinematics", recording_fk)
+    partial = 0
+    for grasp in grasps:
+        for stop_self in (False, True):
+            posed.clear()
+            asked.clear()
+            march_closure(spec, grasp, recording_sdf, delta=np.deg2rad(20.0),
+                          substeps=20, stop_self=stop_self)
+            assert len(asked) == len(posed) >= 1
+            assert np.array_equal(asked[0], posed[0][1])
+            for (q0, p0), (q1, p1), got in zip(posed, posed[1:], asked[1:]):
+                moved = moves[q1 != q0].any(axis=0)
+                assert np.array_equal(got, p1[moved])
+                assert np.array_equal(p1[~moved], p0[~moved])
+                partial += 0 < len(got) < len(p1)
+    assert partial > 0

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from graspsynth.errors import InvalidInputError
 from graspsynth.fit import GRID_SPACING_CM, canonicalize
-from graspsynth.fixtures import CATEGORY_TEMPLATES
-from graspsynth.geometry import MeshSDF, TriMesh, mesh_sdf, sdf_grid_from_mesh
+from graspsynth.fixtures import (CATEGORY_TEMPLATES, category_instances,
+                                 cylinder_mesh, lathe_mesh, wrap_grasp_pose)
+from graspsynth.geometry import (MeshSDF, TriMesh, mesh_sdf,
+                                 sdf_grid_from_mesh, winding_numbers)
+from graspsynth.geometry.sdf import closest_point_on_triangles
+from graspsynth.hands import builtin_hand, forward_kinematics
+from graspsynth.hands.model import Grasp
 
 from conftest import make_sphere, make_unit_cube
-from oracles import mesh_signed_distance
+from oracles import mesh_signed_distance, ray_parity_query
 
 
 def test_sphere_center_and_outside(sphere):
@@ -73,9 +80,160 @@ def test_mesh_sdf_class_reuse(sphere):
 
 
 def test_queries_must_be_finite(sphere):
-    from graspsynth.errors import InvalidInputError
     with pytest.raises(InvalidInputError):
         mesh_sdf(sphere, [[np.inf, 0, 0]])
+
+
+def test_inside_rejects_non_finite_points(cylinder):
+    sdf = MeshSDF(cylinder)
+    for bad in ([[np.nan, 0, 0]], [[0, np.inf, 0]], [[0, 0, -np.inf]]):
+        with pytest.raises(InvalidInputError):
+            sdf.inside(bad)
+    # an empty batch is no error: the closure march can re-query nothing
+    empty = np.zeros((0, 3))
+    assert sdf.inside(empty).shape == (0,)
+    assert sdf.query(empty).shape == (0,)
+    values, grads = sdf.query_with_gradient(empty)
+    assert values.shape == (0,) and grads.shape == (0, 3)
+
+
+def _near_surface_points(mesh, rng, n):
+    """Uniform surface points pushed off along random directions by
+    1e-3 to 0.5 cm, so both sides and every feature kind show up."""
+    tri = mesh.triangles[rng.integers(len(mesh.faces), size=n)]
+    on = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(3), size=n), tri)
+    scale = rng.choice([1e-3, 0.05, 0.5], size=(n, 1))
+    return on + rng.normal(size=(n, 3)) * scale
+
+
+def _posed_hand_points(mesh, rng, poses=2):
+    """Human hand samples in the wrap pose, half-curled and pushed
+    toward the object so some of them sink into it."""
+    spec = builtin_hand("human")
+    rotation, translation = wrap_grasp_pose(mesh)
+    lo, hi = spec.lower, spec.upper
+    points = []
+    for _ in range(poses):
+        q = lo + rng.uniform(0.2, 0.8, spec.dof) * (hi - lo)
+        t = translation + rng.uniform(-0.5, 0.5, 3)
+        t[1] -= rng.uniform(0.0, 1.5)
+        posed = forward_kinematics(spec, Grasp(q, rotation, t))
+        points.append(posed.all_sample_points()[0])
+    return np.vstack(points)
+
+
+def _oracle_mesh(name):
+    if name == "cylinder":
+        return cylinder_mesh()
+    if name.startswith("bottle"):
+        return category_instances("bottle")[1][int(name[-1])]
+    return CATEGORY_TEMPLATES[name]()
+
+
+@pytest.mark.parametrize("name", ["cylinder", "bottle0", "bottle1", "bottle2",
+                                  "bottle3", "tumbler", "wand"])
+def test_query_matches_recursive_ray_parity_oracle(name):
+    # distances bit for bit as the recursive traversal gives them, and
+    # the closest-feature sign agrees with ray parity off the surface
+    mesh = _oracle_mesh(name)
+    rng = np.random.default_rng(17)
+    points = np.vstack([_near_surface_points(mesh, rng, 1500),
+                        _posed_hand_points(mesh, rng)])
+    sdf = MeshSDF(mesh)
+    got = sdf.query(points)
+    want = ray_parity_query(sdf, points)
+    assert np.array_equal(np.abs(got), np.abs(want))
+    clear = np.abs(want) > 1e-12
+    assert np.array_equal(got[clear] < 0, want[clear] < 0)
+    assert np.count_nonzero(want < 0) > 300 and np.count_nonzero(want > 0) > 300
+
+
+def test_query_value_does_not_depend_on_the_batch():
+    # exact ties included: lattice nodes over the flat caps and the
+    # vertex and edge-midpoint directions, where several triangles share
+    # the closest point
+    mesh = cylinder_mesh()
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-3.5, 3.5, 8)
+    lattice = np.array([[x, y, z] for x in xs for y in xs
+                        for z in (-6.5, -5.75, 5.75, 6.5)])
+    tri = mesh.triangles
+    edges = 0.5 * (tri + np.roll(tri, 1, axis=1)).reshape(-1, 3)
+    spokes = np.vstack([mesh.vertices, edges])
+    points = np.vstack([lattice, 0.9 * spokes, 1.1 * spokes,
+                        _near_surface_points(mesh, rng, 500)])
+    sdf = MeshSDF(mesh)
+    whole = sdf.query(points)
+    _, closest = sdf.bvh.min_distance(points)
+    order = rng.permutation(len(points))
+    assert sdf.query(points[order]).tobytes() == whole[order].tobytes()
+    for part in np.array_split(order, 9):
+        assert sdf.query(points[part]).tobytes() == whole[part].tobytes()
+        assert np.array_equal(sdf.bvh.min_distance(points[part])[1],
+                              closest[part])
+    for i in order[:60]:
+        assert sdf.query(points[i]).tobytes() == whole[i:i + 1].tobytes()
+    # the closest triangle is the lowest-indexed one at the closest
+    # distance, which no batch can change; every pair evaluated here
+    pairs = np.repeat(points, len(tri), axis=0)
+    corners = np.tile(tri, (len(points), 1, 1))
+    foot, _ = closest_point_on_triangles(pairs, corners[:, 0], corners[:, 1],
+                                         corners[:, 2])
+    d = np.linalg.norm(pairs - foot, axis=1).reshape(len(points), len(tri))
+    assert np.array_equal(np.abs(whole), d.min(axis=1))
+    assert np.array_equal(closest, d.argmin(axis=1))
+    assert np.count_nonzero((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 500
+
+
+def test_inward_wound_mesh_keeps_its_sign(sphere):
+    # pseudonormals follow the enclosed volume, not the winding
+    flipped = TriMesh(sphere.vertices, sphere.faces[:, ::-1])
+    rng = np.random.default_rng(2)
+    points = _near_surface_points(sphere, rng, 600)
+    want = MeshSDF(sphere).query(points)
+    got = MeshSDF(flipped).query(points)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    clear = np.abs(want) > 1e-9
+    assert np.array_equal(got[clear] < 0, want[clear] < 0)
+
+
+def test_query_with_gradient_is_the_seven_query_formula(cylinder):
+    # one stacked query gives what seven separate queries gave, bit for bit
+    sdf = MeshSDF(cylinder)
+    points = _near_surface_points(cylinder, np.random.default_rng(9), 400)
+    h = 1e-3
+    values, grads = sdf.query_with_gradient(points, h=h)
+    want = np.empty_like(points)
+    for k in range(3):
+        dp = np.zeros(3)
+        dp[k] = h
+        want[:, k] = (sdf.query(points + dp) - sdf.query(points - dp)) / (2 * h)
+    want = want / np.maximum(np.linalg.norm(want, axis=1, keepdims=True), 1e-12)
+    assert values.tobytes() == sdf.query(points).tobytes()
+    assert grads.tobytes() == want.tobytes()
+
+
+_RADII = st.floats(0.3, 3.0, allow_nan=False)
+_GAPS = st.floats(0.2, 2.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(radii=st.lists(_RADII, min_size=2, max_size=6),
+       gaps=st.lists(_GAPS, min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 16))
+@example(radii=[2.0, 0.5, 2.2], gaps=[1.0, 1.0, 1.0, 1.0, 1.0], seed=0)
+def test_query_sign_matches_winding_numbers_on_lathe_profiles(radii, gaps, seed):
+    # random surfaces of revolution, concave necks included
+    z = np.concatenate([[0.0], np.cumsum(gaps[:len(radii) - 1])])
+    mesh = lathe_mesh(z, radii, segments=16)
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.bounds()
+    points = np.vstack([_near_surface_points(mesh, rng, 300),
+                        rng.uniform(lo - 0.5, hi + 0.5, size=(100, 3))])
+    d = MeshSDF(mesh).query(points)
+    inside = winding_numbers(points, mesh) > 0.5
+    clear = np.abs(d) > 1e-9
+    assert np.array_equal(d[clear] < 0, inside[clear])
 
 
 def test_sphere_radial_profile():
