@@ -17,15 +17,15 @@ from .errors import GraspSynthError, InvalidInputError, SchemaError
 from .fit import TemplateLibrary, fit_state, icp_init, save_state
 from .fixtures import CATEGORY_TEMPLATES, load_category, template_demo, write_category
 from .geometry import load_mesh, load_point_cloud, merge_meshes, save_ply
-from .hands.gallery import BUILTIN_BUILDERS, builtin_hand
 from .hands.model import forward_kinematics
-from .hands.schema import load_grasp, load_handspec, save_handspec
+from .hands.schema import (builtin_hand, builtin_hand_names, load_grasp,
+                           load_handspec, save_handspec)
 from .metrics import evaluate_grasp, write_csv
 from .pipeline import RunConfig, run_category
 
 
 def _resolve_hand(name_or_path):
-    if name_or_path in BUILTIN_BUILDERS:
+    if name_or_path in builtin_hand_names():
         return builtin_hand(name_or_path)
     return load_handspec(name_or_path)
 
@@ -197,7 +197,7 @@ def build_parser():
     p.add_argument("--category", required=True)
     p.add_argument("--demo", required=True)
     p.add_argument("--hand", required=True,
-                   help=f"builtin ({', '.join(sorted(BUILTIN_BUILDERS))}) "
+                   help=f"builtin ({', '.join(builtin_hand_names())}) "
                         "or a handspec/1 path")
     p.add_argument("--out", required=True)
     p.add_argument("--config")

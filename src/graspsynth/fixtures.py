@@ -16,6 +16,7 @@ from .contact import demonstration_from_hand
 from .errors import InvalidInputError
 from .geometry import MeshSDF, TriMesh, save_obj
 from .hands.model import Grasp
+from .hands.schema import builtin_hand
 
 
 def cylinder_mesh(radius=2.8, height=12.0, segments=48):
@@ -258,9 +259,8 @@ DEFAULT_THUMB_PRESET = {"thumb_cmc_rot": 0.7, "thumb_cmc_abd": -0.2}
 def cylinder_demo(spec=None, radius=2.8, height=12.0):
     """Self-consistent wrap demonstration on a cylinder; returns
     (demonstration, spec, grasp, mesh)."""
-    from .hands.gallery import human_hand
     if spec is None:
-        spec = human_hand()
+        spec = builtin_hand("human")
     mesh = cylinder_mesh(radius=radius, height=height)
     grasp = author_wrap_demo(spec, mesh, thumb_abd=DEFAULT_THUMB_PRESET)
     demo = demonstration_from_hand(spec, grasp, mesh)
@@ -269,9 +269,8 @@ def cylinder_demo(spec=None, radius=2.8, height=12.0):
 
 def template_demo(category, spec=None):
     """Wrap demonstration on a category template."""
-    from .hands.gallery import human_hand
     if spec is None:
-        spec = human_hand()
+        spec = builtin_hand("human")
     template = CATEGORY_TEMPLATES[category]()
     grasp = author_wrap_demo(spec, template, thumb_abd=DEFAULT_THUMB_PRESET)
     return demonstration_from_hand(spec, grasp, template), spec, grasp, template

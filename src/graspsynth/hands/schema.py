@@ -1,16 +1,18 @@
 """handspec/1 and grasp/1 document IO (JSON)."""
 
 import json
+from importlib import resources
 
 import numpy as np
 
 from .. import transforms as tf
-from ..errors import SchemaError
+from ..errors import InvalidInputError, SchemaError
 from ..geometry import Primitive
 from .model import Anchor, FingertipFrame, Grasp, HandSpec, Link
 
 HANDSPEC_SCHEMA = "handspec/1"
 GRASP_SCHEMA = "grasp/1"
+
 
 
 def _quat_of(rotation_matrix):
@@ -69,47 +71,65 @@ def handspec_to_dict(spec):
     return doc
 
 
+def _link_from_dict(entry, parent):
+    joint, origin = entry["joint"], entry["origin"]
+    link = Link(
+        name=entry["name"],
+        parent=parent,
+        origin_rotation=tf.quat_to_matrix(np.asarray(origin["rotation"], float)),
+        origin_translation=np.asarray(origin["translation"], float),
+        joint_type=joint["type"],
+        primitives=[
+            Primitive(p["kind"], tuple(p["params"]),
+                      rotation=tf.quat_to_matrix(np.asarray(p["rotation"], float)),
+                      translation=np.asarray(p["translation"], float))
+            for p in entry.get("primitives", [])
+        ],
+        sample_count=int(entry.get("samples", 0)),
+    )
+    if joint["type"] == "revolute":
+        link.axis = np.asarray(joint["axis"], float)
+        link.limits = (float(joint["limits"][0]), float(joint["limits"][1]))
+        link.flexion_sign = float(joint.get("flexion_sign", 1.0))
+    return link
+
+
 def handspec_from_dict(doc):
     if doc.get("schema") != HANDSPEC_SCHEMA:
         raise SchemaError(f"expected {HANDSPEC_SCHEMA}, got {doc.get('schema')!r}")
+    for key in ("name", "links"):
+        if key not in doc:
+            raise SchemaError(f"{HANDSPEC_SCHEMA} document has no {key!r}")
     name_to_index = {}
     links = []
     for entry in doc["links"]:
+        name = entry.get("name")
         parent_name = entry.get("parent")
         if parent_name is None:
             parent = -1
         elif parent_name in name_to_index:
             parent = name_to_index[parent_name]
         else:
-            raise SchemaError(f"link {entry['name']}: unknown parent {parent_name}")
-        joint = entry["joint"]
-        link = Link(
-            name=entry["name"],
-            parent=parent,
-            origin_rotation=tf.quat_to_matrix(np.asarray(
-                entry["origin"]["rotation"], float)),
-            origin_translation=np.asarray(entry["origin"]["translation"], float),
-            joint_type=joint["type"],
-            primitives=[
-                Primitive(p["kind"], tuple(p["params"]),
-                          rotation=tf.quat_to_matrix(np.asarray(p["rotation"], float)),
-                          translation=np.asarray(p["translation"], float))
-                for p in entry.get("primitives", [])
-            ],
-            sample_count=int(entry.get("samples", 0)),
-        )
-        if joint["type"] == "revolute":
-            link.axis = np.asarray(joint["axis"], float)
-            link.limits = (float(joint["limits"][0]), float(joint["limits"][1]))
-            link.flexion_sign = float(joint.get("flexion_sign", 1.0))
-        name_to_index[entry["name"]] = len(links)
+            raise SchemaError(f"link {name}: unknown parent {parent_name}")
+        try:
+            link = _link_from_dict(entry, parent)
+        except KeyError as exc:
+            raise SchemaError(f"link {name}: missing key {exc}") from None
+        # closure and penetration see a link only through its samples
+        if link.primitives and link.sample_count <= 0:
+            raise SchemaError(f"link {name}: has primitives, so needs samples > 0")
+        name_to_index[name] = len(links)
         links.append(link)
 
-    anchors = [Anchor(a["name"], name_to_index[a["link"]],
-                      np.asarray(a["local"], float)) for a in doc.get("anchors", [])]
-    fingertips = [FingertipFrame(f["name"], name_to_index[f["link"]],
-                                 np.asarray(f["local"], float))
-                  for f in doc.get("fingertips", [])]
+    def attached(key, cls):
+        items = []
+        for a in doc.get(key, []):
+            if a["link"] not in name_to_index:
+                raise SchemaError(f"{key[:-1]} {a['name']}: "
+                                  f"unknown link {a['link']!r}")
+            items.append(cls(a["name"], name_to_index[a["link"]],
+                             np.asarray(a["local"], float)))
+        return items
 
     coupling = actuated_names = actuated_limits = None
     if "coupling" in doc:
@@ -118,10 +138,31 @@ def handspec_from_dict(doc):
         actuated_limits = [a["limits"] for a in c["actuated"]]
         coupling = np.asarray(c["rows"], float)
 
-    return HandSpec(doc["name"], links, anchors, fingertips,
+    return HandSpec(doc["name"], links, attached("anchors", Anchor),
+                    attached("fingertips", FingertipFrame),
                     coupling=coupling, actuated_names=actuated_names,
                     actuated_limits=actuated_limits,
                     human_joint_map=doc.get("human_joint_map", {}))
+
+
+def _builtin_dir():
+    return resources.files("graspsynth").joinpath("data/hands")
+
+
+def builtin_hand_names():
+    """Names of the shipped hands: the files in the package's data/hands."""
+    return tuple(sorted(f.name[:-len(".json")] for f in _builtin_dir().iterdir()
+                        if f.name.endswith(".json")))
+
+
+def builtin_hand(name):
+    """Load a shipped hand: ``data/hands/<name>.json`` in the package."""
+    names = builtin_hand_names()
+    if name not in names:
+        raise InvalidInputError(f"unknown builtin hand {name!r}; "
+                                f"have {', '.join(names)}")
+    with _builtin_dir().joinpath(f"{name}.json").open() as fh:
+        return handspec_from_dict(json.load(fh))
 
 
 def save_handspec(path, spec):

@@ -81,6 +81,20 @@ def test_synthesize_isolates_corrupt_instance(workspace, tmp_path):
     assert len(manifest["outputs"]) == 10
 
 
+def test_synthesize_bad_handspec_exit_2(workspace, tmp_path, capsys):
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "demonstrator.handspec.json").read_text())
+    del doc["links"][1]["joint"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", str(bad),
+                 *FAST, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"error: link {doc['links'][1]['name']}: missing key 'joint'"
+            in capsys.readouterr().err)
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from graspsynth.contact import (ContactBundle, anchor_assignment,
-                                bundle_from_dict, bundle_to_dict,
-                                demonstration_from_hand, digitize,
+                                bundle_from_dict, bundle_to_dict, digitize,
                                 extract_bundle, hand_contact_map,
                                 knuckle_partition, load_bundle,
                                 object_contact_map, rigid_transform_demo,
@@ -183,28 +182,18 @@ def test_validate_rejects_overlapping_partition(cylinder_bundle):
 
 
 def test_link_without_samples_is_no_segment():
-    # "samples" left out of a handspec/1 link means 0: the link keeps its
-    # primitives (it still blocks and touches as hand geometry) but has no
-    # samples, so it is no segment of the contact maps or closure contacts
-    from graspsynth.hands import builtin_hand, forward_kinematics
-    from graspsynth.hands.model import make_grasp
+    # closure and penetration see a link only through its samples, so a
+    # link with primitives but no samples would close through the object
+    # unchecked: the loader refuses it, whether "samples" is left out or 0
+    from graspsynth.errors import SchemaError
+    from graspsynth.hands import builtin_hand
     from graspsynth.hands.schema import handspec_from_dict, handspec_to_dict
-    from graspsynth.metrics import closure_contacts, closure_success
 
     doc = handspec_to_dict(builtin_hand("pinch1"))
     assert doc["links"][1]["name"] == "thumb_distal"
     del doc["links"][1]["samples"]
-    spec = handspec_from_dict(doc)
-    mesh = make_sphere(radius=0.6, center=(5.0, 0.0, 0.0))
-    grasp = make_grasp(spec, q=[0.1, 0.1])
-
-    bundle = extract_bundle(demonstration_from_hand(spec, grasp, mesh),
-                            n_samples=256)
-    assert bundle.segment_names == ["palm", "index_distal"]
-    omega, contact = hand_contact_map(forward_kinematics(spec, grasp), mesh)
-    assert list(omega) == list(contact) == ["palm", "index_distal"]
-    assert len(omega["index_distal"]) == 64
-    # the thumb closes through the object unchecked; the index touches
-    contacts, links, _ = closure_contacts(spec, grasp, mesh)
-    assert links == {2} and len(contacts) > 0
-    assert closure_success(spec, grasp, mesh) is False
+    with pytest.raises(SchemaError, match="link thumb_distal: has primitives"):
+        handspec_from_dict(doc)
+    doc["links"][1]["samples"] = 0
+    with pytest.raises(SchemaError, match="link thumb_distal: has primitives"):
+        handspec_from_dict(doc)

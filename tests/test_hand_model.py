@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,9 @@ from graspsynth import transforms as tf
 from graspsynth.errors import InvalidInputError
 from graspsynth.geometry import Primitive
 from graspsynth.hands import (Grasp, HandSpec, Link, apply_coupling,
-                              builtin_hand, forward_kinematics,
-                              handspec_from_dict, handspec_to_dict,
-                              make_grasp, point_jacobian)
+                              builtin_hand, builtin_hand_names,
+                              forward_kinematics, handspec_from_dict,
+                              handspec_to_dict, make_grasp, point_jacobian)
 
 from oracles import finite_difference_jacobian, fk_matrix_chain, rot_about
 
@@ -252,12 +255,36 @@ def test_builtin_schema_roundtrip(hand):
     assert np.allclose(a, b, atol=1e-12)
 
 
+# dof, doa, anchors, fingertips, segments of each shipped hand
+BUILTIN_COUNTS = {
+    "human": (22, 22, 41, 5, 17),
+    "coupled9": (21, 9, 39, 5, 16),
+    "quad16": (16, 16, 30, 4, 13),
+    "pinch1": (2, 1, 5, 2, 3),
+}
+
+
 def test_human_hand_counts():
-    spec = builtin_hand("human")
-    assert spec.dof == 22
-    assert len(spec.anchors) == 41
-    assert len(spec.segment_links()) == 17
-    assert len(spec.fingertip_frames) == 5
+    assert sorted(BUILTIN_COUNTS) == list(builtin_hand_names())
+    for hand, counts in BUILTIN_COUNTS.items():
+        spec = builtin_hand(hand)
+        assert (spec.dof, spec.doa, len(spec.anchors),
+                len(spec.fingertip_frames),
+                len(spec.segment_links())) == counts, hand
+
+
+@pytest.mark.parametrize("hand", builtin_hand_names())
+def test_builtin_hand_is_its_json_file(hand):
+    # the shipped file is the only source of a builtin hand: loading and
+    # writing it back gives the parsed file, value for value
+    ref = resources.files("graspsynth").joinpath(f"data/hands/{hand}.json")
+    assert handspec_to_dict(builtin_hand(hand)) == json.loads(ref.read_text())
+
+
+def test_unknown_builtin_hand_is_invalid_input():
+    with pytest.raises(InvalidInputError,
+                       match="'nope'; have coupled9, human, pinch1, quad16"):
+        builtin_hand("nope")
 
 
 def test_rest_pose_collision_free():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from graspsynth.fit import state_from_dict
 from graspsynth.fixtures import cylinder_mesh
 from graspsynth.geometry import save_obj
 from graspsynth.hands import (builtin_hand, grasp_from_dict,
-                              handspec_from_dict, make_grasp, save_handspec)
+                              handspec_from_dict, handspec_to_dict, make_grasp,
+                              save_handspec)
 from graspsynth.metrics import report_from_dict
 from graspsynth.pipeline import RunConfig
 
@@ -26,6 +28,28 @@ from graspsynth.pipeline import RunConfig
 def test_loaders_reject_wrong_schema(loader, schema):
     with pytest.raises(SchemaError):
         loader({"schema": "bogus/9"})
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d["anchors"][0].update(link="nope"),
+     "anchor thumb_tip: unknown link 'nope'"),
+    (lambda d: d["fingertips"][1].update(link="nope"),
+     "fingertip index: unknown link 'nope'"),
+    (lambda d: d["links"][1].pop("joint"),
+     "link thumb_distal: missing key 'joint'"),
+    (lambda d: d["links"][2].pop("origin"),
+     "link index_distal: missing key 'origin'"),
+    (lambda d: d.pop("links"), "handspec/1 document has no 'links'"),
+    (lambda d: d.pop("name"), "handspec/1 document has no 'name'"),
+], ids=["anchor-link", "fingertip-link", "no-joint", "no-origin", "no-links",
+        "no-name"])
+def test_handspec_loader_names_what_is_wrong(damage, message):
+    # a malformed handspec/1 raises SchemaError naming the link and the
+    # key, not a bare KeyError
+    doc = handspec_to_dict(builtin_hand("pinch1"))
+    damage(doc)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        handspec_from_dict(doc)
 
 
 def test_runconfig_rejects_unknown_keys():
