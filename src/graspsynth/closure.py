@@ -13,6 +13,10 @@ import numpy as np
 from .hands.model import _ancestor_dofs, forward_kinematics
 
 STOP_SDF = 0.05  # cm
+# widens the distance bound of a moved sample for rounding: the worst
+# excess of |f(p) - f(p')| over |p - p'| measured for MeshSDF.query on
+# the cylinder and the category templates was below 1e-12 cm
+MARGIN = 1e-9  # cm
 
 
 def _dof_sample_masks(spec):
@@ -41,12 +45,19 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     demonstrations, so thumbs do not curl through fingers). Returns the
     final q.
 
-    After the first substep only the samples that an advancing joint
-    moves are queried; the rest keep their previous values. That is
-    exact when ``object_sdf`` gives each point a value that does not
-    depend on the other points in the call (``MeshSDF.query`` does),
-    because forward kinematics poses a link whose joints did not change
-    bit for bit as before.
+    ``object_sdf`` must be a distance field,
+    ``|f(p) - f(p')| <= |p - p'|`` (``MeshSDF.query`` is, signed or
+    unsigned, and so is a constant field), and must give each point a
+    value that does not depend on the other points in the call. The
+    march only compares values with ``stop_sdf`` and ``-2 * stop_sdf``,
+    so after the first substep, which queries every sample, a sample
+    keeps its last exact value ``d_ref`` and where it was taken,
+    ``p_ref``. A sample that moved by ``m`` since then lies in
+    ``[d_ref - m, d_ref + m]``, widened by ``MARGIN`` for rounding; it is
+    queried again only when that interval holds a threshold, so the
+    decisions, and q, are those of exact values.
+    Forward kinematics poses a link whose joints did not change bit for
+    bit as before, so the samples of frozen fingers keep their values.
     """
     q = grasp.q.copy()
     lower, upper = spec.lower, spec.upper
@@ -57,34 +68,46 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
             signs[link.dof_index] = link.flexion_sign
     targets = np.clip(q + signs * delta, lower, upper)
     active = (signs != 0) & (np.abs(targets - q) > 1e-12)
+    thresholds = (stop_sdf, -2 * stop_sdf)
+    p_ref = d_ref = None
 
-    def stopped(q, d, moved=None):
+    def stopped(q):
         """Joints whose own samples touch the object, or that move a
         sample that penetrates it (or, with ``stop_self``, rests on
-        another finger: the whole chain stops pressing), and the object
-        distances of all samples, re-queried where ``moved``."""
+        another finger: the whole chain stops pressing)."""
+        nonlocal p_ref, d_ref
         posed = forward_kinematics(spec, _with_q(grasp, q))
         points = posed.all_sample_points()[0]
-        if moved is None:
-            d = object_sdf(points)
+        if d_ref is None:
+            p_ref, d_ref = points, np.array(object_sdf(points), dtype=float)
+            d_max = d_ref
         else:
-            d = d.copy()
-            d[moved] = object_sdf(points[moved])
-        blocked = d < -2 * stop_sdf
+            moved = np.any(points != p_ref, axis=1)
+            slack = np.zeros(len(points))
+            slack[moved] = (np.linalg.norm(points[moved] - p_ref[moved],
+                                           axis=1) + MARGIN)
+            ask = moved & (np.abs(d_ref[:, None] - thresholds)
+                           <= slack[:, None]).any(axis=1)
+            if ask.any():
+                p_ref[ask] = points[ask]
+                d_ref[ask] = object_sdf(points[ask])
+                slack[ask] = 0.0
+            # the largest value each sample can have; a sample left
+            # unasked lies on the same side of both thresholds as it
+            d_max = d_ref + slack
+        blocked = d_max < -2 * stop_sdf
         if stop_self:
             blocked |= posed.self_distances().min(axis=0) <= stop_sdf
-        return ((carries & (d <= stop_sdf)).any(axis=1)
-                | (moves & blocked).any(axis=1)), d
+        return ((carries & (d_max <= stop_sdf)).any(axis=1)
+                | (moves & blocked).any(axis=1))
 
-    halted, d = stopped(q, None)
-    active &= ~halted
+    active &= ~stopped(q)
     step = (targets - q) / substeps
     for _ in range(substeps):
         if not np.any(active):
             break
         q[active] += step[active]
-        halted, d = stopped(q, d, moves[active].any(axis=0))
-        active &= ~halted
+        active &= ~stopped(q)
     # accumulated substeps can overshoot the limits by float rounding
     return np.clip(q, lower, upper)
 

@@ -1,6 +1,7 @@
 """handspec/1 and grasp/1 document IO (JSON)."""
 
 import json
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -13,6 +14,14 @@ from .model import Anchor, FingertipFrame, Grasp, HandSpec, Link
 HANDSPEC_SCHEMA = "handspec/1"
 GRASP_SCHEMA = "grasp/1"
 
+
+@contextmanager
+def _keys_of(where):
+    """Turn a key missing inside ``where`` into a SchemaError naming both."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{where}: missing key {exc}") from None
 
 
 def _quat_of(rotation_matrix):
@@ -100,6 +109,10 @@ def handspec_from_dict(doc):
     for key in ("name", "links"):
         if key not in doc:
             raise SchemaError(f"{HANDSPEC_SCHEMA} document has no {key!r}")
+    if not (isinstance(doc["links"], list)
+            and all(isinstance(entry, dict) for entry in doc["links"])):
+        raise SchemaError(f"{HANDSPEC_SCHEMA} 'links' must be a list of "
+                          f"link objects, got {doc['links']!r:.40}")
     name_to_index = {}
     links = []
     for entry in doc["links"]:
@@ -111,10 +124,8 @@ def handspec_from_dict(doc):
             parent = name_to_index[parent_name]
         else:
             raise SchemaError(f"link {name}: unknown parent {parent_name}")
-        try:
+        with _keys_of(f"link {name}"):
             link = _link_from_dict(entry, parent)
-        except KeyError as exc:
-            raise SchemaError(f"link {name}: missing key {exc}") from None
         # closure and penetration see a link only through its samples
         if link.primitives and link.sample_count <= 0:
             raise SchemaError(f"link {name}: has primitives, so needs samples > 0")
@@ -124,19 +135,21 @@ def handspec_from_dict(doc):
     def attached(key, cls):
         items = []
         for a in doc.get(key, []):
-            if a["link"] not in name_to_index:
-                raise SchemaError(f"{key[:-1]} {a['name']}: "
-                                  f"unknown link {a['link']!r}")
-            items.append(cls(a["name"], name_to_index[a["link"]],
-                             np.asarray(a["local"], float)))
+            with _keys_of(f"{key[:-1]} {a.get('name')}"):
+                if a["link"] not in name_to_index:
+                    raise SchemaError(f"{key[:-1]} {a['name']}: "
+                                      f"unknown link {a['link']!r}")
+                items.append(cls(a["name"], name_to_index[a["link"]],
+                                 np.asarray(a["local"], float)))
         return items
 
     coupling = actuated_names = actuated_limits = None
     if "coupling" in doc:
         c = doc["coupling"]
-        actuated_names = [a["name"] for a in c["actuated"]]
-        actuated_limits = [a["limits"] for a in c["actuated"]]
-        coupling = np.asarray(c["rows"], float)
+        with _keys_of("coupling"):
+            actuated_names = [a["name"] for a in c["actuated"]]
+            actuated_limits = [a["limits"] for a in c["actuated"]]
+            coupling = np.asarray(c["rows"], float)
 
     return HandSpec(doc["name"], links, attached("anchors", Anchor),
                     attached("fingertips", FingertipFrame),
@@ -195,10 +208,11 @@ def grasp_to_dict(grasp, hand=None, provenance=None):
 def grasp_from_dict(doc):
     if doc.get("schema") != GRASP_SCHEMA:
         raise SchemaError(f"expected {GRASP_SCHEMA}, got {doc.get('schema')!r}")
-    return Grasp(np.asarray(doc["q"], float),
-                 np.asarray(doc["wrist"]["rotation"], float),
-                 np.asarray(doc["wrist"]["translation"], float),
-                 flags=list(doc.get("flags", [])))
+    with _keys_of(f"{GRASP_SCHEMA} document"):
+        return Grasp(np.asarray(doc["q"], float),
+                     np.asarray(doc["wrist"]["rotation"], float),
+                     np.asarray(doc["wrist"]["translation"], float),
+                     flags=list(doc.get("flags", [])))
 
 
 def save_grasp(path, grasp, hand=None, provenance=None):

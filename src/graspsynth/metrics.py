@@ -221,13 +221,14 @@ def closure_contacts(spec, grasp, object_mesh, object_sdf=None,
                       stop_sdf=stop_sdf)
     closed = Grasp(q, grasp.rotation.copy(), grasp.translation.copy())
     pts, _ = forward_kinematics(spec, closed).all_sample_points()
-    vals, grads = object_sdf.query_with_gradient(pts)
-    touching = vals <= contact_band
+    touching = object_sdf.query(pts) <= contact_band
     links = set(spec.sample_links()[touching].tolist())
     contacts = None
     if np.any(touching):
-        # forces push into the object
-        contacts = ContactSet(pts[touching], -grads[touching])
+        # normals only where there is contact (a point's value does not
+        # depend on the rest of the batch); forces push into the object
+        _, grads = object_sdf.query_with_gradient(pts[touching])
+        contacts = ContactSet(pts[touching], -grads)
     return contacts, links, q
 
 

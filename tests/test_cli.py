@@ -95,6 +95,22 @@ def test_synthesize_bad_handspec_exit_2(workspace, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_synthesize_handspec_links_not_a_list_exit_2(workspace, tmp_path,
+                                                      capsys):
+    # "links" as a string used to end in an AttributeError traceback
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "demonstrator.handspec.json").read_text())
+    doc["links"] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", str(bad),
+                 *FAST, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("error: handspec/1 'links' must be a list of link objects"
+            in capsys.readouterr().err)
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graspsynth.closure import STOP_SDF, march_closure
+from graspsynth.closure import MARGIN, STOP_SDF, march_closure
 from graspsynth.fixtures import cylinder_mesh, wrap_grasp_pose
 from graspsynth.geometry import MeshSDF
 from graspsynth.hands import builtin_hand, forward_kinematics
@@ -89,41 +89,60 @@ def test_march_closure_matches_per_link(hand, cylinder_sdf):
 @pytest.mark.parametrize("hand", ["human", "pinch1"])
 def test_march_closure_requeries_only_moved_samples(hand, cylinder_sdf,
                                                     monkeypatch):
-    # after its first object query a march asks only about the samples
-    # that the joints advanced in that substep move; every other sample
-    # sits bit for bit where it was, so its previous value still holds
+    # after its first object query a march asks, per substep, exactly the
+    # moved samples whose bound [d_ref - m, d_ref + m] (m: the distance
+    # from where d_ref was taken, plus MARGIN) holds STOP_SDF or
+    # -2 * STOP_SDF; every moved sample it skips lies, exactly, on the
+    # side of both thresholds that its bound gives
     import graspsynth.closure as closure
 
     mesh, sdf = cylinder_sdf
     spec = builtin_hand(hand)
     _, moves = closure._dof_sample_masks(spec)
+    thresholds = np.array([STOP_SDF, -2 * STOP_SDF])
     grasps = _grasps_near(spec, mesh, sdf, np.random.default_rng(3))
-    posed = []
-    asked = []
+    substeps = []  # (q, posed samples, the object queries after that pose)
     real_fk = closure.forward_kinematics
 
     def recording_fk(spec, grasp):
         result = real_fk(spec, grasp)
-        posed.append((grasp.q.copy(), result.all_sample_points()[0]))
+        substeps.append((grasp.q.copy(), result.all_sample_points()[0], []))
         return result
 
     def recording_sdf(points):
-        asked.append(np.array(points))
+        substeps[-1][2].append(np.array(points))
         return sdf.query(points)
 
     monkeypatch.setattr(closure, "forward_kinematics", recording_fk)
-    partial = 0
+    skipping = asking = 0
     for grasp in grasps:
         for stop_self in (False, True):
-            posed.clear()
-            asked.clear()
+            substeps.clear()
             march_closure(spec, grasp, recording_sdf, delta=np.deg2rad(20.0),
                           substeps=20, stop_self=stop_self)
-            assert len(asked) == len(posed) >= 1
-            assert np.array_equal(asked[0], posed[0][1])
-            for (q0, p0), (q1, p1), got in zip(posed, posed[1:], asked[1:]):
+            _, p0, asked = substeps[0]
+            assert len(asked) == 1 and np.array_equal(asked[0], p0)
+            p_ref, d_ref = p0.copy(), sdf.query(p0)
+            for (q0, p0, _), (q1, p1, asked) in zip(substeps, substeps[1:]):
                 moved = moves[q1 != q0].any(axis=0)
-                assert np.array_equal(got, p1[moved])
                 assert np.array_equal(p1[~moved], p0[~moved])
-                partial += 0 < len(got) < len(p1)
-    assert partial > 0
+                drifted = np.any(p1 != p_ref, axis=1)
+                reach = np.linalg.norm(p1 - p_ref, axis=1) + MARGIN
+                want = drifted & (np.abs(d_ref[:, None] - thresholds)
+                                  <= reach[:, None]).any(axis=1)
+                assert not np.any(want & ~moved)
+                assert len(asked) == want.any()
+                if asked:
+                    assert np.array_equal(asked[0], p1[want])
+                exact = sdf.query(p1)
+                skipped = moved & ~want
+                for t in thresholds:
+                    assert np.array_equal(exact[skipped] > t,
+                                          d_ref[skipped] > t)
+                    assert not np.any(exact[skipped] == t)
+                assert np.all(np.abs(exact - d_ref)[drifted] <= reach[drifted])
+                p_ref[want], d_ref[want] = p1[want], exact[want]
+                skipping += skipped.any()
+                asking += want.any()
+    # the bound both spared queries and sent samples back to the object
+    assert skipping > 0 and asking > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from graspsynth.closure import MARGIN
 from graspsynth.errors import InvalidInputError
 from graspsynth.fit import GRID_SPACING_CM, canonicalize
 from graspsynth.fixtures import (CATEGORY_TEMPLATES, category_instances,
@@ -97,11 +98,16 @@ def test_inside_rejects_non_finite_points(cylinder):
     assert values.shape == (0,) and grads.shape == (0, 3)
 
 
+def _surface_points(mesh, rng, n):
+    """Uniform points on the surface and the triangles they lie on."""
+    tri = mesh.triangles[rng.integers(len(mesh.faces), size=n)]
+    return np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(3), size=n), tri), tri
+
+
 def _near_surface_points(mesh, rng, n):
     """Uniform surface points pushed off along random directions by
     1e-3 to 0.5 cm, so both sides and every feature kind show up."""
-    tri = mesh.triangles[rng.integers(len(mesh.faces), size=n)]
-    on = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(3), size=n), tri)
+    on, _ = _surface_points(mesh, rng, n)
     scale = rng.choice([1e-3, 0.05, 0.5], size=(n, 1))
     return on + rng.normal(size=(n, 3)) * scale
 
@@ -146,6 +152,34 @@ def test_query_matches_recursive_ray_parity_oracle(name):
     clear = np.abs(want) > 1e-12
     assert np.array_equal(got[clear] < 0, want[clear] < 0)
     assert np.count_nonzero(want < 0) > 300 and np.count_nonzero(want > 0) > 300
+
+
+@pytest.mark.parametrize("name", ["cylinder", "bottle", "tumbler", "wand"])
+def test_query_is_one_lipschitz(name):
+    # march_closure bounds a moved sample's value by its last exact one:
+    # |f(p) - f(p')| <= |p - p'|, to well within the march's MARGIN, for
+    # offsets from 1e-12 to 1 cm off, near and on the surface
+    mesh = cylinder_mesh() if name == "cylinder" else CATEGORY_TEMPLATES[name]()
+    rng = np.random.default_rng(23)
+    n = 4000
+    offsets = 10.0 ** rng.uniform(-12, 0, size=(n, 1))
+    base = np.vstack([_near_surface_points(mesh, rng, n // 2),
+                      _surface_points(mesh, rng, n // 2)[0]])
+    away = rng.normal(size=(n, 3))
+    away /= np.linalg.norm(away, axis=1, keepdims=True)
+    # pairs on the surface: toward another point of the same triangle
+    on, tri = _surface_points(mesh, rng, n)
+    toward = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(3), size=n),
+                       tri) - on
+    length = np.linalg.norm(toward, axis=1, keepdims=True)
+    along = on + toward * np.minimum(offsets / length, 1.0)
+    p = np.vstack([base, on])
+    p_moved = np.vstack([base + away * offsets, along])
+    sdf = MeshSDF(mesh)
+    gap = np.linalg.norm(p - p_moved, axis=1)
+    assert gap.min() < 1e-11 and gap.max() > 0.5
+    change = np.abs(sdf.query(p) - sdf.query(p_moved))
+    assert np.all(change <= gap + MARGIN / 100)
 
 
 def test_query_value_does_not_depend_on_the_batch():

@@ -30,26 +30,43 @@ def test_loaders_reject_wrong_schema(loader, schema):
         loader({"schema": "bogus/9"})
 
 
-@pytest.mark.parametrize("damage,message", [
-    (lambda d: d["anchors"][0].update(link="nope"),
+@pytest.mark.parametrize("hand,damage,message", [
+    ("pinch1", lambda d: d["anchors"][0].update(link="nope"),
      "anchor thumb_tip: unknown link 'nope'"),
-    (lambda d: d["fingertips"][1].update(link="nope"),
+    ("pinch1", lambda d: d["fingertips"][1].update(link="nope"),
      "fingertip index: unknown link 'nope'"),
-    (lambda d: d["links"][1].pop("joint"),
+    ("pinch1", lambda d: d["links"][1].pop("joint"),
      "link thumb_distal: missing key 'joint'"),
-    (lambda d: d["links"][2].pop("origin"),
+    ("pinch1", lambda d: d["links"][2].pop("origin"),
      "link index_distal: missing key 'origin'"),
-    (lambda d: d.pop("links"), "handspec/1 document has no 'links'"),
-    (lambda d: d.pop("name"), "handspec/1 document has no 'name'"),
+    ("pinch1", lambda d: d.pop("links"), "handspec/1 document has no 'links'"),
+    ("pinch1", lambda d: d.pop("name"), "handspec/1 document has no 'name'"),
+    ("pinch1", lambda d: d["anchors"][0].pop("local"),
+     "anchor thumb_tip: missing key 'local'"),
+    ("pinch1", lambda d: d.update(links="x"),
+     "handspec/1 'links' must be a list of link objects, got 'x'"),
+    ("coupled9", lambda d: d["coupling"].pop("rows"),
+     "coupling: missing key 'rows'"),
 ], ids=["anchor-link", "fingertip-link", "no-joint", "no-origin", "no-links",
-        "no-name"])
-def test_handspec_loader_names_what_is_wrong(damage, message):
+        "no-name", "anchor-no-local", "links-not-a-list", "coupling-no-rows"])
+def test_handspec_loader_names_what_is_wrong(hand, damage, message):
     # a malformed handspec/1 raises SchemaError naming the link and the
-    # key, not a bare KeyError
-    doc = handspec_to_dict(builtin_hand("pinch1"))
+    # key, not a bare KeyError or AttributeError
+    doc = handspec_to_dict(builtin_hand(hand))
     damage(doc)
     with pytest.raises(SchemaError, match=re.escape(message)):
         handspec_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["q", "wrist"])
+def test_grasp_loader_names_the_missing_key(key):
+    doc = {"schema": "grasp/1", "q": [0.1, 0.2],
+           "wrist": {"rotation": [1.0, 0.0, 0.0, 0.0],
+                     "translation": [0.0, 0.0, 0.0]}}
+    del doc[key]
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"grasp/1 document: missing key '{key}'")):
+        grasp_from_dict(doc)
 
 
 def test_runconfig_rejects_unknown_keys():
