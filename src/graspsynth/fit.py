@@ -173,12 +173,15 @@ def icp_init(observed, template, max_iters=50, tol=1e-8):
     R = np.eye(3)
     t = mu_o - sigma * (R @ mu_c)
 
+    # a similarity scales every distance by sigma, so the template point
+    # nearest to p is the canonical point nearest to R^T (p - t) / sigma:
+    # one tree over the canonical points serves every iteration
+    tree = cKDTree(canon)
     best = (np.inf, sigma, R, t)
     grew = 0
     prev = np.inf
     for _ in range(max_iters):
-        transformed = (canon @ R.T) * sigma + t
-        _, idx = cKDTree(transformed).query(observed)
+        _, idx = tree.query(((observed - t) @ R) / sigma)
         sigma, R, t = _umeyama(canon[idx], observed)
         transformed = (canon[idx] @ R.T) * sigma + t
         residual = float(np.sqrt(((observed - transformed) ** 2)
@@ -219,25 +222,48 @@ def _view_direction(normals):
     return mean / norm
 
 
-def _ose_losses(template, state_vec, base_R, observed, normals,
-                weights=OSE_WEIGHTS, view_dir=None):
+@dataclass(frozen=True)
+class _Observation:
+    """What every loss evaluation of one fit shares: the observed cloud,
+    its normals (or None), the partial-view direction (or None), and the
+    chamfer's observed side ``pc`` with its KD tree."""
+
+    points: np.ndarray
+    normals: object
+    view_dir: object
+    pc: np.ndarray
+    pc_tree: cKDTree
+
+
+def _observation(points, normals):
+    view_dir = _view_direction(normals)
+    pc = points
+    if view_dir is not None:
+        # grazing points near the silhouette ring are dropped from the
+        # chamfer: the culling boundary cannot match exactly across poses
+        solid = normals @ view_dir > GRAZE_COS
+        if solid.sum() >= 16:
+            pc = points[solid]
+    return _Observation(points, normals, view_dir, pc, cKDTree(pc))
+
+
+def _ose_losses(template, state_vec, base_R, obs, weights=OSE_WEIGHTS):
     """Loss terms and frozen quantities at one state.
 
     state_vec = [log sigma, T (3), r (3)] with sigma in cm and r composed
-    onto base_R. For partial views (``view_dir`` set) the chamfer term
+    onto base_R. For partial views (``obs.view_dir`` set) the chamfer term
     compares against the predicted-visible template samples only
     (back-face culling), mirroring what a renderer would produce.
     """
+    observed, normals, view_dir = obs.points, obs.normals, obs.view_dir
     sigma = float(np.exp(state_vec[0]))
     T = state_vec[1:4]
     R = tf.rotvec_to_matrix(state_vec[4:7]) @ base_R
 
-    grid = template.sdf_grid
     u = ((observed - T) @ R) / sigma
-    sdf_vals = grid.query(u)
+    sdf_vals, grads = template.sdf_grid.query_with_gradient(u)
     l_sdf = float(np.abs(sdf_vals).mean())
 
-    grads = grid.gradient(u)
     grad_norm = np.linalg.norm(grads, axis=1)
     n_hat = (R @ (grads / np.maximum(grad_norm, NORMAL_EPS)[:, None]).T).T
     if normals is not None:
@@ -249,33 +275,28 @@ def _ose_losses(template, state_vec, base_R, observed, normals,
         l_normal = 0.0
 
     recon_all = (template.samples.points @ R.T) * sigma + T
-    obs_pc = observed
     if view_dir is not None:
-        # grazing points near the silhouette ring are dropped from both
-        # sides: the culling boundary cannot match exactly across poses
+        # grazing template samples are dropped too (see _observation)
         facing = (template.samples.normals @ R.T) @ view_dir > GRAZE_COS
         if facing.sum() < 16:
             facing = np.ones(len(recon_all), dtype=bool)
-        if normals is not None:
-            solid = normals @ view_dir > GRAZE_COS
-            if solid.sum() >= 16:
-                obs_pc = observed[solid]
     else:
         facing = np.ones(len(recon_all), dtype=bool)
     recon = recon_all[facing]
-    d_or, idx_or = cKDTree(recon).query(obs_pc)
-    d_ro, idx_ro = cKDTree(obs_pc).query(recon)
+    # recon moves with the state; the observed side's tree does not
+    d_or, idx_or = cKDTree(recon).query(obs.pc)
+    d_ro, idx_ro = obs.pc_tree.query(recon)
     l_pc = float(np.mean(d_or ** 2) + np.mean(d_ro ** 2))
 
     w_sdf, w_n, w_pc = weights
     total = w_sdf * l_sdf + w_n * l_normal + w_pc * l_pc
     aux = {"sigma": sigma, "T": T, "R": R, "u": u, "sdf": sdf_vals,
-           "grads": grads, "n_hat": n_hat, "recon": recon, "obs_pc": obs_pc,
+           "grads": grads, "n_hat": n_hat, "recon": recon,
            "idx_or": idx_or, "idx_ro": idx_ro}
     return total, {"sdf": l_sdf, "normal": l_normal, "pc": l_pc}, aux
 
 
-def _ose_gradient(template, aux, observed, normals, weights=OSE_WEIGHTS):
+def _ose_gradient(aux, obs, weights=OSE_WEIGHTS):
     """Analytic gradient of the OSE loss at the evaluated state.
 
     The normal term freezes the grid gradient direction per step and
@@ -284,6 +305,7 @@ def _ose_gradient(template, aux, observed, normals, weights=OSE_WEIGHTS):
     w_sdf, w_n, w_pc = weights
     sigma, T, R = aux["sigma"], aux["T"], aux["R"]
     u, sdf_vals, grads = aux["u"], aux["sdf"], aux["grads"]
+    observed, normals = obs.points, obs.normals
     n = len(observed)
     g = np.zeros(7)
 
@@ -303,7 +325,7 @@ def _ose_gradient(template, aux, observed, normals, weights=OSE_WEIGHTS):
 
     # L_pc with frozen pairs, both directions, on the culled clouds
     recon = aux["recon"]
-    obs_pc = aux["obs_pc"]
+    obs_pc = obs.pc
     n_o = len(obs_pc)
     n_r = len(recon)
     res_or = (recon[aux["idx_or"]] - obs_pc) * (2.0 * w_pc / n_o)
@@ -331,6 +353,8 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
     observed = np.asarray(getattr(observed, "points", observed), float)
     normals = None if normals is None else np.asarray(normals, float)
 
+    obs = _observation(observed, normals)
+
     candidates = list(library) if refit_all_templates else [
         library.get(init.template_id)]
     best = None
@@ -338,8 +362,7 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
         state = init
         if init.template_id != template.template_id:
             state = icp_init(observed, template)
-        result = _fit_one(observed, normals, template, state, max_iters,
-                          weights)
+        result = _fit_one(obs, template, state, max_iters, weights)
         if best is None or result.losses["total"] < best.losses["total"]:
             best = result
     if best.losses["total"] > loss_ceiling:
@@ -349,18 +372,16 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
     return best
 
 
-def _fit_one(observed, normals, template, init, max_iters, weights):
+def _fit_one(obs, template, init, max_iters, weights):
     base_R = tf.quat_to_matrix(init.rotation)
     log_diag = np.log(template.diagonal_cm)
     x = np.concatenate([[np.log(init.s * template.diagonal_cm)],
                         init.translation, np.zeros(3)])
-    view_dir = _view_direction(normals)
 
-    value, terms, aux = _ose_losses(template, x, base_R, observed, normals,
-                                    weights, view_dir)
+    value, terms, aux = _ose_losses(template, x, base_R, obs, weights)
     step = 0.01
     for _ in range(max_iters):
-        grad = _ose_gradient(template, aux, observed, normals, weights)
+        grad = _ose_gradient(aux, obs, weights)
         accepted = False
         for _ in range(25):
             xc = x - step * grad
@@ -369,8 +390,7 @@ def _fit_one(observed, normals, template, init, max_iters, weights):
             if abs(xc[0] - log_diag) <= np.log(SCALE_LIMIT):
                 # re-compose the rotation increment into the base each step
                 cand_value, cand_terms, cand_aux = _ose_losses(
-                    template, xc, base_R, observed, normals, weights,
-                    view_dir)
+                    template, xc, base_R, obs, weights)
                 if cand_value < value - 1e-15:
                     accepted = True
                     break

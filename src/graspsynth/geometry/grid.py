@@ -126,45 +126,40 @@ class SdfGrid:
     def dims(self):
         return self.values.shape
 
-    def _locate(self, points):
+    def query(self, points):
+        return self.query_with_gradient(points)[0]
+
+    def gradient(self, points):
+        """Analytic gradient of the trilinear interpolant (plus box term)."""
+        return self.query_with_gradient(points)[1]
+
+    def query_with_gradient(self, points):
+        """Value and gradient from one pass over the eight cell corners."""
         rel = (np.atleast_2d(points) - self.origin) / self.spacing
         hi = np.array(self.values.shape) - 1
         clamped = np.clip(rel, 0.0, hi - 1e-9)
         overshoot = (rel - np.clip(rel, 0.0, hi)) * self.spacing
         outside = np.linalg.norm(overshoot, axis=1)
-        return rel, clamped, outside, overshoot
-
-    def query(self, points):
-        _, clamped, outside, _ = self._locate(points)
         i0 = np.floor(clamped).astype(int)
         f = clamped - i0
+        # weights of the low and the high corner along each axis
+        w = [(1 - f[:, a], f[:, a]) for a in range(3)]
+        # corners are gathered from the C-order flat values
+        _, ny, nz = self.values.shape
+        stride = np.array([ny * nz, nz, 1])
+        base = i0 @ stride
+        flat = self.values.ravel()
         vals = np.zeros(len(clamped))
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    w = (np.where(dx, f[:, 0], 1 - f[:, 0])
-                         * np.where(dy, f[:, 1], 1 - f[:, 1])
-                         * np.where(dz, f[:, 2], 1 - f[:, 2]))
-                    vals += w * self.values[i0[:, 0] + dx, i0[:, 1] + dy,
-                                            i0[:, 2] + dz]
-        return vals + outside
-
-    def gradient(self, points):
-        """Analytic gradient of the trilinear interpolant (plus box term)."""
-        _, clamped, outside, overshoot = self._locate(points)
-        i0 = np.floor(clamped).astype(int)
-        f = clamped - i0
         grad = np.zeros((len(clamped), 3))
         for dx in (0, 1):
             for dy in (0, 1):
                 for dz in (0, 1):
-                    v = self.values[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
-                    wx = np.where(dx, f[:, 0], 1 - f[:, 0])
-                    wy = np.where(dy, f[:, 1], 1 - f[:, 1])
-                    wz = np.where(dz, f[:, 2], 1 - f[:, 2])
+                    v = flat[base + (dx * stride[0] + dy * stride[1] + dz)]
+                    wx, wy, wz = w[0][dx], w[1][dy], w[2][dz]
                     sx = 1.0 if dx else -1.0
                     sy = 1.0 if dy else -1.0
                     sz = 1.0 if dz else -1.0
+                    vals += wx * wy * wz * v
                     grad[:, 0] += sx * wy * wz * v
                     grad[:, 1] += wx * sy * wz * v
                     grad[:, 2] += wx * wy * sz * v
@@ -172,7 +167,7 @@ class SdfGrid:
         out_mask = outside > 0
         if np.any(out_mask):
             grad[out_mask] += overshoot[out_mask] / outside[out_mask, None]
-        return grad
+        return vals + outside, grad
 
 
 def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):

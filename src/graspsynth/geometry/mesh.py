@@ -157,15 +157,21 @@ def load_point_cloud(path):
 def _load_obj(path):
     verts, faces = [], []
     with open(path, "r") as fh:
-        for line in fh:
-            if line.startswith("v "):
-                parts = line.split()
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif line.startswith("f "):
-                idx = [int(p.split("/")[0]) for p in line.split()[1:]]
-                idx = [i - 1 if i > 0 else len(verts) + i for i in idx]
-                for k in range(1, len(idx) - 1):  # fan-triangulate polygons
-                    faces.append([idx[0], idx[k], idx[k + 1]])
+        for lineno, line in enumerate(fh, 1):
+            try:
+                if line.startswith("v "):
+                    parts = line.split()
+                    verts.append([float(parts[1]), float(parts[2]),
+                                  float(parts[3])])
+                elif line.startswith("f "):
+                    idx = [int(p.split("/")[0]) for p in line.split()[1:]]
+                    idx = [i - 1 if i > 0 else len(verts) + i for i in idx]
+                    for k in range(1, len(idx) - 1):  # fan-triangulate
+                        faces.append([idx[0], idx[k], idx[k + 1]])
+            except (ValueError, IndexError):
+                raise InvalidInputError(
+                    f"{path}: line {lineno}: malformed record "
+                    f"{line.strip()!r:.60}") from None
     if not verts:
         raise InvalidInputError(f"{path}: no vertices")
     return TriMesh(np.array(verts), np.array(faces) if faces else np.zeros((0, 3), int))
@@ -193,17 +199,23 @@ def _load_ply(path):
             tokens = line.decode("ascii", "replace").split()
             if not tokens:
                 continue
-            if tokens[0] == "format":
-                fmt = tokens[1]
-            elif tokens[0] == "element":
-                elements.append((tokens[1], int(tokens[2]), []))
-            elif tokens[0] == "property":
-                if tokens[1] == "list":
-                    elements[-1][2].append((tokens[4], tokens[3], tokens[2]))
-                else:
-                    elements[-1][2].append((tokens[2], tokens[1], None))
-            elif tokens[0] == "end_header":
-                break
+            try:
+                if tokens[0] == "format":
+                    fmt = tokens[1]
+                elif tokens[0] == "element":
+                    elements.append((tokens[1], int(tokens[2]), []))
+                elif tokens[0] == "property":
+                    if tokens[1] == "list":
+                        elements[-1][2].append((tokens[4], tokens[3],
+                                                tokens[2]))
+                    else:
+                        elements[-1][2].append((tokens[2], tokens[1], None))
+                elif tokens[0] == "end_header":
+                    break
+            except (ValueError, IndexError):
+                raise InvalidInputError(
+                    f"{path}: malformed PLY header line "
+                    f"{' '.join(tokens)!r:.60}") from None
         if fmt == "ascii":
             return _parse_ply_ascii(fh, elements, path)
         if fmt == "binary_little_endian":
@@ -211,7 +223,11 @@ def _load_ply(path):
         raise InvalidInputError(f"{path}: unsupported PLY format {fmt}")
 
 
-def _extract_vertex_data(names, rows):
+def _extract_vertex_data(names, rows, path):
+    for c in ("x", "y", "z"):
+        if c not in names:
+            raise InvalidInputError(f"{path}: PLY vertex element has no "
+                                    f"{c!r} property")
     rows = np.asarray(rows, dtype=float).reshape(-1, len(names))
     ix = [names.index(c) for c in ("x", "y", "z")]
     points = rows[:, ix]
@@ -227,17 +243,34 @@ def _parse_ply_ascii(fh, elements, path):
         if name == "vertex":
             names = [p[0] for p in props]
             rows = []
-            for _ in range(count):
-                rows.append([float(t) for t in fh.readline().split()])
-            points, normals = _extract_vertex_data(names, rows)
+            for k in range(count):
+                line = fh.readline().split()
+                try:
+                    row = [float(t) for t in line]
+                except ValueError:
+                    row = None
+                if row is None or len(row) != len(names):
+                    raise InvalidInputError(
+                        f"{path}: PLY vertex line {k + 1} of {count}: "
+                        f"expected {len(names)} numbers, got "
+                        f"{' '.join(line)!r:.60}")
+                rows.append(row)
+            points, normals = _extract_vertex_data(names, rows, path)
         elif name == "face":
             faces = []
-            for _ in range(count):
+            for k in range(count):
                 vals = fh.readline().split()
-                n = int(vals[0])
-                idx = [int(v) for v in vals[1:1 + n]]
-                for k in range(1, n - 1):
-                    faces.append([idx[0], idx[k], idx[k + 1]])
+                try:
+                    n = int(vals[0])
+                    idx = [int(v) for v in vals[1:1 + n]]
+                except (ValueError, IndexError):
+                    idx, n = [], -1
+                if len(idx) != n:
+                    raise InvalidInputError(
+                        f"{path}: PLY face line {k + 1} of {count}: "
+                        f"malformed {' '.join(vals)!r:.60}")
+                for j in range(1, n - 1):
+                    faces.append([idx[0], idx[j], idx[j + 1]])
             faces = np.array(faces, dtype=np.int64) if faces else None
         else:
             for _ in range(count):
@@ -248,6 +281,11 @@ def _parse_ply_ascii(fh, elements, path):
 
 
 def _parse_ply_binary(fh, elements, path):
+    for name, _, props in elements:
+        for prop, ptype, ltype in props:
+            if ptype not in _PLY_TYPES or ltype not in (None, *_PLY_TYPES):
+                raise InvalidInputError(f"{path}: PLY element {name!r} "
+                                        f"property {prop!r}: unknown type")
     points = normals = faces = None
     for name, count, props in elements:
         if name == "vertex" and all(p[2] is None for p in props):
@@ -255,24 +293,18 @@ def _parse_ply_binary(fh, elements, path):
             fmt = "<" + "".join(_PLY_TYPES[p[1]] for p in props)
             size = struct.calcsize(fmt)
             raw = fh.read(size * count)
+            if len(raw) < size * count:
+                raise InvalidInputError(
+                    f"{path}: binary PLY ends inside element 'vertex' "
+                    f"({len(raw)} of {size * count} bytes)")
             rows = [struct.unpack_from(fmt, raw, i * size) for i in range(count)]
-            points, normals = _extract_vertex_data(names, rows)
+            points, normals = _extract_vertex_data(names, rows, path)
         else:
-            rows = []
-            for _ in range(count):
-                row = []
-                for _, ptype, ltype in props:
-                    if ltype is None:
-                        (val,) = struct.unpack("<" + _PLY_TYPES[ptype],
-                                               fh.read(struct.calcsize(_PLY_TYPES[ptype])))
-                        row.append(val)
-                    else:
-                        (n,) = struct.unpack("<" + _PLY_TYPES[ltype],
-                                             fh.read(struct.calcsize(_PLY_TYPES[ltype])))
-                        vals = struct.unpack("<" + _PLY_TYPES[ptype] * n,
-                                             fh.read(struct.calcsize(_PLY_TYPES[ptype]) * n))
-                        row.append(list(vals))
-                rows.append(row)
+            try:
+                rows = [_read_binary_row(fh, props) for _ in range(count)]
+            except struct.error:
+                raise InvalidInputError(f"{path}: binary PLY ends inside "
+                                        f"element {name!r}") from None
             if name == "face":
                 faces = []
                 for row in rows:
@@ -283,6 +315,22 @@ def _parse_ply_binary(fh, elements, path):
     if points is None:
         raise InvalidInputError(f"{path}: PLY has no fixed-size vertex element")
     return points, faces, normals
+
+
+def _read_binary_row(fh, props):
+    row = []
+    for _, ptype, ltype in props:
+        if ltype is None:
+            (val,) = struct.unpack("<" + _PLY_TYPES[ptype],
+                                   fh.read(struct.calcsize(_PLY_TYPES[ptype])))
+            row.append(val)
+        else:
+            (n,) = struct.unpack("<" + _PLY_TYPES[ltype],
+                                 fh.read(struct.calcsize(_PLY_TYPES[ltype])))
+            vals = struct.unpack("<" + _PLY_TYPES[ptype] * n,
+                                 fh.read(struct.calcsize(_PLY_TYPES[ptype]) * n))
+            row.append(list(vals))
+    return row
 
 
 def save_ply(path, vertices, faces=None, normals=None, face_labels=None,

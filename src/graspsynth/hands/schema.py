@@ -24,6 +24,25 @@ def _keys_of(where):
         raise SchemaError(f"{where}: missing key {exc}") from None
 
 
+def _objects(value, where, noun="objects"):
+    """``value`` if it is a list of JSON objects, else a SchemaError."""
+    if not (isinstance(value, list)
+            and all(isinstance(item, dict) for item in value)):
+        raise SchemaError(f"{where} must be a list of {noun}, "
+                          f"got {value!r:.40}")
+    return value
+
+
+def _limits(value, where):
+    """``(lower, upper)`` from a two-number list, else a SchemaError."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in value)):
+        raise SchemaError(f"{where}: 'limits' must be [lower, upper], "
+                          f"got {value!r:.40}")
+    return float(value[0]), float(value[1])
+
+
 def _quat_of(rotation_matrix):
     return [float(v) for v in tf.matrix_to_quat(rotation_matrix)]
 
@@ -81,7 +100,12 @@ def handspec_to_dict(spec):
 
 
 def _link_from_dict(entry, parent):
+    where = f"link {entry.get('name')}"
     joint, origin = entry["joint"], entry["origin"]
+    samples = entry.get("samples", 0)
+    if not isinstance(samples, int) or isinstance(samples, bool):
+        raise SchemaError(f"{where}: 'samples' must be an integer, "
+                          f"got {samples!r:.40}")
     link = Link(
         name=entry["name"],
         parent=parent,
@@ -92,13 +116,14 @@ def _link_from_dict(entry, parent):
             Primitive(p["kind"], tuple(p["params"]),
                       rotation=tf.quat_to_matrix(np.asarray(p["rotation"], float)),
                       translation=np.asarray(p["translation"], float))
-            for p in entry.get("primitives", [])
+            for p in _objects(entry.get("primitives", []),
+                              f"{where}: 'primitives'")
         ],
-        sample_count=int(entry.get("samples", 0)),
+        sample_count=samples,
     )
     if joint["type"] == "revolute":
         link.axis = np.asarray(joint["axis"], float)
-        link.limits = (float(joint["limits"][0]), float(joint["limits"][1]))
+        link.limits = _limits(joint["limits"], where)
         link.flexion_sign = float(joint.get("flexion_sign", 1.0))
     return link
 
@@ -109,13 +134,10 @@ def handspec_from_dict(doc):
     for key in ("name", "links"):
         if key not in doc:
             raise SchemaError(f"{HANDSPEC_SCHEMA} document has no {key!r}")
-    if not (isinstance(doc["links"], list)
-            and all(isinstance(entry, dict) for entry in doc["links"])):
-        raise SchemaError(f"{HANDSPEC_SCHEMA} 'links' must be a list of "
-                          f"link objects, got {doc['links']!r:.40}")
     name_to_index = {}
     links = []
-    for entry in doc["links"]:
+    for entry in _objects(doc["links"], f"{HANDSPEC_SCHEMA} 'links'",
+                          "link objects"):
         name = entry.get("name")
         parent_name = entry.get("parent")
         if parent_name is None:
@@ -134,7 +156,7 @@ def handspec_from_dict(doc):
 
     def attached(key, cls):
         items = []
-        for a in doc.get(key, []):
+        for a in _objects(doc.get(key, []), f"{HANDSPEC_SCHEMA} {key!r}"):
             with _keys_of(f"{key[:-1]} {a.get('name')}"):
                 if a["link"] not in name_to_index:
                     raise SchemaError(f"{key[:-1]} {a['name']}: "
@@ -146,9 +168,13 @@ def handspec_from_dict(doc):
     coupling = actuated_names = actuated_limits = None
     if "coupling" in doc:
         c = doc["coupling"]
+        if not isinstance(c, dict):
+            raise SchemaError(f"coupling must be an object, got {c!r:.40}")
         with _keys_of("coupling"):
-            actuated_names = [a["name"] for a in c["actuated"]]
-            actuated_limits = [a["limits"] for a in c["actuated"]]
+            actuated = _objects(c["actuated"], "coupling 'actuated'")
+            actuated_names = [a["name"] for a in actuated]
+            actuated_limits = [_limits(a["limits"], f"actuated {a['name']}")
+                               for a in actuated]
             coupling = np.asarray(c["rows"], float)
 
     return HandSpec(doc["name"], links, attached("anchors", Anchor),

@@ -567,3 +567,91 @@ def descend_reevaluate(scene, g_start, g_init, steps, weights,
         if stop_penetration is not None and stop_penetration(grasp):
             break
     return grasp, rows, grads
+
+
+def trilinear_point(grid, p):
+    """Value and gradient of an ``SdfGrid`` at one point, corner by corner.
+
+    The point is clamped into the box, with the upper face held 1e-9 cell
+    inside so that it belongs to the last cell (the grid's convention).
+    The value is the trilinear interpolant of that cell plus the distance
+    from p to the box; the gradient is the interpolant's analytic
+    gradient plus the unit vector from the box to p.
+    """
+    import math
+
+    dims = grid.values.shape
+    value = 0.0
+    grad = [0.0, 0.0, 0.0]
+    rel = [(float(p[a]) - float(grid.origin[a])) / grid.spacing
+           for a in range(3)]
+    c = [min(max(rel[a], 0.0), dims[a] - 1 - 1e-9) for a in range(3)]
+    i = [int(math.floor(c[a])) for a in range(3)]
+    f = [c[a] - i[a] for a in range(3)]
+    for corner in range(8):
+        d = [(corner >> 2) & 1, (corner >> 1) & 1, corner & 1]
+        w = [f[a] if d[a] else 1.0 - f[a] for a in range(3)]
+        dw = [1.0 if d[a] else -1.0 for a in range(3)]
+        v = float(grid.values[i[0] + d[0], i[1] + d[1], i[2] + d[2]])
+        value += w[0] * w[1] * w[2] * v
+        grad[0] += dw[0] * w[1] * w[2] * v / grid.spacing
+        grad[1] += w[0] * dw[1] * w[2] * v / grid.spacing
+        grad[2] += w[0] * w[1] * dw[2] * v / grid.spacing
+    over = [(rel[a] - min(max(rel[a], 0.0), dims[a] - 1)) * grid.spacing
+            for a in range(3)]
+    dist = math.sqrt(sum(o * o for o in over))
+    if dist > 0:
+        value += dist
+        grad = [grad[a] + over[a] / dist for a in range(3)]
+    return value, np.array(grad)
+
+
+def icp_world_frame(observed, canon, diag=1.0, max_iters=50, tol=1e-8):
+    """``fit.icp_init`` matched in the world frame, as first written.
+
+    Each iteration builds a KD tree over the template points moved by the
+    current similarity and matches every observed point to its nearest
+    one. Returns ((s, quaternion, t, residual), [matched indices of every
+    iteration]).
+    """
+    import warnings
+
+    from scipy.spatial import cKDTree
+
+    from graspsynth import transforms as tf
+    from graspsynth.fit import _umeyama
+
+    mu_c = canon.mean(axis=0)
+    mu_o = observed.mean(axis=0)
+    rms_c = np.sqrt(((canon - mu_c) ** 2).sum(axis=1).mean())
+    rms_o = np.sqrt(((observed - mu_o) ** 2).sum(axis=1).mean())
+    sigma = rms_o / max(rms_c, 1e-12)
+    R = np.eye(3)
+    t = mu_o - sigma * (R @ mu_c)
+
+    matches = []
+    best = (np.inf, sigma, R, t)
+    grew = 0
+    prev = np.inf
+    for _ in range(max_iters):
+        transformed = (canon @ R.T) * sigma + t
+        _, idx = cKDTree(transformed).query(observed)
+        matches.append(idx)
+        sigma, R, t = _umeyama(canon[idx], observed)
+        transformed = (canon[idx] @ R.T) * sigma + t
+        residual = float(np.sqrt(((observed - transformed) ** 2)
+                                 .sum(axis=1).mean()))
+        if residual < best[0]:
+            best = (residual, sigma, R, t)
+        if residual > prev + 1e-12:
+            grew += 1
+            if grew >= 5:
+                warnings.warn("ICP diverging; returning best state so far")
+                break
+        else:
+            grew = 0
+        if abs(prev - residual) < tol:
+            break
+        prev = residual
+    residual, sigma, R, t = best
+    return (sigma / diag, tf.matrix_to_quat(R), t, residual), matches

@@ -111,6 +111,22 @@ def test_synthesize_handspec_links_not_a_list_exit_2(workspace, tmp_path,
             in capsys.readouterr().err)
 
 
+def test_synthesize_handspec_samples_not_a_number_exit_2(
+        workspace, tmp_path, capsys):
+    # "samples": "many" used to end in a ValueError traceback
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "demonstrator.handspec.json").read_text())
+    doc["links"][1]["samples"] = "many"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", str(bad),
+                 *FAST, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"error: link {doc['links'][1]['name']}: 'samples' must be an "
+            f"integer, got 'many'" in capsys.readouterr().err)
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"
@@ -185,6 +201,19 @@ def test_empty_cloud_exit_2(tmp_path, workspace):
     lib_dir = workspace / "data" / "wand"
     assert main(["fit", "--cloud", str(cloud), "--library", str(lib_dir),
                  "--out", str(tmp_path / "s.json")]) == 2
+
+
+def test_fit_cloud_without_y_exit_2(tmp_path, workspace, capsys):
+    # a PLY vertex element without 'y' used to end in a ValueError traceback
+    cloud = tmp_path / "no_y.ply"
+    cloud.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
+                     "property float x\nproperty float z\nend_header\n"
+                     "0 0\n1 1\n")
+    lib_dir = workspace / "data" / "wand"
+    assert main(["fit", "--cloud", str(cloud), "--library", str(lib_dir),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    assert (f"error: {cloud}: PLY vertex element has no 'y' property"
+            in capsys.readouterr().err)
 
 
 def test_console_entrypoint_runs():

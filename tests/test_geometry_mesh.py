@@ -98,3 +98,46 @@ def test_ply_binary_little_endian(tmp_path):
     mesh = load_mesh(path)
     assert len(mesh.vertices) == 3
     assert np.array_equal(mesh.faces, [[0, 1, 2]])
+
+
+_PLY_XYZ = (b"ply\nformat ascii 1.0\nelement vertex 3\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"end_header\n")
+_PLY_BINARY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+               b"property float x\nproperty float y\nproperty float z\n"
+               b"element face 1\nproperty list uchar int vertex_indices\n"
+               b"end_header\n")
+
+
+def _binary_triangle(n_vertices, face=True):
+    import struct
+    body = b"".join(struct.pack("<fff", *p)
+                    for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0)][:n_vertices])
+    return _PLY_BINARY + body + (struct.pack("<Bii", 3, 0, 1) if face else b"")
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("bad.obj", b"v 0 0 0\nv 1 0 0\nv 0 0 x\nf 1 2 3\n",
+     "line 3: malformed record 'v 0 0 x'"),
+    ("bad.obj", b"v 0 0 0\nv 1 0 0\nv 0 1\n", "line 3: malformed record"),
+    ("bad.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 b\n",
+     "line 4: malformed record 'f 1 2 b'"),
+    ("short.ply", _PLY_XYZ + b"0 0 0\n1 0 0\n",
+     "PLY vertex line 3 of 3: expected 3 numbers, got ''"),
+    ("no_y.ply", _PLY_XYZ.replace(b"property float y\n", b"")
+     + b"0 0\n1 0\n0 1\n", "PLY vertex element has no 'y' property"),
+    ("truncated.ply", _binary_triangle(2, face=False),
+     "binary PLY ends inside element 'vertex' (24 of 36 bytes)"),
+    ("truncated.ply", _binary_triangle(3),
+     "binary PLY ends inside element 'face'"),
+], ids=["obj-not-a-number", "obj-short-vertex", "obj-bad-face",
+        "ply-fewer-vertex-lines", "ply-no-y", "ply-binary-truncated-vertices",
+        "ply-binary-truncated-face"])
+def test_mesh_readers_name_what_is_wrong(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    load = load_mesh if name.endswith(".obj") else load_point_cloud
+    with pytest.raises(InvalidInputError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)

@@ -7,14 +7,15 @@ from graspsynth.errors import InvalidInputError
 from graspsynth.fit import GRID_SPACING_CM, canonicalize
 from graspsynth.fixtures import (CATEGORY_TEMPLATES, category_instances,
                                  cylinder_mesh, lathe_mesh, wrap_grasp_pose)
-from graspsynth.geometry import (MeshSDF, TriMesh, mesh_sdf,
+from graspsynth.geometry import (MeshSDF, SdfGrid, TriMesh, mesh_sdf,
                                  sdf_grid_from_mesh, winding_numbers)
 from graspsynth.geometry.sdf import closest_point_on_triangles
 from graspsynth.hands import builtin_hand, forward_kinematics
 from graspsynth.hands.model import Grasp
 
 from conftest import make_sphere, make_unit_cube
-from oracles import mesh_signed_distance, ray_parity_query
+from oracles import (mesh_signed_distance, ray_parity_query,
+                     trilinear_point)
 
 
 def test_sphere_center_and_outside(sphere):
@@ -289,3 +290,40 @@ def test_sdf_grid_matches_mesh_sdf(category):
     near = (np.abs(want) <= grid.spacing) & (np.abs(want) > 1e-9)
     assert near.sum() > 1000
     assert np.array_equal(grid.values.ravel()[near], want[near])
+
+
+def _grid_probe_points(grid, rng):
+    """Points inside a grid's box, on its nodes (upper faces included),
+    on its cell faces, and outside it past every face, edge and corner."""
+    hi = np.array(grid.dims) - 1
+    inside = rng.uniform(0, hi, size=(300, 3))
+    nodes = np.vstack([rng.integers(0, hi + 1, size=(100, 3)),
+                       np.indices((2, 2, 2)).reshape(3, -1).T * hi])
+    faces = rng.uniform(0, hi, size=(150, 3))
+    axis = rng.integers(0, 3, size=150)
+    faces[np.arange(150), axis] = rng.integers(0, hi[axis] + 1)
+    outside = []
+    for side in np.indices((3, 3, 3)).reshape(3, -1).T:   # 0 low, 2 high
+        if np.all(side == 1):
+            continue
+        p = rng.uniform(0, hi, size=(10, 3))
+        lo_out = -rng.uniform(0.01, 3.0, size=(10, 3))
+        hi_out = hi + rng.uniform(0.01, 3.0, size=(10, 3))
+        p = np.where(side == 0, lo_out, np.where(side == 2, hi_out, p))
+        outside.append(p)
+    rel = np.vstack([inside, nodes, faces, *outside])
+    return grid.origin + rel * grid.spacing
+
+
+def test_sdf_grid_query_with_gradient_matches_trilinear_oracle():
+    rng = np.random.default_rng(12)
+    grid = SdfGrid(np.array([-0.7, 0.2, 1.3]), 0.3,
+                   rng.uniform(-1.0, 1.0, size=(5, 6, 7)))
+    points = _grid_probe_points(grid, rng)
+    vals, grads = grid.query_with_gradient(points)
+    want = [trilinear_point(grid, p) for p in points]
+    assert np.abs(vals - [v for v, _ in want]).max() <= 1e-12
+    assert np.abs(grads - np.array([g for _, g in want])).max() <= 1e-12
+    # query and gradient are the two halves of the same pass, bit for bit
+    assert np.array_equal(grid.query(points), vals)
+    assert np.array_equal(grid.gradient(points), grads)

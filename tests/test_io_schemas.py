@@ -47,8 +47,27 @@ def test_loaders_reject_wrong_schema(loader, schema):
      "handspec/1 'links' must be a list of link objects, got 'x'"),
     ("coupled9", lambda d: d["coupling"].pop("rows"),
      "coupling: missing key 'rows'"),
+    ("coupled9", lambda d: d.update(anchors=["x"]),
+     "handspec/1 'anchors' must be a list of objects, got ['x']"),
+    ("coupled9", lambda d: d.update(coupling="x"),
+     "coupling must be an object, got 'x'"),
+    ("coupled9", lambda d: d["links"][2].update(primitives=["x"]),
+     "link index_proximal: 'primitives' must be a list of objects, got ['x']"),
+    ("coupled9", lambda d: d["links"][2]["joint"].update(limits=0.3),
+     "link index_proximal: 'limits' must be [lower, upper], got 0.3"),
+    ("coupled9", lambda d: d["coupling"]["actuated"][0].update(limits=0.3),
+     "actuated thumb_rot: 'limits' must be [lower, upper], got 0.3"),
+    ("coupled9", lambda d: d["links"][2].update(samples="many"),
+     "link index_proximal: 'samples' must be an integer, got 'many'"),
+    ("coupled9", lambda d: d["links"][2].update(samples=2.5),
+     "link index_proximal: 'samples' must be an integer, got 2.5"),
+    ("coupled9", lambda d: d["links"][2].update(samples=True),
+     "link index_proximal: 'samples' must be an integer, got True"),
 ], ids=["anchor-link", "fingertip-link", "no-joint", "no-origin", "no-links",
-        "no-name", "anchor-no-local", "links-not-a-list", "coupling-no-rows"])
+        "no-name", "anchor-no-local", "links-not-a-list", "coupling-no-rows",
+        "anchor-not-an-object", "coupling-not-an-object",
+        "primitive-not-an-object", "scalar-limits", "scalar-actuated-limits",
+        "samples-not-a-number", "samples-fraction", "samples-bool"])
 def test_handspec_loader_names_what_is_wrong(hand, damage, message):
     # a malformed handspec/1 raises SchemaError naming the link and the
     # key, not a bare KeyError or AttributeError
