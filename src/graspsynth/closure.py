@@ -8,6 +8,8 @@ stops fingers from pressing through the surface. Abduction/pronation
 joints (flexion_sign 0) never move.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .hands.model import _ancestor_dofs, forward_kinematics
@@ -23,14 +25,13 @@ def _dof_sample_masks(spec):
     """(DoF, N) bool over the stacked hand samples: the samples each joint
     carries directly (it is their link's nearest revolute ancestor), and
     the samples it moves at all."""
-    sample_links = spec.sample_links()
-    carries = np.zeros((spec.dof, len(sample_links)), dtype=bool)
+    carries = np.zeros((spec.dof, len(spec.sample_links())), dtype=bool)
     moves = np.zeros_like(carries)
-    for link in np.unique(sample_links):
+    for link, rows in spec.sample_slices().items():
         dofs = [dof for _, dof in _ancestor_dofs(spec, link)]
         if dofs:
-            carries[dofs[0], sample_links == link] = True
-            moves[np.ix_(dofs, sample_links == link)] = True
+            carries[dofs[0], rows] = True
+            moves[dofs, rows] = True
     return carries, moves
 
 
@@ -76,10 +77,11 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
         sample that penetrates it (or, with ``stop_self``, rests on
         another finger: the whole chain stops pressing)."""
         nonlocal p_ref, d_ref
-        posed = forward_kinematics(spec, _with_q(grasp, q))
-        points = posed.all_sample_points()[0]
+        posed = forward_kinematics(spec, replace(grasp, q=q))
+        points = posed.sample_points
         if d_ref is None:
-            p_ref, d_ref = points, np.array(object_sdf(points), dtype=float)
+            p_ref = points.copy()
+            d_ref = np.array(object_sdf(points), dtype=float)
             d_max = d_ref
         else:
             moved = np.any(points != p_ref, axis=1)
@@ -112,11 +114,6 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     return np.clip(q, lower, upper)
 
 
-def _with_q(grasp, q):
-    from .hands.model import Grasp
-    return Grasp(q, grasp.rotation, grasp.translation, list(grasp.flags))
-
-
 def close_until_contact(spec, grasp, object_sdf, max_sweep=np.deg2rad(160),
                         stop_sdf=STOP_SDF, step=np.deg2rad(4.0), substeps=8):
     """Repeated small closure marches; used to author touching grasps.
@@ -128,7 +125,7 @@ def close_until_contact(spec, grasp, object_sdf, max_sweep=np.deg2rad(160),
     q = grasp.q.copy()
     swept = 0.0
     while swept < max_sweep:
-        g = _with_q(grasp, q)
+        g = replace(grasp, q=q)
         q_new = march_closure(spec, g, object_sdf, delta=step,
                               stop_sdf=stop_sdf, substeps=substeps,
                               stop_self=True)

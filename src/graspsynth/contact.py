@@ -39,17 +39,13 @@ class Demonstration:
     """
 
     object_mesh: TriMesh
-    segments: dict                 # name -> SurfaceSamples (world)
+    segments: dict                 # name -> (n, 3) world sample points
     q: dict                        # joint name -> radians
     wrist_rotation: np.ndarray     # unit quaternion (w, x, y, z)
     wrist_translation: np.ndarray
     anchors: dict                  # anchor name -> world position
     task_points: dict              # fingertip name -> wrist-frame position
     hand_sdf: object               # world points -> signed distance to hand
-
-    @property
-    def segment_names(self):
-        return list(self.segments)
 
 
 def demonstration_from_hand(spec, grasp, object_mesh):
@@ -59,7 +55,8 @@ def demonstration_from_hand(spec, grasp, object_mesh):
     primitives provide the segmented surface and exact SDFs.
     """
     posed = forward_kinematics(spec, grasp)
-    segments = _sampled_segments(posed)
+    segments = {spec.links[i].name: posed.sample_points[rows]
+                for i, rows in spec.sample_slices().items()}
     anchors = {a.name: p for a, p in zip(spec.anchors, posed.anchor_points)}
     Rw, tw = grasp.wrist_matrix()
     task_points = {f.name: Rw.T @ (p - tw)
@@ -135,31 +132,22 @@ def object_contact_map(object_samples, hand_surface, tau_c=TAU_CONTACT):
 def hand_contact_map(hand, object_mesh, tau_c=TAU_CONTACT, object_sdf=None):
     """Per-segment contact values on the hand, concatenated in segment order.
 
-    ``hand`` may be a Demonstration or a PosedHand. Returns
+    ``hand`` is a Demonstration (for a posed hand, pass
+    ``demonstration_from_hand(spec, grasp, object_mesh)``). Returns
     (omega_by_segment, contact_by_segment).
     """
+    if not isinstance(hand, Demonstration):
+        raise InvalidInputError(f"unsupported hand {type(hand)}")
     if object_sdf is None:
         object_sdf = MeshSDF(object_mesh).query
-    if isinstance(hand, Demonstration):
-        segments = hand.segments
-    elif isinstance(hand, PosedHand):
-        segments = _sampled_segments(hand)
-    else:
-        raise InvalidInputError(f"unsupported hand {type(hand)}")
-    points = [samples.points for samples in segments.values()]
+    points = list(hand.segments.values())
     d = np.maximum(object_sdf(np.vstack(points)), 0.0)
-    by_segment = dict(zip(segments, np.split(
+    by_segment = dict(zip(hand.segments, np.split(
         d, np.cumsum([len(p) for p in points])[:-1])))
     omega = {name: digitize(v) for name, v in by_segment.items()}
     contact = {name: np.nonzero(v <= tau_c)[0]
                for name, v in by_segment.items()}
     return omega, contact
-
-
-def _sampled_segments(posed):
-    """Segment name -> world samples, for the links that carry samples."""
-    return {posed.spec.links[i].name: posed.samples[i]
-            for i in sorted(posed.samples)}
 
 
 def knuckle_partition(contact_points, segment_samples):
@@ -174,17 +162,13 @@ def knuckle_partition(contact_points, segment_samples):
     if len(pts) == 0 or pts.size == 0:
         return {name: np.array([], dtype=np.int64) for name in names}
     dists = np.column_stack([
-        cKDTree(np.atleast_2d(_points_of(segment_samples[name]))).query(pts)[0]
+        cKDTree(np.atleast_2d(segment_samples[name])).query(pts)[0]
         for name in names])
     # strict argmin on the first axis keeps the lowest-index tie winner
     owner = dists.argmin(axis=1)
     for k, name in enumerate(names):
         out[name] = np.nonzero(owner == k)[0].astype(np.int64)
     return out
-
-
-def _points_of(samples):
-    return samples.points if hasattr(samples, "points") else np.asarray(samples)
 
 
 def anchor_assignment(contact_points, anchors):
@@ -226,7 +210,7 @@ def extract_bundle(demo, n_samples=2048, seed=0, tau_c=TAU_CONTACT):
     else:
         assignment = {}
     bundle = ContactBundle(samples.points, samples.normals, omega_o, contact_o,
-                           demo.segment_names, omega_h, contact_h, partition,
+                           list(demo.segments), omega_h, contact_h, partition,
                            assignment, tau_c=tau_c)
     return bundle.validate()
 
@@ -331,7 +315,7 @@ def load_demo(path, base_dir=None):
 def rigid_transform_demo(demo, R, t):
     """Apply one rigid transform to the whole demonstration scene."""
     Rq = tf.matrix_to_quat(R)
-    segments = {k: s.transformed(R, t) for k, s in demo.segments.items()}
+    segments = {k: p @ R.T + t for k, p in demo.segments.items()}
     return Demonstration(
         demo.object_mesh.transformed(R, t), segments, dict(demo.q),
         tf.quat_mul(Rq, demo.wrist_rotation), R @ demo.wrist_translation + t,

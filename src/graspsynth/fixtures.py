@@ -242,8 +242,7 @@ def author_wrap_demo(spec, object_mesh, standoff=0.1, height=0.0,
     # retract along the approach axis until the open pose is contact-free
     from .hands.model import forward_kinematics
     for _ in range(8):
-        posed = forward_kinematics(spec, Grasp(q0, rot, trans))
-        pts, _ = posed.all_sample_points()
+        pts = forward_kinematics(spec, Grasp(q0, rot, trans)).sample_points
         deepest = float(sdf(pts).min())
         if deepest > 0.06:
             break

@@ -25,15 +25,6 @@ class SurfaceSamples:
     def __len__(self):
         return len(self.points)
 
-    def transformed(self, R, t):
-        R = np.asarray(R)
-        return SurfaceSamples(self.points @ R.T + np.asarray(t),
-                              self.normals @ R.T, self.face_ids.copy())
-
-    def scaled(self, s):
-        return SurfaceSamples(self.points * float(s), self.normals.copy(),
-                              self.face_ids.copy())
-
 
 def sample_surface(mesh, n=2048, seed=0):
     """Draw ``n`` points on the mesh, each face weighted by its area.

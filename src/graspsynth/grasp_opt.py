@@ -39,7 +39,7 @@ from . import transforms as tf
 from .contact import digitize
 from .errors import InvalidInputError
 from .hands.model import (Grasp, actuated_from_q, ancestor_axes,
-                          forward_kinematics)
+                          apply_coupling, forward_kinematics)
 
 SMOOTH_EPS = 1e-6
 
@@ -111,12 +111,6 @@ class GraspScene:
         self.object_tree = cKDTree(self.object_points)
 
         name_to_link = {spec.links[i].name: i for i in spec.segment_links()}
-        # rows of the stacked hand samples (all_sample_points) per link
-        samples = spec.local_samples()
-        self.segment_links = sorted(samples)
-        ends = np.cumsum([len(samples[i].points) for i in self.segment_links])
-        self.segment_slices = {i: slice(end - len(samples[i].points), end)
-                               for i, end in zip(self.segment_links, ends)}
         # attraction/repulsion targets, keyed by robot link index
         self.link_targets = {}
         self.link_target_trees = {}
@@ -140,9 +134,9 @@ class GraspScene:
         self.per_sample_hand_map = all(
             spec.links[i].name in self.omega_m_target
             and len(self.omega_m_target[spec.links[i].name])
-            == spec.links[i].sample_count
-            for i in self.segment_links)
-        self.matched_segments = [i for i in self.segment_links
+            == sl.stop - sl.start
+            for i, sl in spec.sample_slices().items())
+        self.matched_segments = [i for i in spec.segment_links()
                                  if spec.links[i].name in self.omega_m_target]
 
 
@@ -232,19 +226,18 @@ class _ForwardPass:
         loss_ip = w.lam6 * float(np.maximum(-self.sdf_o, 0.0).sum())
 
         # --- hand-side contact map against the object cloud
-        seg_slices = scene.segment_slices
-        self.H, _ = posed.all_sample_points()
+        seg_slices = spec.sample_slices()
+        self.H = posed.sample_points
         self.d_m, self.n_m, _ = _oriented_cloud_distance(scene, self.H)
         omega_m_live = digitize(self.d_m)
         # per matched segment: (link, live - target map[, scale])
         self.hand_difs = []
         if scene.per_sample_hand_map:
-            n_matched = sum(spec.links[k].sample_count
-                            for k in scene.matched_segments)
-            self.hand_div = float(n_matched) if w.map_norm == "mean" else 1.0
             for i in scene.matched_segments:
                 target = scene.omega_m_target[spec.links[i].name]
                 self.hand_difs.append((i, omega_m_live[seg_slices[i]] - target))
+            n_matched = sum(len(dif) for _, dif in self.hand_difs)
+            self.hand_div = float(n_matched) if w.map_norm == "mean" else 1.0
             hand_map_term = (float(np.concatenate(
                 [_smooth_abs(dif) for _, dif in self.hand_difs]).sum())
                 / self.hand_div if self.hand_difs else 0.0)
@@ -273,8 +266,7 @@ class _ForwardPass:
         attract = 0.0
         repel = 0.0
         self.pulls = []     # (link, point, target point, distance, weight)
-        for i in scene.segment_links:
-            sl = seg_slices[i]
+        for i, sl in seg_slices.items():
             first = dists[:, sl].argmin(axis=1) + sl.start
             for j, (d, nearest), ia in zip(trees, queried, first):
                 dist = float(d[ia])
@@ -308,10 +300,7 @@ class _ForwardPass:
         # --- gesture regularization
         self.dq = grasp.q - ref.q
         self.dt = grasp.translation - ref.translation
-        rot_dist = tf.quat_rotation_distance(grasp.rotation, ref.rotation)
-        loss_g = (w.lam3 * float(np.abs(self.dq).sum())
-                  + w.lam4 * float(np.abs(self.dt).sum())
-                  + w.lam5 * rot_dist)
+        loss_g = loss_gesture(grasp, ref, w)
 
         # --- self penetration: every hand sample inside a non-adjacent link
         self.d_self = posed.self_distances()
@@ -346,7 +335,7 @@ class _ForwardPass:
             acc.add(int(link), scene.object_points[rows],
                     (-w_d[rows, None]) * self.grad_o[rows])
 
-        seg_slices = scene.segment_slices
+        seg_slices = spec.sample_slices()
         if scene.per_sample_hand_map:
             for i, dif in self.hand_difs:
                 if len(dif):
@@ -412,28 +401,22 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
 # spec-level loss entry points (used directly by tests and reports)
 
 
-def _adhoc_scene(posed_or_spec, bundle, weights=None):
-    spec = getattr(posed_or_spec, "spec", posed_or_spec)
-    return GraspScene(spec, bundle, weights)
+def _term(posed, bundle, weights, name):
+    """One term of the loss of a posed hand against a bundle."""
+    scene = GraspScene(posed.spec, bundle, weights)
+    return evaluate(scene, posed.grasp, posed.grasp, weights=weights)[1][name]
 
 
 def loss_contact(posed, bundle, object_samples=None, weights=None):
     """Contact-consistency loss for one posed hand against a bundle."""
-    scene = _adhoc_scene(posed, bundle, weights)
-    if object_samples is not None:
-        pts = getattr(object_samples, "points", object_samples)
-        if len(pts) != len(scene.object_points):
-            raise InvalidInputError("object samples do not match the bundle")
-    total, terms, _ = evaluate(scene, posed.grasp, posed.grasp,
-                               weights=weights)
-    return terms["contact"]
+    pts = getattr(object_samples, "points", object_samples)
+    if pts is not None and len(pts) != len(bundle.object_points):
+        raise InvalidInputError("object samples do not match the bundle")
+    return _term(posed, bundle, weights, "contact")
 
 
 def loss_anchor(posed, bundle, weights=None):
-    scene = _adhoc_scene(posed, bundle, weights)
-    total, terms, _ = evaluate(scene, posed.grasp, posed.grasp,
-                               weights=weights)
-    return terms["anchor"]
+    return _term(posed, bundle, weights, "anchor")
 
 
 def loss_gesture(grasp, g_init, weights=None):
@@ -475,9 +458,7 @@ class OptimizationReport:
 
 
 def _state_to_grasp(scene, a, t, base_quat):
-    q = scene.spec.coupling @ a
-    q = np.clip(q, scene.spec.lower, scene.spec.upper)
-    return Grasp(q, base_quat.copy(), t.copy())
+    return Grasp(apply_coupling(scene.spec, a)[0], base_quat.copy(), t.copy())
 
 
 def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
@@ -554,7 +535,7 @@ def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
             a = a + rng.normal(0.0, RESTART_SIGMA_Q, size=spec.doa)
             a = np.clip(a, spec.actuated_limits[:, 0],
                         spec.actuated_limits[:, 1])
-            q = np.clip(spec.coupling @ a, spec.lower, spec.upper)
+            q = apply_coupling(spec, a)[0]
             trans = start.translation + rng.normal(0.0, RESTART_SIGMA_T, 3)
             rot = tf.quat_normalize(tf.quat_mul(
                 tf.rotvec_to_quat(rng.normal(0.0, RESTART_SIGMA_R, 3)),
@@ -579,8 +560,7 @@ REFINE_PENETRATION_FAIL = 0.5   # cm
 
 def penetration_depth_cloud(scene, grasp):
     """Max hand-into-object depth against the oriented object cloud."""
-    posed = forward_kinematics(scene.spec, grasp)
-    pts, _ = posed.all_sample_points()
+    pts = forward_kinematics(scene.spec, grasp).sample_points
     signed, _, _ = _oriented_cloud_distance(scene, pts)
     return _max_depth(signed)
 
@@ -610,7 +590,7 @@ def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
     if object_sdf is None:
         final_depth = penetration_depth_cloud(scene, refined)
     else:
-        pts, _ = forward_kinematics(spec, refined).all_sample_points()
+        pts = forward_kinematics(spec, refined).sample_points
         final_depth = _max_depth(object_sdf.query(pts))
     out = refined.copy()
     if final_depth >= REFINE_PENETRATION_FAIL:

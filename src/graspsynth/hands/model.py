@@ -83,6 +83,10 @@ class HandSpec:
                 dof += 1
             elif link.joint_type != "fixed":
                 raise InvalidInputError(f"link {link.name}: bad joint type")
+            # closure and penetration see a link only through its samples
+            if link.primitives and link.sample_count <= 0:
+                raise InvalidInputError(f"link {link.name}: has primitives, "
+                                        f"so needs sample_count > 0")
         self.dof = dof
         self.lower = np.array([l.limits[0] for l in self.links
                                if l.joint_type == "revolute"])
@@ -111,7 +115,7 @@ class HandSpec:
             if not (0 <= a.link < len(self.links)):
                 raise InvalidInputError(f"{a.name}: link index out of range")
 
-        self._local_samples = None
+        self._sample_layout = None
         self._sample_seed = sample_seed
         self._link_meshes = None
         self._primitive_stacks = {}
@@ -144,17 +148,24 @@ class HandSpec:
                         [tessellate(p) for p in link.primitives])
         return self._link_meshes
 
-    def local_samples(self):
-        """Per-link surface samples in the link frame (lazy, deterministic)."""
-        if self._local_samples is None:
-            self._local_samples = {}
-            meshes = self.link_meshes()
-            for i, link in enumerate(self.links):
-                if link.primitives and link.sample_count > 0:
-                    self._local_samples[i] = sample_surface(
-                        meshes[i], n=link.sample_count,
-                        seed=self._sample_seed + i)
-        return self._local_samples
+    def _layout(self):
+        """(link-frame points, owner links, {link: rows}) of the stacked
+        hand samples (lazy, deterministic): each segment link's
+        ``sample_count`` surface draws, in segment_links() order."""
+        if self._sample_layout is None:
+            links = self.segment_links()
+            counts = [self.links[i].sample_count for i in links]
+            points = np.vstack([np.empty((0, 3))] + [
+                sample_surface(self.link_meshes()[i], n=n,
+                               seed=self._sample_seed + i).points
+                for i, n in zip(links, counts)])
+            owners = np.repeat(np.array(links, dtype=np.intp), counts)
+            for array in (points, owners):
+                array.setflags(write=False)
+            ends = np.cumsum([0] + counts).tolist()
+            self._sample_layout = (points, owners, {
+                i: slice(ends[k], ends[k + 1]) for k, i in enumerate(links)})
+        return self._sample_layout
 
     @property
     def adjacent_pairs(self):
@@ -181,9 +192,11 @@ class HandSpec:
 
     def sample_links(self):
         """Owning link of each row of the stacked hand samples."""
-        samples = self.local_samples()
-        return np.concatenate([np.full(len(samples[i].points), i)
-                               for i in sorted(samples)]).astype(np.intp)
+        return self._layout()[1]
+
+    def sample_slices(self):
+        """{segment link: its rows of the stacked hand samples}."""
+        return self._layout()[2]
 
     def self_contact_links(self):
         """(L, L) bool over segment_links(): the link pairs that count in
@@ -237,16 +250,14 @@ class PosedHand:
     grasp: Grasp
     rotations: np.ndarray        # (L, 3, 3)
     translations: np.ndarray     # (L, 3)
-    samples: dict                # link index -> world SurfaceSamples
+    sample_points: np.ndarray    # (N, 3) world, read-only, by sample_slices()
     anchor_points: np.ndarray    # (A, 3)
     fingertip_points: np.ndarray  # (F, 3)
 
-    def segment_points(self, i):
-        return self.samples[i].points
-
     def all_sample_points(self):
-        idx = sorted(self.samples)
-        return np.vstack([self.samples[i].points for i in idx]), idx
+        """(sample_points, segment links in row order); kept for callers
+        outside the package, which read it in this form."""
+        return self.sample_points, self.spec.segment_links()
 
     def sdf(self, points, with_gradient=False):
         """Signed distance to the whole hand (min across link primitives).
@@ -270,17 +281,17 @@ class PosedHand:
     def self_distances(self):
         """(L, N) distance of every hand sample to every segment link.
 
-        Columns are the stacked hand samples (all_sample_points); pairs
+        Columns are the stacked hand samples (sample_points); pairs
         that do not count in self-contact (a sample's own link and the
         links adjacent to it) read +inf.
         """
-        pts, _ = self.all_sample_points()
         return np.where(self.spec.self_contact_mask(),
-                        self.link_distances(pts), np.inf)
+                        self.link_distances(self.sample_points), np.inf)
 
 
 def forward_kinematics(spec, grasp):
-    """Pose every link: parent pose, then joint origin, then the joint turn."""
+    """Pose every link: parent pose, then joint origin, then the joint turn;
+    each link's samples fill its rows of one stacked world array."""
     if len(grasp.q) != spec.dof:
         raise InvalidInputError(
             f"q has length {len(grasp.q)}, spec has {spec.dof} DoF")
@@ -300,14 +311,16 @@ def forward_kinematics(spec, grasp):
         rotations[i] = R
         translations[i] = t
 
-    samples = {}
-    for i, local in spec.local_samples().items():
-        samples[i] = local.transformed(rotations[i], translations[i])
+    local, _, slices = spec._layout()
+    points = np.empty(local.shape)
+    for i, rows in slices.items():
+        points[rows] = local[rows] @ rotations[i].T + translations[i]
+    points.setflags(write=False)
     anchor_points = np.array([rotations[a.link] @ a.local + translations[a.link]
                               for a in spec.anchors]).reshape(-1, 3)
     fingertip_points = np.array([rotations[f.link] @ f.local + translations[f.link]
                                  for f in spec.fingertip_frames]).reshape(-1, 3)
-    return PosedHand(spec, grasp, rotations, translations, samples,
+    return PosedHand(spec, grasp, rotations, translations, points,
                      anchor_points, fingertip_points)
 
 

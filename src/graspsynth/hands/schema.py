@@ -33,14 +33,20 @@ def _objects(value, where, noun="objects"):
     return value
 
 
-def _limits(value, where):
-    """``(lower, upper)`` from a two-number list, else a SchemaError."""
-    if not (isinstance(value, list) and len(value) == 2
+def _vector(value, n, where, key, form=None):
+    """``value`` as a float array if it is a list of ``n`` numbers, else a
+    SchemaError naming ``where`` and ``key``."""
+    if not (isinstance(value, list) and len(value) == n
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in value)):
-        raise SchemaError(f"{where}: 'limits' must be [lower, upper], "
-                          f"got {value!r:.40}")
-    return float(value[0]), float(value[1])
+        raise SchemaError(f"{where}: {key!r} must be "
+                          f"{form or f'{n} numbers'}, got {value!r:.40}")
+    return np.asarray(value, float)
+
+
+def _limits(value, where):
+    """``(lower, upper)`` from a two-number list, else a SchemaError."""
+    return tuple(_vector(value, 2, where, "limits", "[lower, upper]").tolist())
 
 
 def _quat_of(rotation_matrix):
@@ -109,8 +115,10 @@ def _link_from_dict(entry, parent):
     link = Link(
         name=entry["name"],
         parent=parent,
-        origin_rotation=tf.quat_to_matrix(np.asarray(origin["rotation"], float)),
-        origin_translation=np.asarray(origin["translation"], float),
+        origin_rotation=tf.quat_to_matrix(
+            _vector(origin["rotation"], 4, where, "origin.rotation")),
+        origin_translation=_vector(origin["translation"], 3, where,
+                                   "origin.translation"),
         joint_type=joint["type"],
         primitives=[
             Primitive(p["kind"], tuple(p["params"]),
@@ -122,7 +130,7 @@ def _link_from_dict(entry, parent):
         sample_count=samples,
     )
     if joint["type"] == "revolute":
-        link.axis = np.asarray(joint["axis"], float)
+        link.axis = _vector(joint["axis"], 3, where, "axis")
         link.limits = _limits(joint["limits"], where)
         link.flexion_sign = float(joint.get("flexion_sign", 1.0))
     return link
@@ -162,7 +170,8 @@ def handspec_from_dict(doc):
                     raise SchemaError(f"{key[:-1]} {a['name']}: "
                                       f"unknown link {a['link']!r}")
                 items.append(cls(a["name"], name_to_index[a["link"]],
-                                 np.asarray(a["local"], float)))
+                                 _vector(a["local"], 3,
+                                         f"{key[:-1]} {a['name']}", "local")))
         return items
 
     coupling = actuated_names = actuated_limits = None
@@ -175,7 +184,13 @@ def handspec_from_dict(doc):
             actuated_names = [a["name"] for a in actuated]
             actuated_limits = [_limits(a["limits"], f"actuated {a['name']}")
                                for a in actuated]
-            coupling = np.asarray(c["rows"], float)
+            rows = c["rows"]
+            if not isinstance(rows, list):
+                raise SchemaError(f"coupling: 'rows' must be a list, "
+                                  f"got {rows!r:.40}")
+            coupling = np.array(
+                [_vector(row, len(actuated), "coupling", f"rows[{k}]")
+                 for k, row in enumerate(rows)])
 
     return HandSpec(doc["name"], links, attached("anchors", Anchor),
                     attached("fingertips", FingertipFrame),

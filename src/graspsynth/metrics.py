@@ -120,7 +120,7 @@ def penetration(posed, object_mesh, spacing=VOXEL_SPACING, object_sdf=None):
         raise InvalidInputError("penetration requires a watertight mesh")
     if object_sdf is None:
         object_sdf = MeshSDF(object_mesh)
-    pts, _ = posed.all_sample_points()
+    pts = posed.sample_points
     depth = float(np.maximum(-object_sdf.query(pts), 0.0).max(initial=0.0))
 
     origin, dims = padded_layout(*object_mesh.bounds(), spacing)
@@ -136,7 +136,7 @@ def self_penetration(posed, spacing=VOXEL_SPACING):
     if depth == 0.0:
         return 0.0, 0.0
 
-    all_pts, _ = posed.all_sample_points()
+    all_pts = posed.sample_points
     origin, dims = padded_layout(all_pts.min(axis=0), all_pts.max(axis=0),
                                  spacing)
     centers = cell_centers(origin, spacing, dims)
@@ -220,7 +220,7 @@ def closure_contacts(spec, grasp, object_mesh, object_sdf=None,
     q = march_closure(spec, grasp, object_sdf.query, delta=np.deg2rad(10.0),
                       stop_sdf=stop_sdf)
     closed = Grasp(q, grasp.rotation.copy(), grasp.translation.copy())
-    pts, _ = forward_kinematics(spec, closed).all_sample_points()
+    pts = forward_kinematics(spec, closed).sample_points
     touching = object_sdf.query(pts) <= contact_band
     links = set(spec.sample_links()[touching].tolist())
     contacts = None

@@ -45,18 +45,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        doc = dict(doc)
-        schema = doc.pop("schema", CONFIG_SCHEMA)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"config must be an object, got {doc!r:.40}")
+        schema = doc.get("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
-            raise SchemaError(f"expected {CONFIG_SCHEMA}, got {schema!r}")
-        weights = doc.pop("weights", None)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(doc) - known
-        if unknown:
-            raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        if weights:
-            cfg.weights = LossWeights(**weights)
+            raise SchemaError(f"expected {CONFIG_SCHEMA}, got {schema!r:.40}")
+        cfg = _typed(cls, {k: v for k, v in doc.items() if k != "schema"},
+                     "config")
         _validate_config(cfg)
         return cfg
 
@@ -69,6 +64,29 @@ class RunConfig:
         doc = asdict(self)
         doc["schema"] = CONFIG_SCHEMA
         return doc
+
+
+def _typed(cls, doc, where):
+    """The dataclass ``cls`` from the JSON object ``doc``: each key a field
+    and each value of the field's type (an int is a float, a bool is
+    neither, a dataclass takes an object), else a SchemaError naming it."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be an object, got {doc!r:.40}")
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise SchemaError(f"unknown {where} keys: {unknown}")
+    values = {}
+    for key, value in doc.items():
+        kind = fields[key].type
+        if hasattr(kind, "__dataclass_fields__"):
+            value = _typed(kind, value, f"{where} {key!r}")
+        elif isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise SchemaError(f"{where}: {key!r} must be {kind.__name__}, "
+                              f"got {value!r:.40}")
+        values[key] = value
+    return cls(**values)
 
 
 def _validate_config(cfg):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .hands.model import (Grasp, actuated_from_q, forward_kinematics,
-                          point_jacobian_world)
+from .hands.model import (Grasp, actuated_from_q, apply_coupling,
+                          forward_kinematics, point_jacobian_world)
 
 SMOOTH_EPS = 1e-6
 ALPHA_TASK = 1.0
@@ -105,7 +105,7 @@ def retarget(problem, max_iters=500, tol=1e-6, patience=10,
     hi_a = spec.actuated_limits[:, 1]
 
     def evaluate(a_vec, with_grad=False):
-        q = np.clip(spec.coupling @ a_vec, spec.lower, spec.upper)
+        q = apply_coupling(spec, a_vec)[0]
         posed = forward_kinematics(spec, Grasp(q, np.array([1.0, 0, 0, 0]),
                                                np.zeros(3)))
         tips = posed.fingertip_points
@@ -153,7 +153,7 @@ def retarget(problem, max_iters=500, tol=1e-6, patience=10,
         if stale >= patience:
             break
 
-    q = np.clip(spec.coupling @ a, spec.lower, spec.upper)
+    q = apply_coupling(spec, a)[0]
     grasp = Grasp(q, problem.wrist_rotation.copy(),
                   problem.wrist_translation.copy())
     return RetargetResult(grasp, trace, iters)

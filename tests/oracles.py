@@ -6,6 +6,8 @@ full pairwise matrices, homogeneous matrix chains, and support-function
 minimization. Keep them simple, not fast.
 """
 
+import functools
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -185,6 +187,26 @@ def fk_matrix_chain(spec, q, wrist_R, wrist_t):
     return poses
 
 
+@functools.lru_cache(maxsize=None)
+def _link_local_samples(spec):
+    """Each link's own surface draw in its frame, drawn once per spec (the
+    arrays are read-only); the oracles below pose it every call."""
+    from graspsynth.geometry import sample_surface
+
+    meshes = spec.link_meshes()
+    return {i: sample_surface(meshes[i], n=link.sample_count,
+                              seed=spec._sample_seed + i).points
+            for i, link in enumerate(spec.links) if link.primitives}
+
+
+def link_sample_points(posed):
+    """World hand samples link by link, {link: (n, 3)}: each link with
+    primitives draws its own ``sample_surface`` points in its frame, and
+    its posed rotation and translation move them there."""
+    return {i: local @ posed.rotations[i].T + posed.translations[i]
+            for i, local in _link_local_samples(posed.spec).items()}
+
+
 def support_function_radius(wrenches, restarts=200, seed=0):
     """Largest origin-centered ball inside conv(wrenches).
 
@@ -240,13 +262,13 @@ def self_penetration_bruteforce(posed):
         return j
 
     total = deepest = 0.0
-    for i in posed.samples:
+    for i, points in link_sample_points(posed).items():
         for j, link in enumerate(links):
             if (not link.primitives or i == j or geometric_parent(i) == j
                     or geometric_parent(j) == i):
                 continue
             R, t = posed.rotations[j], posed.translations[j]
-            local = (posed.samples[i].points - t) @ R
+            local = (points - t) @ R
             d = np.min([primitive_sdf(p, local, with_gradient=False)
                         for p in link.primitives], axis=0)
             depth = np.maximum(-d, 0.0)
@@ -290,8 +312,9 @@ def march_closure_per_link(spec, grasp, object_sdf, delta, stop_sdf,
         posed = forward_kinematics(
             spec, Grasp(q.copy(), grasp.rotation, grasp.translation))
         nearest, touching = {}, {}
+        per_link = link_sample_points(posed)
         for i in sampled:
-            pts = posed.samples[i].points
+            pts = per_link[i]
             nearest[i] = float(object_sdf(pts).min())
             touching[i] = False
             for j, link in enumerate(links):
@@ -394,8 +417,11 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
             add(int(link), obj_pts[rows], (-w_d[rows, None]) * grad_o[rows])
 
     hand_map_term = 0.0
-    seg_slices = scene.segment_slices
-    H, _ = posed.all_sample_points()
+    per_link = link_sample_points(posed)
+    H = np.vstack(list(per_link.values()))
+    ends = np.cumsum([len(p) for p in per_link.values()])
+    seg_slices = {i: slice(end - len(p), end)
+                  for (i, p), end in zip(per_link.items(), ends)}
     d_m, n_m, _ = _oriented_cloud_distance(scene, H)
     omega_m_live = digitize(d_m)
     if scene.per_sample_hand_map:
@@ -430,7 +456,7 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
 
     attract = 0.0
     repel = 0.0
-    for i in scene.segment_links:
+    for i in seg_slices:
         pts_i = H[seg_slices[i]]
         for j, tree in scene.link_target_trees.items():
             d, nearest = tree.query(pts_i)
@@ -472,8 +498,8 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
     d_self = posed.self_distances()
     loss_sp = w.lam7 * float(np.maximum(-d_self, 0.0).sum())
     if accumulate and loss_sp > 0.0:
-        segs = spec.segment_links()
-        sources = spec.sample_links()
+        segs = list(per_link)
+        sources = np.repeat(segs, [len(p) for p in per_link.values()])
         rows, cols = np.nonzero(d_self < 0.0)
         for r in np.unique(rows):
             j, n = segs[r], cols[rows == r]

@@ -127,6 +127,21 @@ def test_synthesize_handspec_samples_not_a_number_exit_2(
             f"integer, got 'many'" in capsys.readouterr().err)
 
 
+def test_synthesize_config_weight_not_a_number_exit_2(workspace, tmp_path,
+                                                      capsys):
+    # a string weight used to end in a TypeError traceback
+    cat = workspace / "data" / "wand"
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps({"schema": "config/1",
+                               "weights": {"lam1": "x"}}))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", "pinch1",
+                 "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("error: config 'weights': 'lam1' must be float, got 'x'"
+            in capsys.readouterr().err)
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

@@ -8,7 +8,7 @@ from graspsynth.hands import builtin_hand, forward_kinematics
 from graspsynth.hands.model import Grasp, apply_coupling
 from graspsynth.metrics import CONTACT_BAND, ContactSet, closure_contacts
 
-from oracles import march_closure_per_link
+from oracles import link_sample_points, march_closure_per_link
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +66,7 @@ def test_march_closure_matches_per_link(hand, cylinder_sdf):
         posed = forward_kinematics(spec, Grasp(q, grasp.rotation,
                                                grasp.translation))
         points, normals, want_links = [], [], set()
-        for i in sorted(posed.samples):
-            pts = posed.samples[i].points
+        for i, pts in link_sample_points(posed).items():
             vals, grads = sdf.query_with_gradient(pts)
             touching = vals <= CONTACT_BAND
             if np.any(touching):

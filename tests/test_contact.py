@@ -83,7 +83,7 @@ def test_knuckle_partition_matches_bruteforce(cylinder_bundle, cylinder_scene):
     pts = cylinder_bundle.object_points[cylinder_bundle.contact_object]
     names = list(demo.segments)
     d = np.column_stack([
-        nearest_neighbor_matrix(pts, demo.segments[n].points)[1] for n in names])
+        nearest_neighbor_matrix(pts, demo.segments[n])[1] for n in names])
     owner = d.argmin(axis=1)
     for k, name in enumerate(names):
         got = cylinder_bundle.knuckle_partition[name]

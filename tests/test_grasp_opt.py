@@ -17,7 +17,7 @@ from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
                                     make_grasp)
 from graspsynth.metrics import self_penetration
 
-from oracles import (descend_reevaluate, rot_about,
+from oracles import (descend_reevaluate, link_sample_points, rot_about,
                      self_penetration_bruteforce)
 
 
@@ -89,18 +89,19 @@ def test_loss_self_penetration_rules():
     val = loss_self_penetration(posed)
     # oracle: explicit double loop over ordered pairs
     expected = 0.0
+    samples = link_sample_points(posed)
     for i in spec.segment_links():
         for j in spec.segment_links():
             if i == j or (i, j) in spec.adjacent_pairs:
                 continue
-            d, _ = posed.link_sdf(j, posed.segment_points(i))
+            d, _ = posed.link_sdf(j, samples[i])
             expected += float(np.maximum(-d, 0).sum())
     assert val == pytest.approx(expected, rel=1e-12)
     assert val > 0
     deepest = 0.4
     per_sample_max = max(
-        float(np.maximum(-posed.link_sdf(2, posed.segment_points(0))[0], 0).max()),
-        float(np.maximum(-posed.link_sdf(0, posed.segment_points(2))[0], 0).max()))
+        float(np.maximum(-posed.link_sdf(2, samples[0])[0], 0).max()),
+        float(np.maximum(-posed.link_sdf(0, samples[2])[0], 0).max()))
     assert per_sample_max == pytest.approx(deepest, abs=0.05)
 
 
@@ -162,8 +163,8 @@ def test_loss_contact_attraction_and_repel_terms():
     # two sphere links; targets placed at known distances from the samples
     spec = sphere_hand(n_links=2, spacing=3.0, radius=0.5, samples=128)
     posed = forward_kinematics(spec, make_grasp(spec))
-    pts_a = posed.segment_points(0)
-    pts_b = posed.segment_points(1)
+    samples = link_sample_points(posed)
+    pts_a, pts_b = samples[0], samples[1]
     # target for s0 at 3.5 cm from the sphere center: nearest surface
     # sample sits ~3 cm away; target for s1 at 5.5 cm (repel saturates)
     t0 = np.array([0.0, 3.5, 0.0])

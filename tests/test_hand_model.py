@@ -12,7 +12,8 @@ from graspsynth.hands import (Grasp, HandSpec, Link, apply_coupling,
                               forward_kinematics, handspec_from_dict,
                               handspec_to_dict, make_grasp, point_jacobian)
 
-from oracles import finite_difference_jacobian, fk_matrix_chain, rot_about
+from oracles import (finite_difference_jacobian, fk_matrix_chain,
+                     link_sample_points, rot_about)
 
 HANDS = ["human", "coupled9", "quad16", "pinch1"]
 
@@ -45,6 +46,48 @@ def test_zero_configuration_chains_origins():
     assert np.allclose(posed.translations[2], [2.5, 0, 0])
     for R in posed.rotations:
         assert np.allclose(R, np.eye(3), atol=1e-12)
+
+
+def test_handspec_refuses_primitive_link_without_samples():
+    # closure and penetration see a link only through its samples, so a
+    # link with geometry and no samples is refused however it is built
+    links = [Link("palm", -1, np.eye(3), np.zeros(3), "fixed",
+                  primitives=[Primitive("sphere", (0.5,))], sample_count=8),
+             Link("tip", 0, np.eye(3), np.array([1.0, 0.0, 0.0]), "fixed",
+                  primitives=[Primitive("sphere", (0.3,))], sample_count=0)]
+    with pytest.raises(InvalidInputError,
+                       match="link tip: has primitives, so needs"):
+        HandSpec("bare", links)
+
+
+@pytest.mark.parametrize("hand", HANDS)
+def test_stacked_samples_match_per_link_oracle(hand):
+    # one layout: the spec's slices tile the stacked rows in segment-link
+    # order, sample_links() names the owner of each row, and each link's
+    # rows of the posed array are its own samples posed link by link
+    spec = builtin_hand(hand)
+    slices = spec.sample_slices()
+    assert list(slices) == spec.segment_links()
+    starts = [rows.start for rows in slices.values()]
+    stops = [rows.stop for rows in slices.values()]
+    assert starts == [0] + stops[:-1]
+    assert np.array_equal(spec.sample_links(),
+                          np.repeat(list(slices), np.subtract(stops, starts)))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        a = rng.uniform(spec.actuated_limits[:, 0], spec.actuated_limits[:, 1])
+        grasp = Grasp(apply_coupling(spec, a)[0],
+                      tf.rotvec_to_quat(rng.normal(size=3)),
+                      rng.normal(scale=5.0, size=3))
+        posed = forward_kinematics(spec, grasp)
+        points, links = posed.all_sample_points()
+        assert links == spec.segment_links()
+        assert points.shape == (stops[-1], 3)
+        assert not points.flags.writeable
+        want = link_sample_points(posed)
+        assert list(want) == list(slices)
+        for i, rows in slices.items():
+            assert np.array_equal(points[rows], want[i]), (hand, i)
 
 
 def test_single_link_translation_only():
@@ -291,10 +334,11 @@ def test_rest_pose_collision_free():
     for hand in HANDS:
         spec = builtin_hand(hand)
         posed = forward_kinematics(spec, make_grasp(spec))
+        samples = link_sample_points(posed)
         for i in spec.segment_links():
             for j in spec.segment_links():
                 if i == j or (i, j) in spec.adjacent_pairs:
                     continue
-                d, _ = posed.link_sdf(j, posed.segment_points(i))
+                d, _ = posed.link_sdf(j, samples[i])
                 assert d.min() > -1e-9, (hand, spec.links[i].name,
                                          spec.links[j].name)

@@ -63,11 +63,21 @@ def test_loaders_reject_wrong_schema(loader, schema):
      "link index_proximal: 'samples' must be an integer, got 2.5"),
     ("coupled9", lambda d: d["links"][2].update(samples=True),
      "link index_proximal: 'samples' must be an integer, got True"),
+    ("coupled9", lambda d: d["links"][2]["origin"].update(rotation="x"),
+     "link index_proximal: 'origin.rotation' must be 4 numbers, got 'x'"),
+    ("coupled9", lambda d: d["anchors"][0].update(local="x"),
+     "anchor index_tip: 'local' must be 3 numbers, got 'x'"),
+    ("coupled9", lambda d: d["coupling"]["rows"][3].pop(),
+     "coupling: 'rows[3]' must be 9 numbers, got [0.0, 0.0, 0.0"),
+    ("coupled9", lambda d: d["links"][2]["joint"].update(axis=[1, 0]),
+     "link index_proximal: 'axis' must be 3 numbers, got [1, 0]"),
 ], ids=["anchor-link", "fingertip-link", "no-joint", "no-origin", "no-links",
         "no-name", "anchor-no-local", "links-not-a-list", "coupling-no-rows",
         "anchor-not-an-object", "coupling-not-an-object",
         "primitive-not-an-object", "scalar-limits", "scalar-actuated-limits",
-        "samples-not-a-number", "samples-fraction", "samples-bool"])
+        "samples-not-a-number", "samples-fraction", "samples-bool",
+        "rotation-not-numbers", "anchor-local-not-numbers",
+        "coupling-rows-ragged", "axis-two-numbers"])
 def test_handspec_loader_names_what_is_wrong(hand, damage, message):
     # a malformed handspec/1 raises SchemaError naming the link and the
     # key, not a bare KeyError or AttributeError
@@ -93,6 +103,32 @@ def test_runconfig_rejects_unknown_keys():
         RunConfig.from_dict({"schema": "config/1", "bogus_knob": 3})
     with pytest.raises(SchemaError):
         RunConfig.from_dict({"schema": "config/1", "restarts": 0})
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"weights": {"nope": 1}}, "unknown config 'weights' keys: ['nope']"),
+    ({"weights": [1, 2]}, "config 'weights' must be an object, got [1, 2]"),
+    ({"weights": {"lam1": "x"}},
+     "config 'weights': 'lam1' must be float, got 'x'"),
+    ({"seed": "x"}, "config: 'seed' must be int, got 'x'"),
+    ({"restarts": 2.5}, "config: 'restarts' must be int, got 2.5"),
+    ({"steps": True}, "config: 'steps' must be int, got True"),
+], ids=["weights-unknown-key", "weights-not-an-object", "weight-not-a-number",
+        "seed-not-a-number", "restarts-fraction", "steps-bool"])
+def test_runconfig_names_the_bad_key(doc, message):
+    # config/1 values of the wrong type raise SchemaError naming the key,
+    # not a TypeError, and integer fields take integers only
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        RunConfig.from_dict({"schema": "config/1", **doc})
+
+
+@pytest.mark.parametrize("doc", ["config/1", ["config/1"], 3, None],
+                         ids=["string", "list", "number", "null"])
+def test_runconfig_must_be_an_object(doc):
+    # a top-level document that is not an object is refused as such, even
+    # when it reads like the schema tag
+    with pytest.raises(SchemaError, match="config must be an object"):
+        RunConfig.from_dict(doc)
 
 
 def test_runconfig_roundtrip(tmp_path):
