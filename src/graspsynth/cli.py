@@ -87,7 +87,7 @@ def cmd_fit(args):
     if len(points) == 0:
         raise InvalidInputError("empty point cloud")
     if normals is None:
-        normals = estimate_normals(points, k=16)
+        normals = estimate_normals(points)
     library = _library_from_dir(args.library)
     first = next(iter(library))
     init = icp_init(points, first)
@@ -98,11 +98,11 @@ def cmd_fit(args):
     return 0
 
 
-def estimate_normals(points, k=16):
-    """k-NN plane-fit normals, oriented away from the centroid."""
+def estimate_normals(points):
+    """16-NN plane-fit normals, oriented away from the centroid."""
     from scipy.spatial import cKDTree
     tree = cKDTree(points)
-    _, idx = tree.query(points, k=min(k, len(points)))
+    _, idx = tree.query(points, k=min(16, len(points)))
     normals = np.zeros_like(points)
     centroid = points.mean(axis=0)
     for i in range(len(points)):

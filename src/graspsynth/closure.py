@@ -36,11 +36,11 @@ def _dof_sample_masks(spec):
 
 
 def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
-                  stop_sdf=STOP_SDF, substeps=20, stop_self=False):
+                  substeps=20, stop_self=False):
     """Advance every flexion joint by up to ``delta`` toward the palm.
 
     Per-joint stop at first contact of its own segment (object SDF <=
-    ``stop_sdf``) or at penetration anywhere downstream, clamped to the
+    ``STOP_SDF``) or at penetration anywhere downstream, clamped to the
     joint limits. With ``stop_self`` a joint also freezes when its
     segment reaches another non-adjacent hand link (used when authoring
     demonstrations, so thumbs do not curl through fingers). Returns the
@@ -50,7 +50,7 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     ``|f(p) - f(p')| <= |p - p'|`` (``MeshSDF.query`` is, signed or
     unsigned, and so is a constant field), and must give each point a
     value that does not depend on the other points in the call. The
-    march only compares values with ``stop_sdf`` and ``-2 * stop_sdf``,
+    march only compares values with ``STOP_SDF`` and ``-2 * STOP_SDF``,
     so after the first substep, which queries every sample, a sample
     keeps its last exact value ``d_ref`` and where it was taken,
     ``p_ref``. A sample that moved by ``m`` since then lies in
@@ -69,7 +69,7 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
             signs[link.dof_index] = link.flexion_sign
     targets = np.clip(q + signs * delta, lower, upper)
     active = (signs != 0) & (np.abs(targets - q) > 1e-12)
-    thresholds = (stop_sdf, -2 * stop_sdf)
+    thresholds = (STOP_SDF, -2 * STOP_SDF)
     p_ref = d_ref = None
 
     def stopped(q):
@@ -97,10 +97,10 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
             # the largest value each sample can have; a sample left
             # unasked lies on the same side of both thresholds as it
             d_max = d_ref + slack
-        blocked = d_max < -2 * stop_sdf
+        blocked = d_max < -2 * STOP_SDF
         if stop_self:
-            blocked |= posed.self_distances().min(axis=0) <= stop_sdf
-        return ((carries & (d_max <= stop_sdf)).any(axis=1)
+            blocked |= posed.self_distances().min(axis=0) <= STOP_SDF
+        return ((carries & (d_max <= STOP_SDF)).any(axis=1)
                 | (moves & blocked).any(axis=1))
 
     active &= ~stopped(q)
@@ -114,20 +114,20 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     return np.clip(q, lower, upper)
 
 
-def close_until_contact(spec, grasp, object_sdf, max_sweep=np.deg2rad(160),
-                        stop_sdf=STOP_SDF, step=np.deg2rad(4.0), substeps=8):
+def close_until_contact(spec, grasp, object_sdf):
     """Repeated small closure marches; used to author touching grasps.
 
-    Self-contact stopping is on, so authored demonstration hands neither
-    pass through the object nor through themselves. Substeps are fine
-    (0.5 degrees) to keep contact overshoot below the stop tolerance.
+    Marches of 4 degrees sweep at most 160 degrees. Self-contact
+    stopping is on, so authored demonstration hands neither pass through
+    the object nor through themselves. Substeps are fine (0.5 degrees)
+    to keep contact overshoot below the stop tolerance.
     """
+    step = np.deg2rad(4.0)
     q = grasp.q.copy()
     swept = 0.0
-    while swept < max_sweep:
+    while swept < np.deg2rad(160):
         g = replace(grasp, q=q)
-        q_new = march_closure(spec, g, object_sdf, delta=step,
-                              stop_sdf=stop_sdf, substeps=substeps,
+        q_new = march_closure(spec, g, object_sdf, delta=step, substeps=8,
                               stop_self=True)
         if np.abs(q_new - q).max() < 1e-9:
             break

@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 from . import transforms as tf
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, TriMesh, sample_surface
-from .hands.model import PosedHand, forward_kinematics
+from .hands.model import forward_kinematics
 
 TAU_CONTACT = 0.5  # cm; membership threshold for the contact sets
 CONTACTS_SCHEMA = "contacts/1"
@@ -113,8 +113,6 @@ class ContactBundle:
 def _resolve_hand_sdf(hand_surface):
     if isinstance(hand_surface, Demonstration):
         return hand_surface.hand_sdf
-    if isinstance(hand_surface, PosedHand):
-        return hand_surface.sdf
     if isinstance(hand_surface, TriMesh):
         return MeshSDF(hand_surface).query
     raise InvalidInputError(f"unsupported hand surface {type(hand_surface)}")
@@ -129,7 +127,7 @@ def object_contact_map(object_samples, hand_surface, tau_c=TAU_CONTACT):
     return omega, contact
 
 
-def hand_contact_map(hand, object_mesh, tau_c=TAU_CONTACT, object_sdf=None):
+def hand_contact_map(hand, object_mesh, tau_c=TAU_CONTACT):
     """Per-segment contact values on the hand, concatenated in segment order.
 
     ``hand`` is a Demonstration (for a posed hand, pass
@@ -138,10 +136,8 @@ def hand_contact_map(hand, object_mesh, tau_c=TAU_CONTACT, object_sdf=None):
     """
     if not isinstance(hand, Demonstration):
         raise InvalidInputError(f"unsupported hand {type(hand)}")
-    if object_sdf is None:
-        object_sdf = MeshSDF(object_mesh).query
     points = list(hand.segments.values())
-    d = np.maximum(object_sdf(np.vstack(points)), 0.0)
+    d = np.maximum(MeshSDF(object_mesh).query(np.vstack(points)), 0.0)
     by_segment = dict(zip(hand.segments, np.split(
         d, np.cumsum([len(p) for p in points])[:-1])))
     omega = {name: digitize(v) for name, v in by_segment.items()}

@@ -62,21 +62,20 @@ class DeformationField:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, int(np.prod(K))))
 
-    def warp(self, points, weight_matrix=None):
-        W = self.weights(points) if weight_matrix is None else weight_matrix
+    def warp(self, points):
         disp = self.displacements.reshape(-1, 3)
-        return np.atleast_2d(points) + W @ disp
+        return np.atleast_2d(points) + self.weights(points) @ disp
 
     def node_positions(self):
         ii, jj, kk = np.meshgrid(*[np.arange(d) for d in self.dims], indexing="ij")
         return self.origin + np.stack([ii, jj, kk], axis=-1) * self.spacing
 
 
-def lattice_for_bounds(lo, hi, k=LATTICE_K, pad_frac=0.05):
+def lattice_for_bounds(lo, hi, k=LATTICE_K):
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     size = hi - lo
-    pad = np.maximum(size * pad_frac, 1e-6)
+    pad = np.maximum(size * 0.05, 1e-6)
     origin = lo - pad
     spacing = (size + 2 * pad) / (k - 1)
     return DeformationField(origin, spacing, (k, k, k), np.zeros((k, k, k, 3)))
@@ -337,7 +336,7 @@ def transfer_keypoints(keypoints, field):
     return {n: warped[k] for k, n in enumerate(names)}
 
 
-def pck(predicted, truth, mesh, thresholds=(0.01, 0.02)):
+def pck(predicted, truth, mesh):
     """Fraction of keypoints within threshold * bbox diagonal of truth."""
     if set(predicted) != set(truth):
         raise InvalidInputError("keypoint name sets differ")
@@ -346,7 +345,7 @@ def pck(predicted, truth, mesh, thresholds=(0.01, 0.02)):
     err = np.array([np.linalg.norm(np.asarray(predicted[n], float)
                                    - np.asarray(truth[n], float))
                     for n in names])
-    return {t: float(np.mean(err <= t * diag)) for t in thresholds}
+    return {t: float(np.mean(err <= t * diag)) for t in (0.01, 0.02)}
 
 
 # ---------------------------------------------------------------------------

@@ -77,14 +77,13 @@ class TemplateLibrary:
         self.templates = dict(templates)
 
     @classmethod
-    def from_meshes(cls, meshes, n_samples=2048, seed=0):
+    def from_meshes(cls, meshes):
         """meshes: {template_id: TriMesh at source scale (cm)}."""
         templates = {}
         for tid, mesh in meshes.items():
             canon, diag, _ = canonicalize(mesh)
             templates[tid] = Template(tid, canon,
-                                      sample_surface(canon, n_samples, seed),
-                                      diag)
+                                      sample_surface(canon, 2048, 0), diag)
         return cls(templates)
 
     def get(self, template_id):
@@ -118,11 +117,6 @@ class ObjectState:
         self.rotation = np.asarray(self.rotation, float)
         self.translation = np.asarray(self.translation, float)
 
-    def matrices(self, template):
-        R = tf.quat_to_matrix(self.rotation)
-        sigma = self.s * template.diagonal_cm
-        return sigma, R
-
 
 # ---------------------------------------------------------------------------
 # ICP initialization
@@ -145,24 +139,15 @@ def _umeyama(source, target):
     return s, R, t
 
 
-def icp_init(observed, template, max_iters=50, tol=1e-8):
-    """Point-to-point ICP with scale onto a template.
-
-    ``template`` is a Template (canonical samples + source diagonal) or a
-    bare SurfaceSamples/array (diagonal treated as 1). Divergence over 5
-    consecutive iterations returns the best state so far with a warning.
+def icp_init(observed, template):
+    """Point-to-point ICP with scale onto a Template's dense canonical
+    samples, for at most 50 iterations. Divergence over 5 consecutive
+    iterations returns the best state so far with a warning.
     """
-    observed = np.asarray(getattr(observed, "points", observed), float)
+    observed = np.asarray(observed, float)
     if len(observed) < 64:
         raise InvalidInputError("ICP needs >= 64 observed points")
-    if isinstance(template, Template):
-        canon = template.dense_points
-        diag = template.diagonal_cm
-        tid = template.template_id
-    else:
-        canon = np.asarray(getattr(template, "points", template), float)
-        diag = 1.0
-        tid = ""
+    canon = template.dense_points
 
     # initial similarity from centroids and RMS radii
     mu_c = canon.mean(axis=0)
@@ -180,7 +165,7 @@ def icp_init(observed, template, max_iters=50, tol=1e-8):
     best = (np.inf, sigma, R, t)
     grew = 0
     prev = np.inf
-    for _ in range(max_iters):
+    for _ in range(50):
         _, idx = tree.query(((observed - t) @ R) / sigma)
         sigma, R, t = _umeyama(canon[idx], observed)
         transformed = (canon[idx] @ R.T) * sigma + t
@@ -195,12 +180,12 @@ def icp_init(observed, template, max_iters=50, tol=1e-8):
                 break
         else:
             grew = 0
-        if abs(prev - residual) < tol:
+        if abs(prev - residual) < 1e-8:
             break
         prev = residual
     residual, sigma, R, t = best
-    return ObjectState(tid, sigma / diag, tf.matrix_to_quat(R), t,
-                       icp_residual=residual)
+    return ObjectState(template.template_id, sigma / template.diagonal_cm,
+                       tf.matrix_to_quat(R), t, icp_residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +232,7 @@ def _observation(points, normals):
     return _Observation(points, normals, view_dir, pc, cKDTree(pc))
 
 
-def _ose_losses(template, state_vec, base_R, obs, weights=OSE_WEIGHTS):
+def _ose_losses(template, state_vec, base_R, obs):
     """Loss terms and frozen quantities at one state.
 
     state_vec = [log sigma, T (3), r (3)] with sigma in cm and r composed
@@ -288,7 +273,7 @@ def _ose_losses(template, state_vec, base_R, obs, weights=OSE_WEIGHTS):
     d_ro, idx_ro = obs.pc_tree.query(recon)
     l_pc = float(np.mean(d_or ** 2) + np.mean(d_ro ** 2))
 
-    w_sdf, w_n, w_pc = weights
+    w_sdf, w_n, w_pc = OSE_WEIGHTS
     total = w_sdf * l_sdf + w_n * l_normal + w_pc * l_pc
     aux = {"sigma": sigma, "T": T, "R": R, "u": u, "sdf": sdf_vals,
            "grads": grads, "n_hat": n_hat, "recon": recon,
@@ -296,13 +281,13 @@ def _ose_losses(template, state_vec, base_R, obs, weights=OSE_WEIGHTS):
     return total, {"sdf": l_sdf, "normal": l_normal, "pc": l_pc}, aux
 
 
-def _ose_gradient(aux, obs, weights=OSE_WEIGHTS):
+def _ose_gradient(aux, obs):
     """Analytic gradient of the OSE loss at the evaluated state.
 
     The normal term freezes the grid gradient direction per step and
     differentiates only through the rotation.
     """
-    w_sdf, w_n, w_pc = weights
+    w_sdf, w_n, w_pc = OSE_WEIGHTS
     sigma, T, R = aux["sigma"], aux["T"], aux["R"]
     u, sdf_vals, grads = aux["u"], aux["sdf"], aux["grads"]
     observed, normals = obs.points, obs.normals
@@ -340,17 +325,14 @@ def _ose_gradient(aux, obs, weights=OSE_WEIGHTS):
 
 
 def fit_state(observed, library, init, normals=None, max_iters=300,
-              weights=OSE_WEIGHTS, loss_ceiling=DEFAULT_LOSS_CEILING,
-              refit_all_templates=True):
+              loss_ceiling=DEFAULT_LOSS_CEILING, refit_all_templates=True):
     """Refine [s, R, T] (and pick the template) for an observed cloud.
 
     ``init`` seeds the optimization; every library template is refit and
     the lowest final loss wins unless ``refit_all_templates`` is False.
     Raises UnrecognizedObjectError when no template beats ``loss_ceiling``.
     """
-    if normals is None and hasattr(observed, "normals"):
-        normals = observed.normals
-    observed = np.asarray(getattr(observed, "points", observed), float)
+    observed = np.asarray(observed, float)
     normals = None if normals is None else np.asarray(normals, float)
 
     obs = _observation(observed, normals)
@@ -362,7 +344,7 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
         state = init
         if init.template_id != template.template_id:
             state = icp_init(observed, template)
-        result = _fit_one(obs, template, state, max_iters, weights)
+        result = _fit_one(obs, template, state, max_iters)
         if best is None or result.losses["total"] < best.losses["total"]:
             best = result
     if best.losses["total"] > loss_ceiling:
@@ -372,16 +354,16 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
     return best
 
 
-def _fit_one(obs, template, init, max_iters, weights):
+def _fit_one(obs, template, init, max_iters):
     base_R = tf.quat_to_matrix(init.rotation)
     log_diag = np.log(template.diagonal_cm)
     x = np.concatenate([[np.log(init.s * template.diagonal_cm)],
                         init.translation, np.zeros(3)])
 
-    value, terms, aux = _ose_losses(template, x, base_R, obs, weights)
+    value, terms, aux = _ose_losses(template, x, base_R, obs)
     step = 0.01
     for _ in range(max_iters):
-        grad = _ose_gradient(aux, obs, weights)
+        grad = _ose_gradient(aux, obs)
         accepted = False
         for _ in range(25):
             xc = x - step * grad
@@ -390,7 +372,7 @@ def _fit_one(obs, template, init, max_iters, weights):
             if abs(xc[0] - log_diag) <= np.log(SCALE_LIMIT):
                 # re-compose the rotation increment into the base each step
                 cand_value, cand_terms, cand_aux = _ose_losses(
-                    template, xc, base_R, obs, weights)
+                    template, xc, base_R, obs)
                 if cand_value < value - 1e-15:
                     accepted = True
                     break

@@ -13,16 +13,16 @@ import numpy as np
 from . import transforms as tf
 from .closure import close_until_contact
 from .contact import demonstration_from_hand
+from .correspondence import save_keypoints
 from .errors import InvalidInputError
 from .geometry import MeshSDF, TriMesh, save_obj
 from .hands.model import Grasp
 from .hands.schema import builtin_hand
 
 
-def cylinder_mesh(radius=2.8, height=12.0, segments=48):
+def cylinder_mesh(radius=2.8, height=12.0):
     """Closed cylinder along z, centered at the origin."""
-    return lathe_mesh([-height / 2, height / 2], [radius, radius],
-                      segments=segments)
+    return lathe_mesh([-height / 2, height / 2], [radius, radius])
 
 
 def lathe_mesh(profile_z, profile_r, segments=48):
@@ -73,7 +73,7 @@ def _flat_back(v, strength=0.45):
     return v
 
 
-def bottle_mesh(segments=48):
+def bottle_mesh():
     """Body, shoulder, neck, a trigger-side nose, and a flat back."""
     z = [-6.0, -1.0, 0.5, 2.0, 3.0, 5.5]
     r = [2.9, 2.9, 2.6, 1.5, 1.2, 1.2]
@@ -84,10 +84,10 @@ def bottle_mesh(segments=48):
         v[:, 0] += bulge / (1.0 + np.exp(-3.0 * v[:, 0]))
         return _flat_back(v)
 
-    return _featured(lathe_mesh(z, r, segments), feature)
+    return _featured(lathe_mesh(z, r), feature)
 
 
-def tumbler_mesh(segments=48):
+def tumbler_mesh():
     """Tapered cup with an elliptic section, side ridge, and flat back."""
     z = [-5.0, 5.0]
     r = [2.2, 3.2]
@@ -98,10 +98,10 @@ def tumbler_mesh(segments=48):
         v[:, 0] += ridge / (1.0 + np.exp(-3.0 * v[:, 0]))
         return _flat_back(v, strength=0.35)
 
-    return _featured(lathe_mesh(z, r, segments), feature)
+    return _featured(lathe_mesh(z, r), feature)
 
 
-def wand_mesh(segments=36):
+def wand_mesh():
     """Thin handle with a flattened grip and a clip nub: pen stand-in."""
     z = [-7.0, -2.0, -1.0, 6.0]
     r = [1.4, 1.4, 0.9, 0.9]
@@ -112,7 +112,7 @@ def wand_mesh(segments=36):
         v[:, 0] += nub / (1.0 + np.exp(-4.0 * v[:, 0]))
         return _flat_back(v, strength=0.3)
 
-    return _featured(lathe_mesh(z, r, segments), feature)
+    return _featured(lathe_mesh(z, r, 36), feature)
 
 
 CATEGORY_TEMPLATES = {
@@ -208,11 +208,13 @@ def category_keypoints(name):
 
 FINGER_REACH = 7.8       # human knuckle distance from the wrist
 KNUCKLE_CLEARANCE = 1.5  # knuckles start this far past the object's far face
+STANDOFF = 0.1           # palm gap to the object's near face
+PALM_HALF_DEPTH = 0.7    # wrist to palmar face
 
 
-def wrap_grasp_pose(object_mesh, standoff=0.1, height=0.0,
-                    palm_half_depth=0.7):
-    """Wrist pose for a palm-facing wrap approach from +y.
+def wrap_grasp_pose(object_mesh):
+    """Wrist pose for a palm-facing wrap approach from +y, with the palm
+    STANDOFF beyond the object and the wrist at height 0.
 
     Hand +x maps to world -x, hand +y (flexion axes) to world +z, and the
     palmar -z face looks at the object from +y. The wrist slides along x
@@ -224,21 +226,22 @@ def wrap_grasp_pose(object_mesh, standoff=0.1, height=0.0,
                   [0.0, 0.0, 1.0],
                   [0.0, 1.0, 0.0]]).T  # columns: images of x, y, z
     wrist_x = FINGER_REACH + lo[0] - KNUCKLE_CLEARANCE
-    t = np.array([wrist_x, hi[1] + standoff + palm_half_depth, height])
+    t = np.array([wrist_x, hi[1] + STANDOFF + PALM_HALF_DEPTH, 0.0])
     return tf.matrix_to_quat(R), t
 
 
-def author_wrap_demo(spec, object_mesh, standoff=0.1, height=0.0,
-                     thumb_abd=None, sdf=None):
+DEFAULT_THUMB_PRESET = {"thumb_cmc_rot": 0.7, "thumb_cmc_abd": -0.2}
+
+
+def author_wrap_demo(spec, object_mesh):
     """Pose the hand beside the object and close fingers until contact."""
-    rot, trans = wrap_grasp_pose(object_mesh, standoff=standoff, height=height)
+    rot, trans = wrap_grasp_pose(object_mesh)
     q0 = np.zeros(spec.dof)
     # pre-swing the thumb across the palm so closure opposes the fingers
-    for name, value in (thumb_abd or {}).items():
+    for name, value in DEFAULT_THUMB_PRESET.items():
         link = spec.links[spec.link_index(name)]
         q0[link.dof_index] = np.clip(value, *link.limits)
-    if sdf is None:
-        sdf = MeshSDF(object_mesh).query
+    sdf = MeshSDF(object_mesh).query
     # retract along the approach axis until the open pose is contact-free
     from .hands.model import forward_kinematics
     for _ in range(8):
@@ -252,26 +255,21 @@ def author_wrap_demo(spec, object_mesh, standoff=0.1, height=0.0,
     return Grasp(q, rot, trans)
 
 
-DEFAULT_THUMB_PRESET = {"thumb_cmc_rot": 0.7, "thumb_cmc_abd": -0.2}
-
-
-def cylinder_demo(spec=None, radius=2.8, height=12.0):
-    """Self-consistent wrap demonstration on a cylinder; returns
-    (demonstration, spec, grasp, mesh)."""
-    if spec is None:
-        spec = builtin_hand("human")
-    mesh = cylinder_mesh(radius=radius, height=height)
-    grasp = author_wrap_demo(spec, mesh, thumb_abd=DEFAULT_THUMB_PRESET)
+def cylinder_demo():
+    """Self-consistent wrap demonstration of the human hand on a cylinder;
+    returns (demonstration, spec, grasp, mesh)."""
+    spec = builtin_hand("human")
+    mesh = cylinder_mesh()
+    grasp = author_wrap_demo(spec, mesh)
     demo = demonstration_from_hand(spec, grasp, mesh)
     return demo, spec, grasp, mesh
 
 
-def template_demo(category, spec=None):
-    """Wrap demonstration on a category template."""
-    if spec is None:
-        spec = builtin_hand("human")
+def template_demo(category):
+    """Wrap demonstration of the human hand on a category template."""
+    spec = builtin_hand("human")
     template = CATEGORY_TEMPLATES[category]()
-    grasp = author_wrap_demo(spec, template, thumb_abd=DEFAULT_THUMB_PRESET)
+    grasp = author_wrap_demo(spec, template)
     return demonstration_from_hand(spec, grasp, template), spec, grasp, template
 
 
@@ -279,7 +277,7 @@ def template_demo(category, spec=None):
 # on-disk category layout (category/1)
 
 
-def write_category(directory, name, n=4, keypoints=True):
+def write_category(directory, name, n=4):
     """Write a category directory: instance meshes + category.json manifest."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -289,15 +287,10 @@ def write_category(directory, name, n=4, keypoints=True):
         fname = f"{name}_{k}.obj"
         save_obj(directory / fname, mesh)
         files.append(fname)
+    kp_file = f"{name}_keypoints.txt"
+    save_keypoints(directory / kp_file, category_keypoints(name))
     doc = {"schema": "category/1", "name": name, "template": files[0],
-           "instances": files}
-    if keypoints:
-        kp = category_keypoints(name)
-        kp_file = f"{name}_keypoints.txt"
-        with open(directory / kp_file, "w") as fh:
-            for key, p in kp.items():
-                fh.write(f"{key} {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-        doc["keypoints"] = kp_file
+           "instances": files, "keypoints": kp_file}
     with open(directory / "category.json", "w") as fh:
         json.dump(doc, fh, indent=1)
     return directory / "category.json"

@@ -17,6 +17,8 @@ from .sdf import MeshSDF
 
 DEFAULT_SPACING = 0.25  # cm
 PAD_CELLS = 2
+SDF_PAD_CELLS = 3   # SDF grid nodes beyond the mesh bounds
+SDF_BAND_CELLS = 3  # exact distances this far around the sign change
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ class SdfGrid:
         return vals + outside, grad
 
 
-def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):
+def sdf_grid_from_mesh(mesh, spacing):
     """Dense SDF grid: exact distances in a narrow band, propagated beyond.
 
     Node signs come from ``MeshSDF.inside``. The narrow band around the
@@ -181,9 +183,10 @@ def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):
     if not mesh.is_watertight():
         raise InvalidInputError("sdf grid requires a watertight mesh")
     lo, hi = mesh.bounds()
-    origin = lo - pad_cells * spacing
-    dims = tuple(int(np.ceil((h - l + 2 * pad_cells * spacing) / spacing)) + 1
-                 for l, h in zip(lo, hi))
+    origin = lo - SDF_PAD_CELLS * spacing
+    dims = tuple(
+        int(np.ceil((h - l + 2 * SDF_PAD_CELLS * spacing) / spacing)) + 1
+        for l, h in zip(lo, hi))
     sdf = MeshSDF(mesh)
     nodes = origin + _lattice(dims) * spacing
     inside = sdf.inside(nodes).reshape(dims)
@@ -197,7 +200,7 @@ def sdf_grid_from_mesh(mesh, spacing, pad_cells=3, band_cells=3):
         diff = inside[tuple(sl_a)] != inside[tuple(sl_b)]
         boundary[tuple(sl_a)] |= diff
         boundary[tuple(sl_b)] |= diff
-    band = ndimage.binary_dilation(boundary, iterations=band_cells)
+    band = ndimage.binary_dilation(boundary, iterations=SDF_BAND_CELLS)
 
     values = np.full(dims, np.nan)
     values[band] = sdf.bvh.min_distance(nodes[band.ravel()])[0]

@@ -258,12 +258,13 @@ def _icosphere(radius, subdivisions):
     return TriMesh(verts * radius, faces)
 
 
-def _capsule_mesh(radius, half_length, segments, rings=6):
-    """UV capsule along +z: two hemispheres joined by a cylinder."""
+def _capsule_mesh(radius, half_length, segments):
+    """UV capsule along +z: two hemispheres of 6 rings joined by a
+    cylinder."""
     verts = [[0.0, 0.0, half_length + radius]]
     # top hemisphere rings (from pole down to equator), then bottom mirrored
-    lat_top = np.linspace(np.pi / 2, 0, rings + 1)[1:]
-    lat_bot = np.linspace(0, -np.pi / 2, rings + 1)[:-1]
+    lat_top = np.linspace(np.pi / 2, 0, 7)[1:]
+    lat_bot = np.linspace(0, -np.pi / 2, 7)[:-1]
     ang = np.linspace(0, 2 * np.pi, segments, endpoint=False)
     rows = []
     for lat, zc in [(lat_top, half_length), (lat_bot, -half_length)]:

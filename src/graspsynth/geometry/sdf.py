@@ -25,6 +25,8 @@ from scipy.spatial import cKDTree
 from ..errors import InvalidInputError
 
 _LEAF_SIZE = 8
+_RAY_EPS = 1e-9        # ray hits this close to an edge or plane are marginal
+_WINDING_CHUNK = 512   # points per solid-angle batch
 
 # fixed irrational-ish directions make grazing hits measure-zero and retries rare
 _RAY_DIRECTIONS = [
@@ -103,7 +105,7 @@ class TriangleBVH:
     traversal depth stays logarithmic.
     """
 
-    def __init__(self, mesh, leaf_size=_LEAF_SIZE):
+    def __init__(self, mesh):
         tri = mesh.triangles
         self.tri = tri
         n = len(tri)
@@ -124,7 +126,7 @@ class TriangleBVH:
             node_right.append(-1)
             node_start.append(-1)
             node_count.append(0)
-            if len(idx) <= leaf_size:
+            if len(idx) <= _LEAF_SIZE:
                 node_start[node_id] = len(leaf_tris)
                 node_count[node_id] = len(idx)
                 leaf_tris.extend(np.sort(idx).tolist())
@@ -209,10 +211,10 @@ class TriangleBVH:
 
     # -- ray parity --------------------------------------------------------
 
-    def ray_crossings(self, origins, direction, eps=1e-9):
+    def ray_crossings(self, origins, direction):
         """Count ray-triangle crossings for t > 0; flag marginal queries.
 
-        A query is marginal when a hit lands within ``eps`` of a triangle
+        A query is marginal when a hit lands within ``_RAY_EPS`` of a triangle
         edge or the ray runs nearly parallel through a triangle's plane;
         such parities are unreliable and the caller should recast.
         """
@@ -258,13 +260,13 @@ class TriangleBVH:
                 tiny_det = np.abs(det)[None, :] < 1e-12 * scale
                 hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0) & ~tiny_det
                 counts[idx] += hit.sum(axis=1)
-                near_edge = hit & ((u < eps) | (v < eps)
-                                   | (u + v > 1 - eps) | (t < eps))
+                near_edge = hit & ((u < _RAY_EPS) | (v < _RAY_EPS)
+                                   | (u + v > 1 - _RAY_EPS) | (t < _RAY_EPS))
                 normal = np.cross(e1, e2)
                 nn = normal / np.maximum(np.linalg.norm(normal, axis=1,
                                                         keepdims=True), 1e-300)
                 plane_dist = np.abs(np.einsum("qtj,tj->qt", tvec, nn))
-                plane_near = tiny_det & (plane_dist < eps * scale)
+                plane_near = tiny_det & (plane_dist < _RAY_EPS * scale)
                 marginal[idx] |= (near_edge | plane_near).any(axis=1)
                 return
             descend(left, idx)
@@ -274,13 +276,13 @@ class TriangleBVH:
         return counts, marginal
 
 
-def winding_numbers(points, mesh, chunk=512):
+def winding_numbers(points, mesh):
     """Generalized winding number via summed solid angles (van Oosterom)."""
     points = np.atleast_2d(points)
     tri = mesh.triangles
     out = np.empty(len(points))
-    for s in range(0, len(points), chunk):
-        p = points[s:s + chunk][:, None, :]
+    for s in range(0, len(points), _WINDING_CHUNK):
+        p = points[s:s + _WINDING_CHUNK][:, None, :]
         a = tri[None, :, 0, :] - p
         b = tri[None, :, 1, :] - p
         c = tri[None, :, 2, :] - p
@@ -291,7 +293,8 @@ def winding_numbers(points, mesh, chunk=512):
         den = (la * lb * lc + np.einsum("qtj,qtj->qt", a, b) * lc
                + np.einsum("qtj,qtj->qt", b, c) * la
                + np.einsum("qtj,qtj->qt", a, c) * lb)
-        out[s:s + chunk] = np.arctan2(num, den).sum(axis=1) / (2.0 * np.pi)
+        out[s:s + _WINDING_CHUNK] = (np.arctan2(num, den).sum(axis=1)
+                                     / (2.0 * np.pi))
     return out
 
 

@@ -407,16 +407,13 @@ def _term(posed, bundle, weights, name):
     return evaluate(scene, posed.grasp, posed.grasp, weights=weights)[1][name]
 
 
-def loss_contact(posed, bundle, object_samples=None, weights=None):
+def loss_contact(posed, bundle, weights=None):
     """Contact-consistency loss for one posed hand against a bundle."""
-    pts = getattr(object_samples, "points", object_samples)
-    if pts is not None and len(pts) != len(bundle.object_points):
-        raise InvalidInputError("object samples do not match the bundle")
     return _term(posed, bundle, weights, "contact")
 
 
-def loss_anchor(posed, bundle, weights=None):
-    return _term(posed, bundle, weights, "anchor")
+def loss_anchor(posed, bundle):
+    return _term(posed, bundle, None, "anchor")
 
 
 def loss_gesture(grasp, g_init, weights=None):
@@ -429,16 +426,15 @@ def loss_gesture(grasp, g_init, weights=None):
                                                  g_init.rotation))
 
 
-def loss_interpenetration(posed, object_samples, weights=None):
-    w = weights or LossWeights()
+def loss_interpenetration(posed, object_samples):
     pts = getattr(object_samples, "points", np.asarray(object_samples))
     sdf = posed.sdf(pts)
-    return w.lam6 * float(np.maximum(-sdf, 0.0).sum())
+    return LossWeights().lam6 * float(np.maximum(-sdf, 0.0).sum())
 
 
-def loss_self_penetration(posed, weights=None):
-    w = weights or LossWeights()
-    return w.lam7 * float(np.maximum(-posed.self_distances(), 0.0).sum())
+def loss_self_penetration(posed):
+    return LossWeights().lam7 * float(
+        np.maximum(-posed.self_distances(), 0.0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +458,7 @@ def _state_to_grasp(scene, a, t, base_quat):
 
 
 def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
-             step_init=0.01, stop_depth=None):
+             stop_depth=None):
     """Monotone projected descent from one start; returns (grasp, rows).
 
     Each line-search candidate gets one forward pass; the gradient pass
@@ -489,7 +485,7 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
     rows = [{"step": 0, "total": fwd.total, **fwd.terms}]
     if not np.isfinite(fwd.total):
         raise InvalidInputError("non-finite loss at optimization start")
-    step = step_init
+    step = 0.01
     for it in range(1, steps + 1):
         grad = fwd.gradient()
         x0 = np.concatenate([a, t, np.zeros(3)])
@@ -566,7 +562,7 @@ def penetration_depth_cloud(scene, grasp):
 
 
 def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
-                    max_steps=100, scene=None):
+                    max_steps=100):
     """Push a grasp out of penetration while staying close to it.
 
     Optimizes gesture-to-input + contact + anchor + penetration terms
@@ -579,7 +575,7 @@ def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
     """
     base = weights or LossWeights()
     weights = replace(base, lam6=base.lam6 * 10.0, lam7=base.lam7 * 10.0)
-    scene = scene or GraspScene(spec, bundle, weights)
+    scene = GraspScene(spec, bundle, weights)
 
     if penetration_depth_cloud(scene, grasp) < REFINE_PENETRATION_GOAL:
         return grasp.copy()

@@ -58,7 +58,7 @@ class HandSpec:
 
     def __init__(self, name, links, anchors=(), fingertip_frames=(),
                  coupling=None, actuated_names=None, actuated_limits=None,
-                 human_joint_map=None, sample_seed=0):
+                 human_joint_map=None):
         self.name = name
         self.links = list(links)
         self.anchors = list(anchors)
@@ -116,7 +116,6 @@ class HandSpec:
                 raise InvalidInputError(f"{a.name}: link index out of range")
 
         self._sample_layout = None
-        self._sample_seed = sample_seed
         self._link_meshes = None
         self._primitive_stacks = {}
         self._self_contact_mask = None
@@ -151,13 +150,14 @@ class HandSpec:
     def _layout(self):
         """(link-frame points, owner links, {link: rows}) of the stacked
         hand samples (lazy, deterministic): each segment link's
-        ``sample_count`` surface draws, in segment_links() order."""
+        ``sample_count`` surface draws (seed: the link index), in
+        segment_links() order."""
         if self._sample_layout is None:
             links = self.segment_links()
             counts = [self.links[i].sample_count for i in links]
             points = np.vstack([np.empty((0, 3))] + [
                 sample_surface(self.link_meshes()[i], n=n,
-                               seed=self._sample_seed + i).points
+                               seed=i).points
                 for i, n in zip(links, counts)])
             owners = np.repeat(np.array(links, dtype=np.intp), counts)
             for array in (points, owners):
@@ -336,14 +336,13 @@ def _ancestor_dofs(spec, link):
     return out
 
 
-def point_jacobian(spec, grasp, link, local_point, posed=None):
+def point_jacobian(spec, grasp, link, local_point):
     """3 x (DoF + 6) Jacobian of a link-fixed point's world position.
 
     Columns: each joint, then wrist translation (world), then wrist
     rotation as a world rotation increment about the wrist origin.
     """
-    if posed is None:
-        posed = forward_kinematics(spec, grasp)
+    posed = forward_kinematics(spec, grasp)
     p = posed.rotations[link] @ np.asarray(local_point, float) + posed.translations[link]
     return point_jacobian_world(spec, posed, link, p)
 

@@ -33,12 +33,15 @@ def _objects(value, where, noun="objects"):
     return value
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _vector(value, n, where, key, form=None):
-    """``value`` as a float array if it is a list of ``n`` numbers, else a
-    SchemaError naming ``where`` and ``key``."""
-    if not (isinstance(value, list) and len(value) == n
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
+    """``value`` as a float array if it is a list of ``n`` numbers (of any
+    length for ``n`` None), else a SchemaError naming ``where`` and ``key``."""
+    if not (isinstance(value, list) and n in (None, len(value))
+            and all(_is_number(v) for v in value)):
         raise SchemaError(f"{where}: {key!r} must be "
                           f"{form or f'{n} numbers'}, got {value!r:.40}")
     return np.asarray(value, float)
@@ -122,17 +125,23 @@ def _link_from_dict(entry, parent):
         joint_type=joint["type"],
         primitives=[
             Primitive(p["kind"], tuple(p["params"]),
-                      rotation=tf.quat_to_matrix(np.asarray(p["rotation"], float)),
-                      translation=np.asarray(p["translation"], float))
-            for p in _objects(entry.get("primitives", []),
-                              f"{where}: 'primitives'")
+                      rotation=tf.quat_to_matrix(_vector(
+                          p["rotation"], 4, where, f"primitives[{k}].rotation")),
+                      translation=_vector(p["translation"], 3, where,
+                                          f"primitives[{k}].translation"))
+            for k, p in enumerate(_objects(entry.get("primitives", []),
+                                           f"{where}: 'primitives'"))
         ],
         sample_count=samples,
     )
     if joint["type"] == "revolute":
         link.axis = _vector(joint["axis"], 3, where, "axis")
         link.limits = _limits(joint["limits"], where)
-        link.flexion_sign = float(joint.get("flexion_sign", 1.0))
+        sign = joint.get("flexion_sign", 1.0)
+        if not _is_number(sign):
+            raise SchemaError(f"{where}: 'flexion_sign' must be a number, "
+                              f"got {sign!r:.40}")
+        link.flexion_sign = float(sign)
     return link
 
 
@@ -192,11 +201,16 @@ def handspec_from_dict(doc):
                 [_vector(row, len(actuated), "coupling", f"rows[{k}]")
                  for k, row in enumerate(rows)])
 
+    joint_map = doc.get("human_joint_map", {})
+    if not (isinstance(joint_map, dict)
+            and all(isinstance(v, str) for v in joint_map.values())):
+        raise SchemaError(f"{HANDSPEC_SCHEMA} 'human_joint_map' must be an "
+                          f"object of joint names, got {joint_map!r:.40}")
     return HandSpec(doc["name"], links, attached("anchors", Anchor),
                     attached("fingertips", FingertipFrame),
                     coupling=coupling, actuated_names=actuated_names,
                     actuated_limits=actuated_limits,
-                    human_joint_map=doc.get("human_joint_map", {}))
+                    human_joint_map=joint_map)
 
 
 def _builtin_dir():
@@ -249,16 +263,21 @@ def grasp_to_dict(grasp, hand=None, provenance=None):
 def grasp_from_dict(doc):
     if doc.get("schema") != GRASP_SCHEMA:
         raise SchemaError(f"expected {GRASP_SCHEMA}, got {doc.get('schema')!r}")
-    with _keys_of(f"{GRASP_SCHEMA} document"):
-        return Grasp(np.asarray(doc["q"], float),
-                     np.asarray(doc["wrist"]["rotation"], float),
-                     np.asarray(doc["wrist"]["translation"], float),
-                     flags=list(doc.get("flags", [])))
-
-
-def save_grasp(path, grasp, hand=None, provenance=None):
-    with open(path, "w") as fh:
-        json.dump(grasp_to_dict(grasp, hand, provenance), fh, indent=1)
+    where = f"{GRASP_SCHEMA} document"
+    with _keys_of(where):
+        wrist, flags = doc["wrist"], doc.get("flags", [])
+        if not isinstance(wrist, dict):
+            raise SchemaError(f"{where}: 'wrist' must be an object, "
+                              f"got {wrist!r:.40}")
+        if not (isinstance(flags, list)
+                and all(isinstance(f, str) for f in flags)):
+            raise SchemaError(f"{where}: 'flags' must be a list of strings, "
+                              f"got {flags!r:.40}")
+        return Grasp(_vector(doc["q"], None, where, "q", "a list of numbers"),
+                     _vector(wrist["rotation"], 4, where, "wrist.rotation"),
+                     _vector(wrist["translation"], 3, where,
+                             "wrist.translation"),
+                     flags=list(flags))
 
 
 def load_grasp(path):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import transforms as tf
-from .closure import STOP_SDF, march_closure
+from .closure import march_closure
 from .contact import digitize
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, bbox_diagonal, iou, sample_surface
@@ -108,7 +108,7 @@ def epsilon_quality(contacts, torque_scale, origin=(0.0, 0.0, 0.0)):
     return float(-offsets.max())
 
 
-def penetration(posed, object_mesh, spacing=VOXEL_SPACING, object_sdf=None):
+def penetration(posed, object_mesh, object_sdf=None):
     """(max depth cm, overlap volume cm^3) of a posed hand into an object.
 
     Depth is the deepest hand sample under the object SDF. Volume counts
@@ -123,14 +123,15 @@ def penetration(posed, object_mesh, spacing=VOXEL_SPACING, object_sdf=None):
     pts = posed.sample_points
     depth = float(np.maximum(-object_sdf.query(pts), 0.0).max(initial=0.0))
 
-    origin, dims = padded_layout(*object_mesh.bounds(), spacing)
-    centers = cell_centers(origin, spacing, dims)
+    origin, dims = padded_layout(*object_mesh.bounds(), VOXEL_SPACING)
+    centers = cell_centers(origin, VOXEL_SPACING, dims)
     in_hand = centers[posed.sdf(centers) < 0]
-    volume = float(np.count_nonzero(object_sdf.inside(in_hand))) * spacing ** 3
+    volume = (float(np.count_nonzero(object_sdf.inside(in_hand)))
+              * VOXEL_SPACING ** 3)
     return depth, volume
 
 
-def self_penetration(posed, spacing=VOXEL_SPACING):
+def self_penetration(posed):
     """(max depth cm, overlap volume cm^3) between non-adjacent links."""
     depth = float(np.maximum(-posed.self_distances(), 0.0).max(initial=0.0))
     if depth == 0.0:
@@ -138,18 +139,19 @@ def self_penetration(posed, spacing=VOXEL_SPACING):
 
     all_pts = posed.sample_points
     origin, dims = padded_layout(all_pts.min(axis=0), all_pts.max(axis=0),
-                                 spacing)
-    centers = cell_centers(origin, spacing, dims)
+                                 VOXEL_SPACING)
+    centers = cell_centers(origin, VOXEL_SPACING, dims)
     inside = posed.link_distances(centers) < 0
     pairs = posed.spec.self_contact_links()
     overlap = np.zeros(len(centers), dtype=bool)
     for a in range(len(inside)):
         overlap |= inside[a] & inside[pairs[a]].any(axis=0)
-    return depth, float(np.count_nonzero(overlap)) * spacing ** 3
+    return depth, float(np.count_nonzero(overlap)) * VOXEL_SPACING ** 3
 
 
-def functionality_pr(generated, truth, threshold=0.5):
-    """Precision/recall of binarized contact maps on a shared sample set.
+def functionality_pr(generated, truth):
+    """Precision/recall of contact maps binarized at 0.5 on a shared
+    sample set.
 
     Returns (precision, recall, flags). Empty prediction gives precision
     0; empty truth gives recall 1 (flagged).
@@ -159,8 +161,8 @@ def functionality_pr(generated, truth, threshold=0.5):
     if om_g.shape != om_t.shape:
         raise InvalidInputError(
             f"contact map sample sets differ: {om_g.shape} vs {om_t.shape}")
-    pred = om_g >= threshold
-    true = om_t >= threshold
+    pred = om_g >= 0.5
+    true = om_t >= 0.5
     inter = int(np.count_nonzero(pred & true))
     flags = []
     if pred.any():
@@ -207,21 +209,19 @@ class ClosureOutcome:
 CONTACT_BAND = 0.25  # cm; compliance stand-in for contact patch extraction
 
 
-def closure_contacts(spec, grasp, object_mesh, object_sdf=None,
-                     stop_sdf=STOP_SDF, contact_band=CONTACT_BAND):
+def closure_contacts(spec, grasp, object_mesh, object_sdf=None):
     """Flex joints +10 degrees toward the palm and collect the contacts.
 
-    Joints stop marching at ``stop_sdf``; samples within ``contact_band``
+    Joints stop marching at ``STOP_SDF``; samples within ``CONTACT_BAND``
     of the surface then count as contacts (a rigid-body proxy for the
     finite contact patches a compliant closure would produce).
     """
     if object_sdf is None:
         object_sdf = MeshSDF(object_mesh)
-    q = march_closure(spec, grasp, object_sdf.query, delta=np.deg2rad(10.0),
-                      stop_sdf=stop_sdf)
+    q = march_closure(spec, grasp, object_sdf.query, delta=np.deg2rad(10.0))
     closed = Grasp(q, grasp.rotation.copy(), grasp.translation.copy())
     pts = forward_kinematics(spec, closed).sample_points
-    touching = object_sdf.query(pts) <= contact_band
+    touching = object_sdf.query(pts) <= CONTACT_BAND
     links = set(spec.sample_links()[touching].tolist())
     contacts = None
     if np.any(touching):
@@ -232,8 +232,7 @@ def closure_contacts(spec, grasp, object_mesh, object_sdf=None,
     return contacts, links, q
 
 
-def closure_success(spec, grasp, object_mesh, mu=FRICTION_MU,
-                    cone_edges=CONE_EDGES, object_sdf=None, details=False):
+def closure_success(spec, grasp, object_mesh, object_sdf=None, details=False):
     """Quasi-static success proxy: force closure after +10 degree flexion.
 
     Success iff the post-closure contact set has positive wrench-space
@@ -248,8 +247,6 @@ def closure_success(spec, grasp, object_mesh, mu=FRICTION_MU,
         outcome = ClosureOutcome(False, 0.0, len(links),
                                  0 if contacts is None else len(contacts), q)
         return outcome if details else False
-    contacts.mu = mu
-    contacts.cone_edges = cone_edges
     eps = epsilon_quality(contacts, torque_scale, origin=center)
     outcome = ClosureOutcome(eps > 0.0 and len(links) >= 2, eps, len(links),
                              len(contacts), q)
@@ -297,8 +294,7 @@ CSV_COLUMNS = [
 
 
 def evaluate_grasp(spec, grasp, object_mesh, truth_bundle=None,
-                   hrd_reference=None, object_sdf=None, mu=FRICTION_MU,
-                   cone_edges=CONE_EDGES):
+                   hrd_reference=None, object_sdf=None):
     """Full metric suite for one grasp on one object."""
     if not object_mesh.is_watertight():
         raise InvalidInputError("evaluate_grasp requires a watertight mesh")
@@ -315,8 +311,7 @@ def evaluate_grasp(spec, grasp, object_mesh, truth_bundle=None,
     report.self_penetration_depth = sp_depth
     report.self_penetration_volume = sp_volume
 
-    outcome = closure_success(spec, grasp, object_mesh, mu=mu,
-                              cone_edges=cone_edges, object_sdf=object_sdf,
+    outcome = closure_success(spec, grasp, object_mesh, object_sdf=object_sdf,
                               details=True)
     report.closure_success = outcome.success
     report.epsilon = outcome.epsilon

@@ -24,6 +24,9 @@ from .hands.model import (Grasp, actuated_from_q, apply_coupling,
 SMOOTH_EPS = 1e-6
 ALPHA_TASK = 1.0
 ALPHA_JOINT = 5.0
+MAX_ITERS = 500
+TOL = 1e-6        # an improvement below this is stale
+PATIENCE = 10     # stale iterations in a row that stop the solver
 
 
 @dataclass
@@ -57,12 +60,11 @@ class RetargetResult:
         return self.trace[-1] if self.trace else np.nan
 
 
-def problem_from_demo(demo, robot_spec, alpha_task=ALPHA_TASK,
-                      alpha_joint=ALPHA_JOINT):
+def problem_from_demo(demo, robot_spec, alpha_joint=ALPHA_JOINT):
     return RetargetProblem(robot_spec, dict(demo.q), dict(demo.task_points),
                            np.asarray(demo.wrist_rotation, float),
                            np.asarray(demo.wrist_translation, float),
-                           alpha_task=alpha_task, alpha_joint=alpha_joint)
+                           alpha_joint=alpha_joint)
 
 
 def _mapped_targets(problem):
@@ -87,12 +89,11 @@ def _direct_init(problem, target, mask):
     return actuated_from_q(spec, q)
 
 
-def retarget(problem, max_iters=500, tol=1e-6, patience=10,
-             step_init=0.05):
+def retarget(problem):
     """Solve the mapping; returns the grasp with the demo wrist pose.
 
-    Convergence: objective improvement below ``tol`` for ``patience``
-    consecutive iterations, or ``max_iters`` reached. Deterministic
+    Convergence: objective improvement below ``TOL`` for ``PATIENCE``
+    consecutive iterations, or ``MAX_ITERS`` reached. Deterministic
     (initialization is the limit-clamped direct joint mapping).
     """
     spec = problem.robot
@@ -128,10 +129,10 @@ def retarget(problem, max_iters=500, tol=1e-6, patience=10,
 
     value, grad = evaluate(a, with_grad=True)
     trace = [value]
-    step = step_init
+    step = 0.05
     stale = 0
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         accepted = False
         for _ in range(30):
             cand = np.clip(a - step * grad, lo_a, hi_a)
@@ -149,8 +150,8 @@ def retarget(problem, max_iters=500, tol=1e-6, patience=10,
         _, grad = evaluate(a, with_grad=True)
         trace.append(value)
         step = min(step * 1.5, 1.0)
-        stale = stale + 1 if improvement < tol else 0
-        if stale >= patience:
+        stale = stale + 1 if improvement < TOL else 0
+        if stale >= PATIENCE:
             break
 
     q = apply_coupling(spec, a)[0]

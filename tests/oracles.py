@@ -195,7 +195,7 @@ def _link_local_samples(spec):
 
     meshes = spec.link_meshes()
     return {i: sample_surface(meshes[i], n=link.sample_count,
-                              seed=spec._sample_seed + i).points
+                              seed=i).points
             for i, link in enumerate(spec.links) if link.primitives}
 
 

@@ -159,6 +159,23 @@ def test_eval_command(workspace):
     assert lines[0].split(",")[0] == "object"
 
 
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d.update(q="x"), "'q' must be a list of numbers"),
+    (lambda d: d.update(wrist="x"), "'wrist' must be an object"),
+], ids=["q-not-numbers", "wrist-not-an-object"])
+def test_eval_bad_grasp_exit_2(workspace, tmp_path, capsys, damage, message):
+    # these grasp/1 documents used to end in a traceback with exit code 1
+    doc = json.loads((workspace / "run1" / "wand_0.grasp.json").read_text())
+    damage(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["eval", "--grasp", str(bad), "--hand", "pinch1",
+                 "--object", str(workspace / "data" / "wand" / "wand_0.obj"),
+                 "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert f"error: grasp/1 document: {message}" in capsys.readouterr().err
+
+
 def test_eval_without_truth_leaves_columns_empty(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

@@ -75,8 +75,10 @@ def test_icp_matches_world_frame_oracle(monkeypatch, library, category, seed):
 
 
 def test_icp_on_bare_array_matches_world_frame_oracle(monkeypatch, library):
-    # a bare array template is matched as is, with diagonal 1
+    # a template whose dense cloud is a bare array, with diagonal 1, is
+    # matched as is
     canon = sample_surface(CATEGORY_TEMPLATES["tumbler"](), n=3000,
                            seed=9).points
+    template = fit.Template("", None, None, 1.0, _dense=canon)
     observed = _half_view("tumbler", 5)
-    _check_against_oracle(monkeypatch, observed, canon, canon, 1.0)
+    _check_against_oracle(monkeypatch, observed, template, canon, 1.0)

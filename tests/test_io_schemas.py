@@ -71,13 +71,27 @@ def test_loaders_reject_wrong_schema(loader, schema):
      "coupling: 'rows[3]' must be 9 numbers, got [0.0, 0.0, 0.0"),
     ("coupled9", lambda d: d["links"][2]["joint"].update(axis=[1, 0]),
      "link index_proximal: 'axis' must be 3 numbers, got [1, 0]"),
+    ("pinch1", lambda d: d["links"][1]["primitives"][0].update(rotation="x"),
+     "link thumb_distal: 'primitives[0].rotation' must be 4 numbers, "
+     "got 'x'"),
+    ("pinch1", lambda d: d["links"][1]["primitives"][0].update(
+        translation=[0, 0]),
+     "link thumb_distal: 'primitives[0].translation' must be 3 numbers, "
+     "got [0, 0]"),
+    ("pinch1", lambda d: d["links"][1]["joint"].update(flexion_sign="x"),
+     "link thumb_distal: 'flexion_sign' must be a number, got 'x'"),
+    ("pinch1", lambda d: d.update(human_joint_map=[1]),
+     "handspec/1 'human_joint_map' must be an object of joint names, "
+     "got [1]"),
 ], ids=["anchor-link", "fingertip-link", "no-joint", "no-origin", "no-links",
         "no-name", "anchor-no-local", "links-not-a-list", "coupling-no-rows",
         "anchor-not-an-object", "coupling-not-an-object",
         "primitive-not-an-object", "scalar-limits", "scalar-actuated-limits",
         "samples-not-a-number", "samples-fraction", "samples-bool",
         "rotation-not-numbers", "anchor-local-not-numbers",
-        "coupling-rows-ragged", "axis-two-numbers"])
+        "coupling-rows-ragged", "axis-two-numbers",
+        "primitive-rotation-not-numbers", "primitive-translation-two-numbers",
+        "flexion-sign-not-a-number", "joint-map-not-an-object"])
 def test_handspec_loader_names_what_is_wrong(hand, damage, message):
     # a malformed handspec/1 raises SchemaError naming the link and the
     # key, not a bare KeyError or AttributeError
@@ -95,6 +109,37 @@ def test_grasp_loader_names_the_missing_key(key):
     del doc[key]
     with pytest.raises(SchemaError,
                        match=re.escape(f"grasp/1 document: missing key '{key}'")):
+        grasp_from_dict(doc)
+
+
+def _grasp_doc():
+    return {"schema": "grasp/1", "q": [0.1, 0.2],
+            "wrist": {"rotation": [1.0, 0.0, 0.0, 0.0],
+                      "translation": [0.0, 0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d.update(q="x"), "'q' must be a list of numbers, got 'x'"),
+    (lambda d: d.update(q=[[1, 2]]),
+     "'q' must be a list of numbers, got [[1, 2]]"),
+    (lambda d: d.update(wrist="x"), "'wrist' must be an object, got 'x'"),
+    (lambda d: d["wrist"].update(rotation="x"),
+     "'wrist.rotation' must be 4 numbers, got 'x'"),
+    (lambda d: d["wrist"].update(rotation=[1, 0, 0]),
+     "'wrist.rotation' must be 4 numbers, got [1, 0, 0]"),
+    (lambda d: d["wrist"].update(translation=[0, 0]),
+     "'wrist.translation' must be 3 numbers, got [0, 0]"),
+    (lambda d: d.update(flags=3), "'flags' must be a list of strings, got 3"),
+], ids=["q-not-numbers", "q-nested", "wrist-not-an-object",
+        "rotation-not-numbers", "rotation-three-numbers",
+        "translation-two-numbers", "flags-not-a-list"])
+def test_grasp_loader_names_the_bad_key(damage, message):
+    # grasp/1 values of the wrong type or length raise SchemaError naming
+    # the key, not a ValueError or TypeError, and are not accepted as is
+    doc = _grasp_doc()
+    damage(doc)
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"grasp/1 document: {message}")):
         grasp_from_dict(doc)
 
 

@@ -1,6 +1,7 @@
 """Checks on the source tree itself."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -13,4 +14,60 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _calls_by_name():
+    """Every call in src/, tests/, benchmark/ and the README's python
+    blocks, by the called name (a bare name or an attribute)."""
+    root = SRC.parent
+    sources = [path.read_text() for folder in ("src", "tests", "benchmark")
+               for path in sorted((root / folder).rglob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```",
+                          (root / "README.md").read_text(), re.S)
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, index, name):
+    """Whether a call passes parameter ``name`` by keyword or at
+    positional ``index`` (counted without ``self``; None when keyword
+    only). ``*args`` and ``**kwargs`` pass everything."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, name) for kw in call.keywords)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_keyword_option_has_a_caller():
+    # a defaulted parameter that no call sets is a constant in disguise:
+    # a configuration no test or benchmark runs
+    calls = _calls_by_name()
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner in ast.walk(tree):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name, skip = fn.name, 0
+                if isinstance(owner, ast.ClassDef):
+                    skip = not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fn.decorator_list)
+                    if name == "__init__":
+                        name = owner.name
+                args = fn.args.posonlyargs + fn.args.args
+                options = [(i - skip, arg.arg) for i, arg in enumerate(args)
+                           if i >= len(args) - len(fn.args.defaults)]
+                options += [(None, arg.arg) for arg, default
+                            in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                            if default is not None]
+                found += [f"{path.relative_to(SRC)}:{fn.lineno} "
+                          f"{name}({option})" for index, option in options
+                          if not any(_passes(call, index, option)
+                                     for call in calls.get(name, []))]
     assert found == []
