@@ -257,8 +257,9 @@ def bundle_from_dict(doc):
 
 
 def save_bundle(path, bundle):
+    # one json.dumps call encodes in C, as pipeline._dump does
     with open(path, "w") as fh:
-        json.dump(bundle_to_dict(bundle), fh)
+        fh.write(json.dumps(bundle_to_dict(bundle)))
 
 
 def load_bundle(path):

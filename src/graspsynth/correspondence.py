@@ -24,6 +24,9 @@ LATTICE_K = 8
 BETA_SMOOTH = 10.0
 BETA_MAG = 0.1
 MIN_INSTANCE_SAMPLES = 32
+PAIR_MARGIN = 1e-9  # cm; distance rounding is ~1e-14 cm at these sizes
+# a share of unproven rows above this makes the next pairing a reference
+PAIR_REFRESH = 0.2
 
 
 @dataclass
@@ -106,6 +109,70 @@ class FitReport:
     iterations: int
 
 
+def _row_norms(v):
+    return np.sqrt((v ** 2).sum(axis=1))
+
+
+class _NearestPairs:
+    """Nearest-neighbour pairs of a moving cloud and the fixed instance
+    cloud, both ways: calling it with the warped template gives
+    ``(d_ti, idx_ti, d_it, idx_it)``, equal to ``inst_tree.query(warped)``
+    and ``cKDTree(warped).query(i_pts)``.
+
+    A reference keeps the moving cloud ``w_ref`` of an earlier call and
+    both pairings there, queried with ``k=2``. A distance is 1-Lipschitz
+    in either end, so with ``delta_k = |w_k - w_ref,k|``:
+
+    - template row ``k`` keeps its reference neighbour ``p`` when
+      ``|w_k - i_p| + eps < d2_ref,k - delta_k - eps``;
+    - instance row ``j`` keeps its reference neighbour ``q`` when
+      ``|i_j - w_q| + eps < e2_ref,j - max(delta) - eps``;
+
+    for then every other point is farther by more than the rounding
+    margin ``eps`` (``PAIR_MARGIN``), and the tree, which returns the
+    nearest, returns the same index and distance. A reference row whose
+    two distances tie is never kept. Other rows are queried as before.
+    When more than ``PAIR_REFRESH`` of the rows are unproven, the next
+    call takes a new reference.
+    """
+
+    def __init__(self, i_pts, inst_tree):
+        self.i_pts = i_pts
+        self.inst_tree = inst_tree
+        self.ref = None
+
+    def __call__(self, warped):
+        tree = None
+        if self.ref is None:
+            d_ti, idx_ti = self.inst_tree.query(warped, k=2)
+            tree = cKDTree(warped)
+            d_it, idx_it = tree.query(self.i_pts, k=2)
+            self.ref = (warped, idx_ti[:, 0], d_ti[:, 1], idx_it[:, 0],
+                        d_it[:, 1])
+        w_ref, p_ti, bound_ti, q_it, bound_it = self.ref
+        moved = _row_norms(warped - w_ref)
+
+        idx_ti = p_ti.copy()
+        d_ti = _row_norms(warped - self.i_pts[p_ti])
+        open_ti = ~(d_ti + PAIR_MARGIN < bound_ti - moved - PAIR_MARGIN)
+        if open_ti.any():
+            d_ti[open_ti], idx_ti[open_ti] = self.inst_tree.query(
+                warped[open_ti])
+
+        idx_it = q_it.copy()
+        d_it = _row_norms(self.i_pts - warped[q_it])
+        open_it = ~(d_it + PAIR_MARGIN < bound_it - moved.max() - PAIR_MARGIN)
+        if open_it.any():
+            if tree is None:
+                tree = cKDTree(warped)
+            d_it[open_it], idx_it[open_it] = tree.query(self.i_pts[open_it])
+
+        n_open = np.count_nonzero(open_ti) + np.count_nonzero(open_it)
+        if n_open > PAIR_REFRESH * (len(open_ti) + len(open_it)):
+            self.ref = None         # the next call takes a new reference
+        return d_ti, idx_ti, d_it, idx_it
+
+
 def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
                    max_iters):
     """Monotone preconditioned descent on one lattice resolution."""
@@ -115,10 +182,10 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
     n_nodes = float(np.prod(field.dims))
     L = _laplacian(field.dims)
     LT = L.T.tocsr()
+    pairs = _NearestPairs(i_pts, inst_tree)
 
     def chamfer_terms(warped):
-        d_ti, idx_ti = inst_tree.query(warped)
-        d_it, idx_it = cKDTree(warped).query(i_pts)
+        d_ti, idx_ti, d_it, idx_it = pairs(warped)
         value = float(np.mean(d_ti ** 2) + np.mean(d_it ** 2))
         return value, idx_ti, idx_it
 
@@ -137,6 +204,13 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
     precond = np.repeat(data_diag + (2.0 * (1.5 * beta_smooth + beta_mag)
                                      / n_nodes), 3)
 
+    def candidate_loss(cand):
+        # a candidate equal to disp has disp's loss, which cannot pass the
+        # acceptance test, so it is not evaluated again
+        if np.array_equal(cand, disp):
+            return value, cham, aux
+        return total_loss(cand)
+
     disp = field.displacements.ravel().copy()
     value, cham, aux = total_loss(disp)
     trace = [value]
@@ -147,8 +221,10 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
         warped, idx_ti, idx_it, lap, nodes = aux
         # chamfer gradient with the nearest-neighbor pairs frozen
         res_ti = (warped - i_pts[idx_ti]) * (2.0 / n_t)
-        res_it = np.zeros_like(warped)
-        np.add.at(res_it, idx_it, (warped[idx_it] - i_pts) * (2.0 / n_i))
+        pull = (warped[idx_it] - i_pts) * (2.0 / n_i)
+        res_it = np.stack([np.bincount(idx_it, weights=pull[:, c],
+                                       minlength=n_t) for c in range(3)],
+                          axis=1)
         grad_nodes = WT @ (res_ti + res_it)
         grad = grad_nodes + (2.0 * beta_smooth / n_nodes) * (LT @ lap) \
             + (2.0 * beta_mag / n_nodes) * nodes
@@ -157,14 +233,14 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
         accepted = False
         momentum = mu * momentum + direction
         cand = disp - step * momentum
-        cand_value, cand_cham, cand_aux = total_loss(cand)
+        cand_value, cand_cham, cand_aux = candidate_loss(cand)
         if cand_value < value - 1e-15:
             accepted = True
         else:
             momentum = np.zeros_like(disp)  # reset and backtrack plain steps
             for _ in range(25):
                 cand = disp - step * direction
-                cand_value, cand_cham, cand_aux = total_loss(cand)
+                cand_value, cand_cham, cand_aux = candidate_loss(cand)
                 if cand_value < value - 1e-15:
                     accepted = True
                     momentum = direction.copy()
@@ -191,6 +267,16 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
     down the global warp so finer levels cannot slide tangentially along
     the surface. Returns (field, report); the reported trace (final
     level) is non-increasing.
+
+    Each loss evaluation pairs every point with its nearest neighbour
+    on the other side, as ``cKDTree.query`` does, but a point keeps the
+    neighbour it had at a reference evaluation while a distance bound
+    proves that no other point can have come nearer (``_NearestPairs``):
+    a distance moves no more than its ends, so the kept pairs, and
+    their distances, are the ones a fresh query would return. A
+    candidate equal to the current iterate is not evaluated, as it
+    cannot lower the loss. Every result is that of a full query at
+    every evaluation, bit for bit.
     """
     t_pts = np.asarray(template.points if hasattr(template, "points")
                        else template, float)

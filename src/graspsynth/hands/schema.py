@@ -124,7 +124,9 @@ def _link_from_dict(entry, parent):
                                    "origin.translation"),
         joint_type=joint["type"],
         primitives=[
-            Primitive(p["kind"], tuple(p["params"]),
+            Primitive(p["kind"], tuple(_vector(
+                          p["params"], None, where, f"primitives[{k}].params",
+                          "a list of numbers").tolist()),
                       rotation=tf.quat_to_matrix(_vector(
                           p["rotation"], 4, where, f"primitives[{k}].rotation")),
                       translation=_vector(p["translation"], 3, where,

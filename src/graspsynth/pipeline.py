@@ -105,8 +105,9 @@ def _sha256(path):
 
 
 def _dump(path, doc):
+    # json.dumps encodes in C; json.dump streams through the Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 def synthesize_instance(robot, init, bundle_demo, map_demo, template_samples,

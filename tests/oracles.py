@@ -10,6 +10,7 @@ import functools
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 
 def point_triangle_distance(p, a, b, c):
@@ -145,6 +146,15 @@ def nearest_neighbor_matrix(p, q):
     """Index of the nearest q point for each p point, via the full matrix."""
     d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
     return d.argmin(axis=1), d.min(axis=1)
+
+
+def nearest_pairs_kdtree(warped, instance):
+    """Both nearest-neighbour pairings of a warped template and an
+    instance cloud from fresh full cKDTree queries:
+    ``(d_ti, idx_ti, d_it, idx_it)``."""
+    d_ti, idx_ti = cKDTree(instance).query(warped)
+    d_it, idx_it = cKDTree(warped).query(instance)
+    return d_ti, idx_ti, d_it, idx_it
 
 
 def chamfer_bruteforce(p, q):

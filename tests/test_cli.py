@@ -127,6 +127,23 @@ def test_synthesize_handspec_samples_not_a_number_exit_2(
             f"integer, got 'many'" in capsys.readouterr().err)
 
 
+def test_synthesize_handspec_params_not_a_list_exit_2(workspace, tmp_path,
+                                                      capsys):
+    # "params": 3 used to end in a TypeError traceback
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "demonstrator.handspec.json").read_text())
+    link = next(entry for entry in doc["links"] if entry["primitives"])
+    link["primitives"][0]["params"] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", str(bad),
+                 *FAST, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"error: link {link['name']}: 'primitives[0].params' must be a "
+            f"list of numbers, got 3" in capsys.readouterr().err)
+
+
 def test_synthesize_config_weight_not_a_number_exit_2(workspace, tmp_path,
                                                       capsys):
     # a string weight used to end in a TypeError traceback

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from graspsynth.correspondence import (_laplacian, correspond,
+from graspsynth import correspondence
+from graspsynth.correspondence import (_laplacian, _NearestPairs, correspond,
                                        diffuse_contacts,
                                        dsc_from_dict, dsc_to_dict,
                                        fit_deformation, lattice_for_bounds,
@@ -11,7 +15,7 @@ from graspsynth.errors import InvalidInputError
 from graspsynth.fixtures import category_instances, category_keypoints
 from graspsynth.geometry import bbox_diagonal, sample_surface
 
-from oracles import nearest_neighbor_matrix
+from oracles import nearest_neighbor_matrix, nearest_pairs_kdtree
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,87 @@ def test_warped_beats_unwarped(bottle_pair):
     field, report = fit_deformation(t_samples, i_samples)
     after = chamfer(field.warp(t_samples.points), i_samples.points)
     assert after < before
+
+
+def _counting_tree(counts):
+    """A cKDTree that counts its builds and the rows it is queried with."""
+    class CountingTree(cKDTree):
+        def __init__(self, data):
+            counts["builds"] += 1
+            super().__init__(data)
+
+        def query(self, x, k=1):
+            counts["rows"] += len(x)
+            return super().query(x, k=k)
+    return CountingTree
+
+
+def _pair_clouds(bottle_pair, kind):
+    _, t_samples, _, i_samples, _ = bottle_pair
+    if kind == "bottle":
+        return t_samples.points, i_samples.points
+    # duplicated points on both sides, and template rows that sit exactly
+    # on instance rows: first and second distances tie
+    base = t_samples.points[:300]
+    return (np.concatenate([base[:200], base[100:250]]),
+            np.concatenate([base, base[:50]]))
+
+
+@pytest.mark.parametrize("kind", ["bottle", "duplicated"])
+def test_nearest_pairs_equal_full_queries(bottle_pair, monkeypatch, kind):
+    # the certified pairs give the indices and distances of full cKDTree
+    # queries bit for bit, through moves far below, near and beyond the
+    # sample spacing, and jumps away and back like rejected candidates
+    t_pts, i_pts = _pair_clouds(bottle_pair, kind)
+    counts = Counter()
+    tree = _counting_tree(counts)
+    monkeypatch.setattr(correspondence, "cKDTree", tree)
+    pairs = _NearestPairs(i_pts, tree(i_pts))
+    rng = np.random.default_rng(5)
+    warped = t_pts.copy()
+    scales = [0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-3, 1e-2, 0.05, 1.0,
+              -1, 1e-4, 1e-6, 0.3, -1, 1e-5, 2.0, 1e-7, 1e-3, 1e-6]
+    kept = []
+    for scale in scales:
+        if scale < 0:   # undo the last move, as after a rejected candidate
+            step = -last
+        else:
+            drift = rng.normal(size=3) * scale
+            step = drift + rng.normal(size=warped.shape) * (0.3 * scale)
+            last = step
+        warped = warped + step
+        before = counts["rows"]
+        got = pairs(warped)
+        want = nearest_pairs_kdtree(warped, i_pts)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        kept.append(counts["rows"] - before < len(t_pts) + len(i_pts))
+    # tiny moves keep rows without a query
+    assert sum(kept) >= 5
+
+
+def test_zero_fit_evaluates_once_per_level(bottle_pair, monkeypatch):
+    # the template fitted to itself has loss 0 and gradient 0, so every
+    # candidate equals its iterate and only the first point is evaluated
+    _, t_samples, *_ = bottle_pair
+    counts = Counter()
+    monkeypatch.setattr(correspondence, "cKDTree", _counting_tree(counts))
+    calls = []
+
+    class CountingPairs(_NearestPairs):
+        def __call__(self, warped):
+            calls.append(len(warped))
+            return super().__call__(warped)
+    monkeypatch.setattr(correspondence, "_NearestPairs", CountingPairs)
+    field, report = fit_deformation(t_samples, t_samples)
+    levels = 3                       # K = 2, 4, 8
+    assert len(calls) == levels
+    # the instance tree, then one moving-cloud tree per evaluation
+    assert counts["builds"] == 1 + levels
+    assert report.iterations == 0
+    assert report.final_loss == 0.0
+    assert not field.displacements.any()
 
 
 def test_laplacian_is_node_minus_neighbour_mean():

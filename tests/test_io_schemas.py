@@ -78,6 +78,12 @@ def test_loaders_reject_wrong_schema(loader, schema):
         translation=[0, 0]),
      "link thumb_distal: 'primitives[0].translation' must be 3 numbers, "
      "got [0, 0]"),
+    ("pinch1", lambda d: d["links"][1]["primitives"][0].update(params=3),
+     "link thumb_distal: 'primitives[0].params' must be a list of numbers, "
+     "got 3"),
+    ("pinch1", lambda d: d["links"][1]["primitives"][0].update(params="ab"),
+     "link thumb_distal: 'primitives[0].params' must be a list of numbers, "
+     "got 'ab'"),
     ("pinch1", lambda d: d["links"][1]["joint"].update(flexion_sign="x"),
      "link thumb_distal: 'flexion_sign' must be a number, got 'x'"),
     ("pinch1", lambda d: d.update(human_joint_map=[1]),
@@ -91,6 +97,7 @@ def test_loaders_reject_wrong_schema(loader, schema):
         "rotation-not-numbers", "anchor-local-not-numbers",
         "coupling-rows-ragged", "axis-two-numbers",
         "primitive-rotation-not-numbers", "primitive-translation-two-numbers",
+        "primitive-params-a-number", "primitive-params-a-string",
         "flexion-sign-not-a-number", "joint-map-not-an-object"])
 def test_handspec_loader_names_what_is_wrong(hand, damage, message):
     # a malformed handspec/1 raises SchemaError naming the link and the
