@@ -28,7 +28,7 @@ def _dof_sample_masks(spec):
     carries = np.zeros((spec.dof, len(spec.sample_links())), dtype=bool)
     moves = np.zeros_like(carries)
     for link, rows in spec.sample_slices().items():
-        dofs = [dof for _, dof in _ancestor_dofs(spec, link)]
+        dofs = _ancestor_dofs(spec, link)
         if dofs:
             carries[dofs[0], rows] = True
             moves[dofs, rows] = True

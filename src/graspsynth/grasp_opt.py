@@ -152,7 +152,7 @@ class _GradientAccumulator:
         points = np.atleast_2d(points)
         vectors = np.atleast_2d(vectors)
         s0 = vectors.sum(axis=0)
-        s1 = _cross(points, vectors).sum(axis=0)
+        s1 = tf.cross(points, vectors).sum(axis=0)
         if link in self.moments:
             self.moments[link][0] += s0
             self.moments[link][1] += s1
@@ -167,24 +167,10 @@ class _GradientAccumulator:
         wrist_t = posed.grasp.translation
         for link, (s0, s1) in self.moments.items():
             for dof, axis, origin in ancestor_axes(posed, link):
-                grad_q[dof] += axis @ (s1 - _cross(origin, s0))
+                grad_q[dof] += axis @ (s1 - tf.cross(origin, s0))
             grad_t += s0
-            grad_r += s1 - _cross(wrist_t, s0)
+            grad_r += s1 - tf.cross(wrist_t, s0)
         return grad_q, grad_t, grad_r
-
-
-def _cross(a, b):
-    """``np.cross`` of (..., 3) arrays written out by components.
-
-    Same products and differences as ``np.cross``, so the same bits, in
-    an array of the same layout (summing it over axis 0 adds the rows in
-    the same order), without ``np.cross``'s ``moveaxis`` overhead.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
 
 
 def _oriented_cloud_distance(scene, points):

@@ -5,9 +5,18 @@ carries one joint (revolute about a unit axis in the parent frame, or
 fixed) plus zero or more solid primitives. ``q`` indexes the revolute
 links in link order; ``H`` is the wrist pose applied ahead of every
 root link.
+
+Kinematics run on arrays a ``HandSpec`` builds once (``_kinematics``):
+forward kinematics takes every joint's Rodrigues matrix in one vector
+pass, chains the link poses, and poses anchors and fingertips in one
+batched product; ``joint_axes_world`` gives every joint's world axis
+and origin in one more, and the Jacobians read their columns from it.
+Each array step does the same float operations, in the same order, as
+the joint-by-joint formulas, so the results are the same bits.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +56,29 @@ class FingertipFrame:
     local: np.ndarray
 
 
+@dataclass(frozen=True)
+class _Kinematics:
+    """What forward kinematics and the Jacobians read of a ``HandSpec``,
+    as arrays (joints by DoF)."""
+
+    chain: tuple            # per link: (parent, origin R, origin t, DoF or -1)
+    skew: np.ndarray        # (D, 3, 3) skew(axis) of each joint, by DoF
+    outer: np.ndarray       # (D, 3, 3) outer(axis, axis)
+    parents: np.ndarray     # (D,) parent link of each joint, -1 for the wrist
+    axes: np.ndarray        # (D, 3, 1) origin_rotation @ axis
+    origins: np.ndarray     # (D, 3, 1) origin_translation
+    anchor_links: np.ndarray    # (A,) link of each anchor
+    anchor_local: np.ndarray    # (A, 3, 1) its point in the link frame
+    tip_links: np.ndarray       # (F,) link of each fingertip frame
+    tip_local: np.ndarray       # (F, 3, 1)
+
+
 class HandSpec:
     """Immutable hand description.
+
+    Nothing may change a spec after it is built: the sample layout, the
+    primitive stacks and the kinematics arrays are cached on first use
+    and never rebuilt.
 
     coupling maps actuated values (DoA) to the full joint vector (DoF):
     q = coupling @ actuated. actuated_limits bound the actuated values;
@@ -75,7 +105,7 @@ class HandSpec:
             if link.joint_type == "revolute":
                 link.axis = np.asarray(link.axis, dtype=float)
                 n = np.linalg.norm(link.axis)
-                if abs(n - 1.0) > 1e-8:
+                if not abs(n - 1.0) <= 1e-8:    # a NaN axis fails too
                     raise InvalidInputError(f"link {link.name}: axis must be unit")
                 if link.limits[0] > link.limits[1]:
                     raise InvalidInputError(f"link {link.name}: limits lo > hi")
@@ -116,6 +146,7 @@ class HandSpec:
                 raise InvalidInputError(f"{a.name}: link index out of range")
 
         self._sample_layout = None
+        self._kinematics_arrays = None
         self._link_meshes = None
         self._primitive_stacks = {}
         self._self_contact_mask = None
@@ -166,6 +197,40 @@ class HandSpec:
             self._sample_layout = (points, owners, {
                 i: slice(ends[k], ends[k + 1]) for k, i in enumerate(links)})
         return self._sample_layout
+
+    def _kinematics(self):
+        """The arrays of ``_Kinematics``, built once (lazy, read-only)."""
+        if self._kinematics_arrays is None:
+            joints = [l for l in self.links if l.joint_type == "revolute"]
+
+            def frozen(values, shape, dtype):
+                out = np.array(values, dtype=dtype).reshape(shape)
+                out.setflags(write=False)
+                return out
+
+            def points(frames):
+                return frozen([f.local for f in frames], (-1, 3, 1), float)
+
+            def links(frames):
+                return frozen([f.link for f in frames], -1, np.intp)
+
+            self._kinematics_arrays = _Kinematics(
+                chain=tuple((l.parent, l.origin_rotation, l.origin_translation,
+                             l.dof_index) for l in self.links),
+                skew=frozen([tf.skew(l.axis) for l in joints], (-1, 3, 3),
+                            float),
+                outer=frozen([np.outer(l.axis, l.axis) for l in joints],
+                             (-1, 3, 3), float),
+                parents=frozen([l.parent for l in joints], -1, np.intp),
+                axes=frozen([l.origin_rotation @ l.axis for l in joints],
+                            (-1, 3, 1), float),
+                origins=frozen([l.origin_translation for l in joints],
+                               (-1, 3, 1), float),
+                anchor_links=links(self.anchors),
+                anchor_local=points(self.anchors),
+                tip_links=links(self.fingertip_frames),
+                tip_local=points(self.fingertip_frames))
+        return self._kinematics_arrays
 
     @property
     def adjacent_pairs(self):
@@ -231,7 +296,8 @@ class Grasp:
         self.q = np.asarray(self.q, dtype=float)
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
-        if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-8:
+        # written so that a NaN fails it too
+        if not abs(np.linalg.norm(self.rotation) - 1.0) <= 1e-8:
             raise InvalidInputError("grasp rotation must be a unit quaternion")
 
     def wrist_matrix(self):
@@ -253,6 +319,11 @@ class PosedHand:
     sample_points: np.ndarray    # (N, 3) world, read-only, by sample_slices()
     anchor_points: np.ndarray    # (A, 3)
     fingertip_points: np.ndarray  # (F, 3)
+
+    @cached_property
+    def joint_axes(self):
+        """``joint_axes_world(self)``, computed on first use."""
+        return joint_axes_world(self)
 
     def all_sample_points(self):
         """(sample_points, segment links in row order); kept for callers
@@ -291,37 +362,57 @@ class PosedHand:
 
 def forward_kinematics(spec, grasp):
     """Pose every link: parent pose, then joint origin, then the joint turn;
-    each link's samples fill its rows of one stacked world array."""
+    each link's samples fill its rows of one stacked world array.
+
+    Every joint's Rodrigues matrix comes from one vector pass over ``q``
+    (``eye * c + s * skew + (1 - c) * outer`` on the spec's cached
+    stacks), the link chain multiplies ``Rp @ origin_rotation`` and
+    ``Rp @ origin_translation + tp`` link by link, and anchors and
+    fingertips are posed by one batched product each.
+    """
     if len(grasp.q) != spec.dof:
         raise InvalidInputError(
             f"q has length {len(grasp.q)}, spec has {spec.dof} DoF")
+    kin = spec._kinematics()
     Rw, tw = grasp.wrist_matrix()
+    c, s = np.cos(grasp.q)[:, None, None], np.sin(grasp.q)[:, None, None]
+    turns = np.eye(3) * c + s * kin.skew + (1 - c) * kin.outer
     n = len(spec.links)
     rotations = np.empty((n, 3, 3))
     translations = np.empty((n, 3))
-    for i, link in enumerate(spec.links):
-        if link.parent < 0:
+    for i, (parent, Ro, to, dof) in enumerate(kin.chain):
+        if parent < 0:
             Rp, tp = Rw, tw
         else:
-            Rp, tp = rotations[link.parent], translations[link.parent]
-        R, t = tf.compose(Rp, tp, link.origin_rotation, link.origin_translation)
-        if link.joint_type == "revolute":
-            Rj = tf.axis_angle_to_matrix(link.axis, grasp.q[link.dof_index])
-            R = R @ Rj
-        rotations[i] = R
-        translations[i] = t
+            Rp, tp = rotations[parent], translations[parent]
+        R = Rp @ Ro
+        rotations[i] = R if dof < 0 else R @ turns[dof]
+        translations[i] = Rp @ to + tp
 
     local, _, slices = spec._layout()
     points = np.empty(local.shape)
     for i, rows in slices.items():
         points[rows] = local[rows] @ rotations[i].T + translations[i]
     points.setflags(write=False)
-    anchor_points = np.array([rotations[a.link] @ a.local + translations[a.link]
-                              for a in spec.anchors]).reshape(-1, 3)
-    fingertip_points = np.array([rotations[f.link] @ f.local + translations[f.link]
-                                 for f in spec.fingertip_frames]).reshape(-1, 3)
+    anchor_points = ((rotations[kin.anchor_links] @ kin.anchor_local)[..., 0]
+                     + translations[kin.anchor_links])
+    fingertip_points = ((rotations[kin.tip_links] @ kin.tip_local)[..., 0]
+                        + translations[kin.tip_links])
     return PosedHand(spec, grasp, rotations, translations, points,
                      anchor_points, fingertip_points)
+
+
+def joint_axes_world(posed):
+    """((D, 3) world axes, (D, 3) world origins) of every revolute joint,
+    by DoF: a joint turns about its axis after its origin transform and
+    before its own turn, so both come from its parent's pose (the wrist
+    for a root link) in one batched product each."""
+    kin = posed.spec._kinematics()
+    Rw, tw = posed.grasp.wrist_matrix()
+    # parent -1 picks the wrist, stacked last
+    Rp = np.concatenate([posed.rotations, Rw[None]])[kin.parents]
+    tp = np.concatenate([posed.translations, tw[None]])[kin.parents]
+    return (Rp @ kin.axes)[..., 0], (Rp @ kin.origins)[..., 0] + tp
 
 
 def _ancestor_dofs(spec, link):
@@ -331,7 +422,7 @@ def _ancestor_dofs(spec, link):
     while i >= 0:
         l = spec.links[i]
         if l.joint_type == "revolute":
-            out.append((i, l.dof_index))
+            out.append(l.dof_index)
         i = l.parent
     return out
 
@@ -350,30 +441,20 @@ def point_jacobian(spec, grasp, link, local_point):
 def ancestor_axes(posed, link):
     """(dof, world axis, world origin) of each joint moving the link,
     innermost first."""
-    spec = posed.spec
-    for jlink, dof in _ancestor_dofs(spec, link):
-        # joint rotates about the world axis through the joint origin; the
-        # axis lives after the origin transform, before the joint turn
-        l = spec.links[jlink]
-        if l.parent < 0:
-            Rp, tp = posed.grasp.wrist_matrix()
-        else:
-            Rp, tp = posed.rotations[l.parent], posed.translations[l.parent]
-        yield (dof, Rp @ (l.origin_rotation @ l.axis),
-               Rp @ l.origin_translation + tp)
+    axes, origins = posed.joint_axes
+    for dof in _ancestor_dofs(posed.spec, link):
+        yield dof, axes[dof], origins[dof]
 
 
 def point_jacobian_world(spec, posed, link, world_point):
     """Same Jacobian for a point already expressed in world coordinates."""
     J = np.zeros((3, spec.dof + 6))
-    for dof, axis_world, origin_world in ancestor_axes(posed, link):
-        J[:, dof] = np.cross(axis_world, world_point - origin_world)
+    dofs = _ancestor_dofs(spec, link)
+    axes, origins = posed.joint_axes
+    J[:, dofs] = tf.cross(axes[dofs], world_point - origins[dofs]).T
     J[:, spec.dof:spec.dof + 3] = np.eye(3)
-    r = world_point - posed.grasp.translation
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        J[:, spec.dof + 3 + k] = np.cross(e, r)
+    J[:, spec.dof + 3:] = tf.cross(np.eye(3),
+                                   world_point - posed.grasp.translation).T
     return J
 
 

@@ -38,13 +38,18 @@ def _is_number(value):
 
 
 def _vector(value, n, where, key, form=None):
-    """``value`` as a float array if it is a list of ``n`` numbers (of any
-    length for ``n`` None), else a SchemaError naming ``where`` and ``key``."""
+    """``value`` as a float array if it is a list of ``n`` finite numbers
+    (of any length for ``n`` None), else a SchemaError naming ``where`` and
+    ``key`` (``json`` reads ``NaN`` and ``Infinity`` as numbers)."""
     if not (isinstance(value, list) and n in (None, len(value))
             and all(_is_number(v) for v in value)):
         raise SchemaError(f"{where}: {key!r} must be "
                           f"{form or f'{n} numbers'}, got {value!r:.40}")
-    return np.asarray(value, float)
+    vector = np.asarray(value, float)
+    if not np.isfinite(vector).all():
+        raise SchemaError(f"{where}: {key!r} must be finite, "
+                          f"got {value!r:.40}")
+    return vector
 
 
 def _limits(value, where):

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import transforms as tf
 from .errors import ConfigurationError
-from .hands.model import (Grasp, actuated_from_q, apply_coupling,
-                          forward_kinematics, point_jacobian_world)
+from .hands.model import (Grasp, _ancestor_dofs, actuated_from_q,
+                          apply_coupling, forward_kinematics)
 
 SMOOTH_EPS = 1e-6
 ALPHA_TASK = 1.0
@@ -100,6 +101,11 @@ def retarget(problem):
     target_q, mask = _mapped_targets(problem)
     tip_names = [f.name for f in spec.fingertip_frames]
     tip_targets = np.array([problem.task_points[n] for n in tip_names])
+    # the Jacobian entries of every fingertip, (fingertip, DoF) pairs
+    tip_dofs = [_ancestor_dofs(spec, f.link) for f in spec.fingertip_frames]
+    entry_tips = np.repeat(np.arange(len(tip_dofs)), [len(d) for d in tip_dofs])
+    entry_dofs = np.array([dof for dofs in tip_dofs for dof in dofs],
+                          dtype=np.intp)
 
     a = _direct_init(problem, target_q, mask)
     lo_a = spec.actuated_limits[:, 0]
@@ -117,11 +123,15 @@ def retarget(problem):
                  + problem.alpha_joint * joint_err.sum())
         if not with_grad:
             return value
+        # joint columns of each fingertip's point Jacobian, (F, 3, DoF)
+        axes, origins = posed.joint_axes
+        J = np.zeros((len(tips), 3, spec.dof))
+        J[entry_tips, :, entry_dofs] = tf.cross(
+            axes[entry_dofs], tips[entry_tips] - origins[entry_dofs])
         grad_q = np.zeros(spec.dof)
-        for k, frame in enumerate(spec.fingertip_frames):
-            J = point_jacobian_world(spec, posed, frame.link, tips[k])[:, :spec.dof]
+        for k in range(len(tips)):
             unit = residuals[k] / np.sqrt(norms[k] ** 2 + SMOOTH_EPS ** 2)
-            grad_q += problem.alpha_task * (-J.T @ unit)
+            grad_q += problem.alpha_task * (-J[k].T @ unit)
         diff = q - target_q
         smooth_sign = diff / np.sqrt(diff ** 2 + SMOOTH_EPS ** 2)
         grad_q[mask] += problem.alpha_joint * smooth_sign[mask]

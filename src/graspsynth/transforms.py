@@ -97,9 +97,19 @@ def skew(v):
     ])
 
 
-def compose(Ra, ta, Rb, tb):
-    """Compose rigid poses: (Ra, ta) then apply to (Rb, tb)."""
-    return Ra @ Rb, Ra @ tb + ta
+def cross(a, b):
+    """``np.cross`` of (..., 3) arrays written out by components.
+
+    Same products and differences as ``np.cross``, so the same bits,
+    signed zeros included, in an array of the broadcast shape (summing it
+    over axis 0 adds the rows in the same order), without ``np.cross``'s
+    ``moveaxis`` overhead.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def rotation_between(a, b):

@@ -691,3 +691,135 @@ def icp_world_frame(observed, canon, diag=1.0, max_iters=50, tol=1e-8):
         prev = residual
     residual, sigma, R, t = best
     return (sigma / diag, tf.matrix_to_quat(R), t, residual), matches
+
+
+def forward_kinematics_per_link(spec, grasp):
+    """``hands.forward_kinematics`` as first written: one
+    ``axis_angle_to_matrix`` per joint, link by link (``compose`` of the
+    parent pose and the joint origin written out), and anchors and
+    fingertips one at a time."""
+    from graspsynth import transforms as tf
+    from graspsynth.hands.model import PosedHand
+
+    Rw, tw = grasp.wrist_matrix()
+    n = len(spec.links)
+    rotations = np.empty((n, 3, 3))
+    translations = np.empty((n, 3))
+    for i, link in enumerate(spec.links):
+        if link.parent < 0:
+            Rp, tp = Rw, tw
+        else:
+            Rp, tp = rotations[link.parent], translations[link.parent]
+        R, t = Rp @ link.origin_rotation, Rp @ link.origin_translation + tp
+        if link.joint_type == "revolute":
+            Rj = tf.axis_angle_to_matrix(link.axis, grasp.q[link.dof_index])
+            R = R @ Rj
+        rotations[i] = R
+        translations[i] = t
+
+    local, _, slices = spec._layout()
+    points = np.empty(local.shape)
+    for i, rows in slices.items():
+        points[rows] = local[rows] @ rotations[i].T + translations[i]
+    points.setflags(write=False)
+    anchor_points = np.array([rotations[a.link] @ a.local + translations[a.link]
+                              for a in spec.anchors]).reshape(-1, 3)
+    fingertip_points = np.array([rotations[f.link] @ f.local + translations[f.link]
+                                 for f in spec.fingertip_frames]).reshape(-1, 3)
+    return PosedHand(spec, grasp, rotations, translations, points,
+                     anchor_points, fingertip_points)
+
+
+def point_jacobian_per_joint(spec, posed, link, world_point):
+    """``hands.point_jacobian_world`` as first written: walk up the chain
+    from ``link`` and take one ``np.cross`` per joint and per wrist
+    rotation axis."""
+    J = np.zeros((3, spec.dof + 6))
+    i = link
+    while i >= 0:
+        l = spec.links[i]
+        if l.joint_type == "revolute":
+            if l.parent < 0:
+                Rp, tp = posed.grasp.wrist_matrix()
+            else:
+                Rp, tp = posed.rotations[l.parent], posed.translations[l.parent]
+            axis_world = Rp @ (l.origin_rotation @ l.axis)
+            origin_world = Rp @ l.origin_translation + tp
+            J[:, l.dof_index] = np.cross(axis_world, world_point - origin_world)
+        i = l.parent
+    J[:, spec.dof:spec.dof + 3] = np.eye(3)
+    r = world_point - posed.grasp.translation
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = 1.0
+        J[:, spec.dof + 3 + k] = np.cross(e, r)
+    return J
+
+
+def retarget_reference(problem):
+    """``retarget.retarget`` as first written, on the per-link kinematics
+    above: one fingertip Jacobian at a time. Returns (q, trace,
+    iterations)."""
+    from graspsynth.hands.model import Grasp, apply_coupling
+    from graspsynth.retarget import (MAX_ITERS, PATIENCE, SMOOTH_EPS, TOL,
+                                     _direct_init, _mapped_targets)
+
+    spec = problem.robot
+    target_q, mask = _mapped_targets(problem)
+    tip_names = [f.name for f in spec.fingertip_frames]
+    tip_targets = np.array([problem.task_points[n] for n in tip_names])
+
+    a = _direct_init(problem, target_q, mask)
+    lo_a = spec.actuated_limits[:, 0]
+    hi_a = spec.actuated_limits[:, 1]
+
+    def evaluate(a_vec, with_grad=False):
+        q = apply_coupling(spec, a_vec)[0]
+        posed = forward_kinematics_per_link(
+            spec, Grasp(q, np.array([1.0, 0, 0, 0]), np.zeros(3)))
+        tips = posed.fingertip_points
+        residuals = tip_targets - tips
+        norms = np.linalg.norm(residuals, axis=1)
+        joint_err = np.abs(target_q - q)[mask]
+        value = (problem.alpha_task * norms.sum()
+                 + problem.alpha_joint * joint_err.sum())
+        if not with_grad:
+            return value
+        grad_q = np.zeros(spec.dof)
+        for k, frame in enumerate(spec.fingertip_frames):
+            J = point_jacobian_per_joint(spec, posed, frame.link,
+                                         tips[k])[:, :spec.dof]
+            unit = residuals[k] / np.sqrt(norms[k] ** 2 + SMOOTH_EPS ** 2)
+            grad_q += problem.alpha_task * (-J.T @ unit)
+        diff = q - target_q
+        smooth_sign = diff / np.sqrt(diff ** 2 + SMOOTH_EPS ** 2)
+        grad_q[mask] += problem.alpha_joint * smooth_sign[mask]
+        return value, spec.coupling.T @ grad_q
+
+    value, grad = evaluate(a, with_grad=True)
+    trace = [value]
+    step = 0.05
+    stale = 0
+    iters = 0
+    for iters in range(1, MAX_ITERS + 1):
+        accepted = False
+        for _ in range(30):
+            cand = np.clip(a - step * grad, lo_a, hi_a)
+            cand_value = evaluate(cand)
+            if cand_value < value - 1e-15:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            trace.append(value)
+            break
+        improvement = value - cand_value
+        a = cand
+        value = cand_value
+        _, grad = evaluate(a, with_grad=True)
+        trace.append(value)
+        step = min(step * 1.5, 1.0)
+        stale = stale + 1 if improvement < TOL else 0
+        if stale >= PATIENCE:
+            break
+    return apply_coupling(spec, a)[0], trace, iters

@@ -53,6 +53,11 @@ def test_traced_fit_view_run_ends_with_its_result_object():
     _traced_result("fit_view")
 
 
+def test_traced_category_transfer_run_ends_with_its_result_object():
+    # the retarget and forward-kinematics path under the tracer's wrappers
+    _traced_result("category_transfer")
+
+
 def test_every_traced_boundary_is_in_the_program():
     # a boundary the program no longer has turns its metrics into null
     sys.path.insert(0, str(ROOT / "benchmark"))

@@ -179,7 +179,9 @@ def test_eval_command(workspace):
 @pytest.mark.parametrize("damage,message", [
     (lambda d: d.update(q="x"), "'q' must be a list of numbers"),
     (lambda d: d.update(wrist="x"), "'wrist' must be an object"),
-], ids=["q-not-numbers", "wrist-not-an-object"])
+    (lambda d: d["wrist"].update(rotation=[float("nan"), 0.0, 0.0, 0.0]),
+     "'wrist.rotation' must be finite"),
+], ids=["q-not-numbers", "wrist-not-an-object", "rotation-nan"])
 def test_eval_bad_grasp_exit_2(workspace, tmp_path, capsys, damage, message):
     # these grasp/1 documents used to end in a traceback with exit code 1
     doc = json.loads((workspace / "run1" / "wand_0.grasp.json").read_text())

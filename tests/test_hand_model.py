@@ -7,13 +7,15 @@ import pytest
 from graspsynth import transforms as tf
 from graspsynth.errors import InvalidInputError
 from graspsynth.geometry import Primitive
-from graspsynth.hands import (Grasp, HandSpec, Link, apply_coupling,
-                              builtin_hand, builtin_hand_names,
+from graspsynth.hands import (Anchor, FingertipFrame, Grasp, HandSpec, Link,
+                              apply_coupling, builtin_hand, builtin_hand_names,
                               forward_kinematics, handspec_from_dict,
-                              handspec_to_dict, make_grasp, point_jacobian)
+                              handspec_to_dict, make_grasp, point_jacobian,
+                              point_jacobian_world)
 
 from oracles import (finite_difference_jacobian, fk_matrix_chain,
-                     link_sample_points, rot_about)
+                     forward_kinematics_per_link, link_sample_points,
+                     point_jacobian_per_joint, rot_about)
 
 HANDS = ["human", "coupled9", "quad16", "pinch1"]
 
@@ -119,6 +121,49 @@ def test_fk_matches_matrix_chain_oracle(hand):
             assert np.allclose(world, T[:3, :3] @ a.local + T[:3, 3], atol=1e-8)
 
 
+def _assert_fk_is_per_link_oracle(spec, rng, poses):
+    # the array kinematics do the per-link loop's float operations in its
+    # order, so every output is the same bits: poses, samples, anchors,
+    # fingertips and the point Jacobians of the anchors and fingertips
+    frames = spec.anchors + spec.fingertip_frames
+    for k in range(poses):
+        q = [rng.uniform(spec.lower, spec.upper), spec.lower, spec.upper,
+             np.where(rng.random(spec.dof) < 0.5, spec.lower, spec.upper),
+             ][k % 4]
+        rotation = (tf.IDENTITY_QUAT if k % 5 == 0
+                    else tf.rotvec_to_quat(rng.normal(size=3)))
+        grasp = Grasp(q, rotation, rng.normal(scale=5.0, size=3))
+        posed = forward_kinematics(spec, grasp)
+        want = forward_kinematics_per_link(spec, grasp)
+        for name in ("rotations", "translations", "sample_points",
+                     "anchor_points", "fingertip_points"):
+            got, ref = getattr(posed, name), getattr(want, name)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (
+                spec.name, k, name)
+        points = np.vstack([posed.anchor_points, posed.fingertip_points])
+        for frame, point in zip(frames, points):
+            J = point_jacobian_world(spec, posed, frame.link, point)
+            ref = point_jacobian_per_joint(spec, want, frame.link, point)
+            assert J.tobytes() == ref.tobytes(), (spec.name, k, frame.name)
+            J = point_jacobian(spec, grasp, frame.link, frame.local)
+            assert J.tobytes() == ref.tobytes(), (spec.name, k, frame.name)
+
+
+@pytest.mark.parametrize("hand", HANDS)
+def test_fk_matches_per_link_oracle_bit_for_bit(hand):
+    _assert_fk_is_per_link_oracle(builtin_hand(hand), np.random.default_rng(16),
+                                  poses=50)
+
+
+def test_fk_matches_per_link_oracle_on_random_chains():
+    # the builtin fingertips sit on a link axis, where any order of the
+    # three products gives the same bits; these frames do not
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        spec = random_chain(rng, n_links=int(rng.integers(2, 8)), frames=4)
+        _assert_fk_is_per_link_oracle(spec, rng, poses=8)
+
+
 def test_fk_equivariance_under_rigid_transform():
     spec = builtin_hand("human")
     rng = np.random.default_rng(3)
@@ -147,6 +192,20 @@ def test_anchor_continuity_in_q():
     assert np.abs(bumped - base).max() < 1e-4
 
 
+def test_nan_quaternion_is_invalid_input():
+    # abs(nan - 1) > 1e-8 is False, so a NaN used to pass the unit check
+    with pytest.raises(InvalidInputError, match="unit quaternion"):
+        Grasp(np.zeros(2), [np.nan, 0.0, 0.0, 0.0], np.zeros(3))
+
+
+def test_nan_axis_is_invalid_input():
+    links = [Link("base", -1, np.eye(3), np.zeros(3), "fixed"),
+             Link("j", 0, np.eye(3), np.zeros(3), "revolute",
+                  np.array([np.nan, 0.0, 0.0]), (-1.0, 1.0))]
+    with pytest.raises(InvalidInputError, match="link j: axis must be unit"):
+        HandSpec("nan-axis", links)
+
+
 def test_q_length_mismatch():
     spec = two_link_finger()
     with pytest.raises(InvalidInputError):
@@ -171,8 +230,10 @@ def test_jacobian_base_link_zero_joint_columns():
     assert np.allclose(J[:, spec.dof:spec.dof + 3], np.eye(3))
 
 
-def random_chain(rng, n_links=5):
-    """Random kinematic chain: arbitrary axes, origins, and branching."""
+def random_chain(rng, n_links=5, frames=0):
+    """Random kinematic chain: arbitrary axes, origins, and branching, and
+    ``frames`` anchors and as many fingertip frames at random points of
+    random links."""
     links = [Link("root", -1, np.eye(3), np.zeros(3), "fixed",
                   primitives=[Primitive("sphere", (0.3,))], sample_count=4)]
     for k in range(1, n_links):
@@ -185,7 +246,15 @@ def random_chain(rng, n_links=5):
                           (-2.0, 2.0),
                           primitives=[Primitive("sphere", (0.2,))],
                           sample_count=4))
-    return HandSpec(f"rand{n_links}", links)
+
+    def frame(kind, k):
+        return kind(f"{kind.__name__}{k}", int(rng.integers(0, n_links)),
+                    rng.uniform(-2, 2, 3))
+
+    return HandSpec(f"rand{n_links}", links,
+                    anchors=[frame(Anchor, k) for k in range(frames)],
+                    fingertip_frames=[frame(FingertipFrame, k)
+                                      for k in range(frames)])
 
 
 def test_jacobian_property_over_random_chains():

@@ -89,6 +89,12 @@ def test_loaders_reject_wrong_schema(loader, schema):
     ("pinch1", lambda d: d.update(human_joint_map=[1]),
      "handspec/1 'human_joint_map' must be an object of joint names, "
      "got [1]"),
+    ("coupled9", lambda d: d["links"][2]["joint"].update(
+        axis=[float("nan"), 1, 0]),
+     "link index_proximal: 'axis' must be finite, got [nan, 1, 0]"),
+    ("coupled9", lambda d: d["anchors"][0].update(
+        local=[0, float("inf"), 0]),
+     "anchor index_tip: 'local' must be finite, got [0, inf, 0]"),
 ], ids=["anchor-link", "fingertip-link", "no-joint", "no-origin", "no-links",
         "no-name", "anchor-no-local", "links-not-a-list", "coupling-no-rows",
         "anchor-not-an-object", "coupling-not-an-object",
@@ -98,7 +104,8 @@ def test_loaders_reject_wrong_schema(loader, schema):
         "coupling-rows-ragged", "axis-two-numbers",
         "primitive-rotation-not-numbers", "primitive-translation-two-numbers",
         "primitive-params-a-number", "primitive-params-a-string",
-        "flexion-sign-not-a-number", "joint-map-not-an-object"])
+        "flexion-sign-not-a-number", "joint-map-not-an-object", "axis-nan",
+        "anchor-local-infinity"])
 def test_handspec_loader_names_what_is_wrong(hand, damage, message):
     # a malformed handspec/1 raises SchemaError naming the link and the
     # key, not a bare KeyError or AttributeError
@@ -137,9 +144,16 @@ def _grasp_doc():
     (lambda d: d["wrist"].update(translation=[0, 0]),
      "'wrist.translation' must be 3 numbers, got [0, 0]"),
     (lambda d: d.update(flags=3), "'flags' must be a list of strings, got 3"),
+    (lambda d: d.update(q=[0.1, float("nan")]),
+     "'q' must be finite, got [0.1, nan]"),
+    (lambda d: d["wrist"].update(rotation=[float("nan"), 0, 0, 0]),
+     "'wrist.rotation' must be finite, got [nan, 0, 0, 0]"),
+    (lambda d: d["wrist"].update(translation=[0, float("inf"), 0]),
+     "'wrist.translation' must be finite, got [0, inf, 0]"),
 ], ids=["q-not-numbers", "q-nested", "wrist-not-an-object",
         "rotation-not-numbers", "rotation-three-numbers",
-        "translation-two-numbers", "flags-not-a-list"])
+        "translation-two-numbers", "flags-not-a-list", "q-nan",
+        "rotation-nan", "translation-infinity"])
 def test_grasp_loader_names_the_bad_key(damage, message):
     # grasp/1 values of the wrong type or length raise SchemaError naming
     # the key, not a ValueError or TypeError, and are not accepted as is
@@ -148,6 +162,19 @@ def test_grasp_loader_names_the_bad_key(damage, message):
     with pytest.raises(SchemaError,
                        match=re.escape(f"grasp/1 document: {message}")):
         grasp_from_dict(doc)
+
+
+def test_grasp_loader_refuses_json_nan_and_infinity():
+    # Python's json reads NaN and Infinity as numbers
+    text = json.dumps(_grasp_doc()).replace("0.2", "NaN")
+    with pytest.raises(SchemaError,
+                       match=re.escape("grasp/1 document: 'q' must be finite")):
+        grasp_from_dict(json.loads(text))
+    text = json.dumps(_grasp_doc()).replace(
+        '"translation": [0.0, 0.0, 0.0]', '"translation": [0.0, -Infinity, 0.0]')
+    with pytest.raises(SchemaError, match=re.escape(
+            "grasp/1 document: 'wrist.translation' must be finite")):
+        grasp_from_dict(json.loads(text))
 
 
 def test_runconfig_rejects_unknown_keys():

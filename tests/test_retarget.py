@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from graspsynth.hands import (FingertipFrame, HandSpec, Link, builtin_hand,
                               forward_kinematics, make_grasp)
 from graspsynth.retarget import RetargetProblem, problem_from_demo, retarget
 
-from oracles import rot_about
+from oracles import retarget_reference, rot_about
 
 
 def _human_problem(cylinder_scene, robot=None, **kw):
@@ -123,3 +125,48 @@ def test_coupled_hand_reduces_task_error(cylinder_scene):
     tips0 = posed0.fingertip_points  # identity wrist: already wrist frame
     err0 = np.linalg.norm(tips_t - tips0, axis=1).sum()
     assert err < err0
+
+
+@functools.lru_cache(maxsize=None)
+def _demo(name):
+    from graspsynth.fixtures import cylinder_demo, template_demo
+    return cylinder_demo()[0] if name == "cylinder" else template_demo(name)[0]
+
+
+@pytest.mark.parametrize("hand", ["coupled9", "human", "pinch1", "quad16"])
+@pytest.mark.parametrize("demo", ["cylinder", "bottle", "tumbler", "wand"])
+def test_matches_reference_solver_bit_for_bit(demo, hand):
+    # the array Jacobians change no bit of the descent: same q, the same
+    # trace and the same iteration count as the per-joint solver
+    problem = problem_from_demo(_demo(demo), builtin_hand(hand))
+    result = retarget(problem)
+    q, trace, iterations = retarget_reference(problem)
+    assert result.grasp.q.tobytes() == q.tobytes()
+    assert np.array(result.trace).tobytes() == np.array(trace).tobytes()
+    assert result.iterations == iterations
+
+
+def test_matches_reference_solver_on_random_fingertips():
+    # the builtin fingertips sit on a link axis; these are general points,
+    # on random chains with every other joint mapped onto a human joint,
+    # and a joint weight low enough that the descent moves them
+    from test_hand_model import random_chain
+
+    rng = np.random.default_rng(62)
+    for _ in range(4):
+        chain = random_chain(rng, n_links=int(rng.integers(3, 7)), frames=3)
+        revolute = [l.name for l in chain.links if l.joint_type == "revolute"]
+        robot = HandSpec(chain.name, chain.links,
+                         fingertip_frames=chain.fingertip_frames,
+                         human_joint_map={n: f"human_{n}"
+                                          for n in revolute[::2]})
+        problem = RetargetProblem(
+            robot, {f"human_{n}": rng.uniform(-1, 1) for n in revolute},
+            {f.name: rng.uniform(-3, 3, 3) for f in robot.fingertip_frames},
+            tf.IDENTITY_QUAT, np.zeros(3), alpha_joint=0.5)
+        result = retarget(problem)
+        q, trace, iterations = retarget_reference(problem)
+        assert iterations > 1 and trace[-1] < trace[0]
+        assert result.grasp.q.tobytes() == q.tobytes()
+        assert np.array(result.trace).tobytes() == np.array(trace).tobytes()
+        assert result.iterations == iterations

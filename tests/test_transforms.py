@@ -61,3 +61,22 @@ def test_rotation_distance_basics():
     assert tf.quat_rotation_distance(q, q) == 0.0
     assert tf.quat_rotation_distance(q, -np.asarray(q)) == 0.0
     assert tf.quat_rotation_distance(q, p) == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    # same products and differences as np.cross, so the same bits, signed
+    # zeros included, under broadcasting
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(4, 5, 3))
+    b = rng.normal(size=(5, 3))
+    a[0] = 0.0
+    a[1] = -0.0
+    b[::2, 1] = -0.0
+    cases = [(a, b), (b, a), (a[2], b), (np.eye(3), b[3]), (-np.eye(3), b[3]),
+             (b[3], a[1, 0]), (a, a)]
+    for x, y in cases:
+        want = np.cross(x, y)
+        got = tf.cross(x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(tf.cross(a, b)[1]).any()
