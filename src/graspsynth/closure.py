@@ -36,7 +36,7 @@ def _dof_sample_masks(spec):
 
 
 def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
-                  substeps=20, stop_self=False):
+                  substeps=20, stop_self=False, reference=None):
     """Advance every flexion joint by up to ``delta`` toward the palm.
 
     Per-joint stop at first contact of its own segment (object SDF <=
@@ -51,14 +51,26 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     unsigned, and so is a constant field), and must give each point a
     value that does not depend on the other points in the call. The
     march only compares values with ``STOP_SDF`` and ``-2 * STOP_SDF``,
-    so after the first substep, which queries every sample, a sample
-    keeps its last exact value ``d_ref`` and where it was taken,
-    ``p_ref``. A sample that moved by ``m`` since then lies in
-    ``[d_ref - m, d_ref + m]``, widened by ``MARGIN`` for rounding; it is
-    queried again only when that interval holds a threshold, so the
-    decisions, and q, are those of exact values.
-    Forward kinematics poses a link whose joints did not change bit for
-    bit as before, so the samples of frozen fingers keep their values.
+    so after the first query of every sample, a sample keeps its last
+    exact value ``d_ref`` and where it was taken, ``p_ref``. A sample
+    that moved by ``m`` since then lies in ``[d_ref - m, d_ref + m]``,
+    widened by ``MARGIN`` for rounding; it is queried again only when
+    that interval holds a threshold, so the decisions, and q, are those
+    of exact values. Forward kinematics poses a link whose joints did not
+    change bit for bit as before, so the samples of frozen fingers keep
+    their values.
+
+    ``reference`` carries ``[p_ref, d_ref]`` from one march to the next
+    over the same ``object_sdf``: an empty list is filled at the first
+    substep, which then queries every sample, and a filled one is
+    updated in place, its first substep asking only what the bound
+    rule asks. Without it a march starts from a fresh query.
+
+    Only active joints read whether a sample rests on another link, so
+    with ``stop_self`` the hand-link distances are evaluated only on the
+    samples an active joint moves; a sample's distances do not depend on
+    the other points of the call, so these are bit for bit those
+    columns of ``self_distances``.
     """
     q = grasp.q.copy()
     lower, upper = spec.lower, spec.upper
@@ -70,20 +82,24 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
     targets = np.clip(q + signs * delta, lower, upper)
     active = (signs != 0) & (np.abs(targets - q) > 1e-12)
     thresholds = (STOP_SDF, -2 * STOP_SDF)
-    p_ref = d_ref = None
+    if reference is None:
+        reference = []
+    if stop_self:
+        contact_mask = spec.self_contact_mask()
 
     def stopped(q):
         """Joints whose own samples touch the object, or that move a
         sample that penetrates it (or, with ``stop_self``, rests on
-        another finger: the whole chain stops pressing)."""
-        nonlocal p_ref, d_ref
+        another finger: the whole chain stops pressing). Only the
+        samples an active joint moves are checked against other links."""
         posed = forward_kinematics(spec, replace(grasp, q=q))
         points = posed.sample_points
-        if d_ref is None:
-            p_ref = points.copy()
-            d_ref = np.array(object_sdf(points), dtype=float)
-            d_max = d_ref
+        if not reference:
+            reference[:] = [points.copy(),
+                            np.array(object_sdf(points), dtype=float)]
+            d_max = reference[1]
         else:
+            p_ref, d_ref = reference
             moved = np.any(points != p_ref, axis=1)
             slack = np.zeros(len(points))
             slack[moved] = (np.linalg.norm(points[moved] - p_ref[moved],
@@ -99,7 +115,15 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
             d_max = d_ref + slack
         blocked = d_max < -2 * STOP_SDF
         if stop_self:
-            blocked |= posed.self_distances().min(axis=0) <= STOP_SDF
+            cols = moves[active].any(axis=0)
+            # numpy takes a one-row product through its matrix-vector
+            # routine, whose last bit can differ from the batch's: a lone
+            # column is evaluated with a neighbour
+            if np.count_nonzero(cols) == 1:
+                cols[np.argmax(cols) - 1] = True
+            touch = np.where(contact_mask[:, cols],
+                             posed.link_distances(points[cols]), np.inf)
+            blocked[cols] |= touch.min(axis=0) <= STOP_SDF
         return ((carries & (d_max <= STOP_SDF)).any(axis=1)
                 | (moves & blocked).any(axis=1))
 
@@ -120,15 +144,18 @@ def close_until_contact(spec, grasp, object_sdf):
     Marches of 4 degrees sweep at most 160 degrees. Self-contact
     stopping is on, so authored demonstration hands neither pass through
     the object nor through themselves. Substeps are fine (0.5 degrees)
-    to keep contact overshoot below the stop tolerance.
+    to keep contact overshoot below the stop tolerance. The marches
+    share one object-distance ``reference``, so only the first queries
+    every sample; q is that of fresh marches, bit for bit.
     """
     step = np.deg2rad(4.0)
     q = grasp.q.copy()
     swept = 0.0
+    reference = []
     while swept < np.deg2rad(160):
         g = replace(grasp, q=q)
         q_new = march_closure(spec, g, object_sdf, delta=step, substeps=8,
-                              stop_self=True)
+                              stop_self=True, reference=reference)
         if np.abs(q_new - q).max() < 1e-9:
             break
         q = q_new

@@ -70,8 +70,9 @@ class LossWeights:
     def __post_init__(self):
         for name in ("lam1", "lam2", "lam3", "lam4", "lam5", "lam6", "lam7",
                      "d1", "d2", "anchor_weight"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be >= 0")
+            # written so that a NaN fails it too
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be finite and >= 0")
         if self.map_norm not in ("sum", "mean"):
             raise InvalidInputError("map_norm must be 'sum' or 'mean'")
 

@@ -299,6 +299,9 @@ class Grasp:
         # written so that a NaN fails it too
         if not abs(np.linalg.norm(self.rotation) - 1.0) <= 1e-8:
             raise InvalidInputError("grasp rotation must be a unit quaternion")
+        for name in ("q", "translation"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidInputError(f"grasp {name} must be finite")
 
     def wrist_matrix(self):
         return tf.quat_to_matrix(self.rotation), self.translation

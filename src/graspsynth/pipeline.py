@@ -11,6 +11,7 @@ outputs with content hashes (the golden-file regression surface).
 import hashlib
 import json
 import pathlib
+import sys
 import traceback
 from dataclasses import asdict, dataclass, field
 
@@ -69,7 +70,8 @@ class RunConfig:
 def _typed(cls, doc, where):
     """The dataclass ``cls`` from the JSON object ``doc``: each key a field
     and each value of the field's type (an int is a float, a bool is
-    neither, a dataclass takes an object), else a SchemaError naming it."""
+    neither, a number is finite, a dataclass takes an object), else a
+    SchemaError naming it."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where} must be an object, got {doc!r:.40}")
     fields = cls.__dataclass_fields__
@@ -84,6 +86,10 @@ def _typed(cls, doc, where):
         elif isinstance(value, bool) or not isinstance(
                 value, (int, float) if kind is float else kind):
             raise SchemaError(f"{where}: {key!r} must be {kind.__name__}, "
+                              f"got {value!r:.40}")
+        # written so that a NaN, and an int past any float, fails it too
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            raise SchemaError(f"{where}: {key!r} must be finite, "
                               f"got {value!r:.40}")
         values[key] = value
     return cls(**values)

@@ -368,6 +368,28 @@ def march_closure_per_link(spec, grasp, object_sdf, delta, stop_sdf,
     return np.clip(q, spec.lower, spec.upper)
 
 
+def close_until_contact_fresh(spec, grasp, object_sdf):
+    """``close_until_contact`` with a fresh march each time: every march
+    queries all hand samples at its first substep, as before the object
+    distances were carried from march to march."""
+    from graspsynth.closure import march_closure
+    from graspsynth.hands.model import Grasp
+
+    step = np.deg2rad(4.0)
+    q = np.array(grasp.q, dtype=float)
+    swept = 0.0
+    while swept < np.deg2rad(160):
+        q_new = march_closure(spec, Grasp(q, grasp.rotation,
+                                          grasp.translation),
+                              object_sdf, delta=step, substeps=8,
+                              stop_self=True)
+        if np.abs(q_new - q).max() < 1e-9:
+            break
+        q = q_new
+        swept += step
+    return q
+
+
 def penetration_volume_full_grid(posed, mesh, spacing=0.25):
     """Hand-object overlap volume over every cell of the object's voxel
     grid: cells whose center ``voxelize`` marks occupied and the hand SDF

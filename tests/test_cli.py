@@ -159,6 +159,19 @@ def test_synthesize_config_weight_not_a_number_exit_2(workspace, tmp_path,
             in capsys.readouterr().err)
 
 
+def test_synthesize_config_weight_nan_exit_2(workspace, tmp_path, capsys):
+    # a NaN weight used to be accepted, and the optimizer's loss was NaN
+    cat = workspace / "data" / "wand"
+    bad = tmp_path / "config.json"
+    bad.write_text('{"schema": "config/1", "weights": {"lam1": NaN}}')
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", "pinch1",
+                 "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("error: config 'weights': 'lam1' must be finite, got nan"
+            in capsys.readouterr().err)
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

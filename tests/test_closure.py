@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from graspsynth.closure import MARGIN, STOP_SDF, march_closure
+from graspsynth.closure import (MARGIN, STOP_SDF, close_until_contact,
+                                march_closure)
 from graspsynth.fixtures import cylinder_mesh, wrap_grasp_pose
 from graspsynth.geometry import MeshSDF
-from graspsynth.hands import builtin_hand, forward_kinematics
+from graspsynth.hands import (builtin_hand, forward_kinematics,
+                              handspec_from_dict, handspec_to_dict)
 from graspsynth.hands.model import Grasp, apply_coupling
 from graspsynth.metrics import CONTACT_BAND, ContactSet, closure_contacts
 
-from oracles import link_sample_points, march_closure_per_link
+from oracles import (close_until_contact_fresh, link_sample_points,
+                     march_closure_per_link)
 
 
 @pytest.fixture(scope="module")
@@ -17,22 +20,31 @@ def cylinder_sdf():
     return mesh, MeshSDF(mesh)
 
 
-def _grasps_near(spec, mesh, sdf, rng, n=3):
-    """Seeded grasps in the wrap pose: half-curled joints and a jittered
-    wrist, moved along the approach axis so the deepest hand sample lands
-    near the surface (a draw between 0.15 cm inside and 0.1 cm outside)."""
+def _grasps_near(spec, mesh, sdf, rng, curl=(0.3, 0.8), gap=(-0.15, 0.1)):
+    """Three seeded grasps in the wrap pose: joints at a ``curl`` draw of
+    their range (by default half-curled) and a jittered wrist, moved along
+    the approach axis so the deepest hand sample lies a ``gap`` draw
+    outside the surface (by default between 0.15 cm inside and 0.1 cm
+    outside)."""
     rotation, translation = wrap_grasp_pose(mesh)
     lo, hi = spec.actuated_limits[:, 0], spec.actuated_limits[:, 1]
     out = []
-    for _ in range(n):
-        q, _ = apply_coupling(spec, lo + rng.uniform(0.3, 0.8, spec.doa)
+    for _ in range(3):
+        q, _ = apply_coupling(spec, lo + rng.uniform(*curl, spec.doa)
                               * (hi - lo))
         t = translation + rng.uniform(-0.5, 0.5, 3)
         posed = forward_kinematics(spec, Grasp(q, rotation, t))
         deepest = float(sdf.query(posed.all_sample_points()[0]).min())
-        t[1] += rng.uniform(-0.15, 0.1) - deepest
+        t[1] += rng.uniform(*gap) - deepest
         out.append(Grasp(q, rotation, t))
     return out
+
+
+def _open_grasps(spec, mesh, sdf):
+    """Authoring starts: joints in the first fifth of their range, the
+    hand 0.2 to 1 cm from the surface."""
+    return _grasps_near(spec, mesh, sdf, np.random.default_rng(5),
+                        curl=(0.0, 0.2), gap=(0.2, 1.0))
 
 
 @pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
@@ -145,3 +157,124 @@ def test_march_closure_requeries_only_moved_samples(hand, cylinder_sdf,
                 asking += want.any()
     # the bound both spared queries and sent samples back to the object
     assert skipping > 0 and asking > 0
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_close_until_contact_matches_fresh_marches(hand, cylinder_sdf):
+    # carrying the object distances from march to march, and checking
+    # self-touch only where an active joint moves, leave q bit for bit
+    # where fresh marches over every sample put it
+    mesh, sdf = cylinder_sdf
+    spec = builtin_hand(hand)
+    for grasp in _open_grasps(spec, mesh, sdf):
+        q = close_until_contact(spec, grasp, sdf.query)
+        assert np.array_equal(q, close_until_contact_fresh(spec, grasp,
+                                                           sdf.query))
+        assert not np.array_equal(q, grasp.q)
+
+
+@pytest.mark.parametrize("hand", ["human", "pinch1"])
+def test_close_until_contact_asks_no_unmoved_sample_again(hand, cylinder_sdf,
+                                                          monkeypatch):
+    # the first march asks every sample once; after that a sample is
+    # asked again only from a position other than where it was last asked,
+    # so a later march does not start by asking the samples it inherits
+    import graspsynth.closure as closure
+
+    mesh, sdf = cylinder_sdf
+    spec = builtin_hand(hand)
+    n = len(spec.sample_links())
+    posed, marches = [], []
+    real_fk, real_march = closure.forward_kinematics, closure.march_closure
+
+    def recording_fk(spec, grasp):
+        result = real_fk(spec, grasp)
+        posed.append(result.sample_points)
+        return result
+
+    def counting_march(*args, **kwargs):
+        marches.append(kwargs["reference"])
+        return real_march(*args, **kwargs)
+
+    def recording_sdf(points):
+        match = (points[:, None] == posed[-1][None]).all(axis=2)
+        assert np.all(match.sum(axis=1) == 1)
+        rows = match.argmax(axis=1)
+        assert not np.any((asked_at[rows] == points).all(axis=1))
+        asked_at[rows] = points
+        calls.append(len(points))
+        return sdf.query(points)
+
+    monkeypatch.setattr(closure, "forward_kinematics", recording_fk)
+    monkeypatch.setattr(closure, "march_closure", counting_march)
+    for grasp in _open_grasps(spec, mesh, sdf):
+        posed.clear()
+        marches.clear()
+        asked_at, calls = np.full((n, 3), np.nan), []
+        closure.close_until_contact(spec, grasp, recording_sdf)
+        assert len(marches) > 1
+        assert all(ref is marches[0] for ref in marches)
+        assert calls[0] == n and n not in calls[1:]
+
+
+def _column_sets(spec, rng):
+    """Column subsets of the stacked hand samples: those that the joints
+    of random active sets move, as a march picks them, and random draws
+    of two or more columns."""
+    from graspsynth.closure import _dof_sample_masks
+
+    _, moves = _dof_sample_masks(spec)
+    n = moves.shape[1]
+    out = [moves[rng.uniform(size=spec.dof) < p].any(axis=0)
+           for p in (0.2, 0.5, 0.8)]
+    for size in (2, 3, 17, n // 2, n - 1):
+        cols = np.zeros(n, dtype=bool)
+        cols[rng.choice(n, size, replace=False)] = True
+        out.append(cols)
+    return out
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_link_distances_of_a_column_subset_are_those_columns(hand):
+    # the march evaluates self-touch only on the samples an active joint
+    # moves: a sample's link distances must not depend on the other points
+    # of the call, bit for bit (a single point takes numpy's matrix-vector
+    # product, whose last bit can differ; the march never asks one alone)
+    spec = builtin_hand(hand)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        q = spec.lower + rng.uniform(size=spec.dof) * (spec.upper - spec.lower)
+        posed = forward_kinematics(spec, Grasp(q, [1.0, 0.0, 0.0, 0.0],
+                                               rng.normal(size=3)))
+        points = posed.sample_points
+        full = posed.link_distances(points)
+        for cols in _column_sets(spec, rng):
+            assert np.array_equal(posed.link_distances(points[cols]),
+                                  full[:, cols])
+
+
+def test_march_closure_never_checks_self_touch_on_one_sample(monkeypatch):
+    # pinch1 with a one-sample thumb, the index finger already at its
+    # limit: only the thumb's joint is active, and its lone sample is
+    # evaluated with a neighbour
+    from graspsynth.hands.model import PosedHand
+
+    doc = handspec_to_dict(builtin_hand("pinch1"))
+    for link in doc["links"]:
+        if link["name"] == "thumb_distal":
+            link["samples"] = 1
+    spec = handspec_from_dict(doc)
+    q = np.zeros(spec.dof)
+    q[1] = spec.upper[1]
+    sizes = []
+    real = PosedHand.link_distances
+
+    def recording(self, points):
+        sizes.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(PosedHand, "link_distances", recording)
+    march_closure(spec, Grasp(q, [1.0, 0.0, 0.0, 0.0], np.zeros(3)),
+                  lambda p: np.full(len(p), 9.0), delta=np.deg2rad(20.0),
+                  substeps=4, stop_self=True)
+    assert sizes and set(sizes) == {2}

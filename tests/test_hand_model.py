@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -196,6 +197,18 @@ def test_nan_quaternion_is_invalid_input():
     # abs(nan - 1) > 1e-8 is False, so a NaN used to pass the unit check
     with pytest.raises(InvalidInputError, match="unit quaternion"):
         Grasp(np.zeros(2), [np.nan, 0.0, 0.0, 0.0], np.zeros(3))
+
+
+@pytest.mark.parametrize("field", ["q", "translation"])
+def test_nonfinite_grasp_is_invalid_input(field):
+    # only the loaders checked q and translation; a Grasp built in Python
+    # took NaN or infinity and forward kinematics posed NaN fingertips
+    spec = builtin_hand("pinch1")
+    bad = {"q": np.full(spec.dof, np.nan),
+           "translation": np.array([0.0, np.inf, 0.0])}
+    with pytest.raises(InvalidInputError,
+                       match=f"grasp {field} must be finite"):
+        replace(make_grasp(spec), **{field: bad[field]})
 
 
 def test_nan_axis_is_invalid_input():

@@ -6,10 +6,11 @@ import pytest
 
 from graspsynth.contact import (bundle_from_dict, load_demo, save_demo)
 from graspsynth.correspondence import dsc_from_dict
-from graspsynth.errors import SchemaError
+from graspsynth.errors import InvalidInputError, SchemaError
 from graspsynth.fit import state_from_dict
 from graspsynth.fixtures import cylinder_mesh
 from graspsynth.geometry import save_obj
+from graspsynth.grasp_opt import LossWeights
 from graspsynth.hands import (builtin_hand, grasp_from_dict,
                               handspec_from_dict, handspec_to_dict, make_grasp,
                               save_handspec)
@@ -192,13 +193,34 @@ def test_runconfig_rejects_unknown_keys():
     ({"seed": "x"}, "config: 'seed' must be int, got 'x'"),
     ({"restarts": 2.5}, "config: 'restarts' must be int, got 2.5"),
     ({"steps": True}, "config: 'steps' must be int, got True"),
+    # Python's json reads NaN and Infinity as numbers, and a NaN weight
+    # passed the old ``value < 0`` check
+    ({"weights": {"lam1": float("nan")}},
+     "config 'weights': 'lam1' must be finite, got nan"),
+    ({"weights": {"d1": float("inf")}},
+     "config 'weights': 'd1' must be finite, got inf"),
+    ({"tau_c": float("nan")}, "config: 'tau_c' must be finite, got nan"),
+    ({"beta_smooth": float("inf")},
+     "config: 'beta_smooth' must be finite, got inf"),
+    ({"beta_mag": float("-inf")}, "config: 'beta_mag' must be finite, got -inf"),
+    ({"beta_mag": 10 ** 400}, "config: 'beta_mag' must be finite, got 1000"),
 ], ids=["weights-unknown-key", "weights-not-an-object", "weight-not-a-number",
-        "seed-not-a-number", "restarts-fraction", "steps-bool"])
+        "seed-not-a-number", "restarts-fraction", "steps-bool", "lam1-nan",
+        "d1-infinity", "tau_c-nan", "beta_smooth-infinity",
+        "beta_mag-minus-infinity", "beta_mag-past-any-float"])
 def test_runconfig_names_the_bad_key(doc, message):
     # config/1 values of the wrong type raise SchemaError naming the key,
-    # not a TypeError, and integer fields take integers only
+    # not a TypeError, integer fields take integers only, and numbers
+    # must be finite
     with pytest.raises(SchemaError, match=re.escape(message)):
         RunConfig.from_dict({"schema": "config/1", **doc})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_loss_weights_refuse_nan_and_infinity(value):
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("lam1 must be finite and >= 0")):
+        LossWeights(lam1=value)
 
 
 @pytest.mark.parametrize("doc", ["config/1", ["config/1"], 3, None],
