@@ -116,11 +116,6 @@ def march_closure(spec, grasp, object_sdf, delta=np.deg2rad(10.0),
         blocked = d_max < -2 * STOP_SDF
         if stop_self:
             cols = moves[active].any(axis=0)
-            # numpy takes a one-row product through its matrix-vector
-            # routine, whose last bit can differ from the batch's: a lone
-            # column is evaluated with a neighbour
-            if np.count_nonzero(cols) == 1:
-                cols[np.argmax(cols) - 1] = True
             touch = np.where(contact_mask[:, cols],
                              posed.link_distances(points[cols]), np.inf)
             blocked[cols] |= touch.min(axis=0) <= STOP_SDF

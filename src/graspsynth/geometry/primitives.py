@@ -82,7 +82,10 @@ def _box_sdf(p, params, with_gradient):
     q = np.abs(p) - params
     outside = np.maximum(q, 0.0)
     out_norm = _norm(outside)
-    d = out_norm + np.minimum(q.max(axis=-1), 0.0)
+    # the max over the last axis written out: numpy's reduction over a
+    # length-3 axis is many times slower, and max is exact either way
+    d = out_norm + np.minimum(
+        np.maximum(np.maximum(q[..., 0], q[..., 1]), q[..., 2]), 0.0)
     if not with_gradient:
         return d, None
     sign = np.where(p < 0.0, -1.0, 1.0)
@@ -109,8 +112,10 @@ def _unit(v, n, fallback):
 
 
 _FORMULAS = {"sphere": _sphere_sdf, "capsule": _capsule_sdf, "box": _box_sdf}
-# points per kernel pass: bounds the (points x primitives x 3) temporaries
-CHUNK = 4096
+# bytes of the largest temporary of a kernel pass, (points, P, 3) float64:
+# kept below glibc's 128 KiB mmap threshold, so the allocator reuses heap
+# memory instead of mapping fresh zeroed pages on every pass
+BUDGET = 104 * 1024
 
 
 class PrimitiveStack:
@@ -122,6 +127,14 @@ class PrimitiveStack:
     indexed by owner. Rows run by kind (in ``KINDS`` order), then owner
     order, then list position, so one formula call covers each kind;
     the nearest row wins ties in that order.
+
+    Points go through the kernel in passes of ``chunk`` =
+    ``max(2, BUDGET // (24 * P))`` points for P rows, so each pass's
+    (points, P, 3) temporaries stay within ``BUDGET`` bytes. No pass has
+    one point: numpy takes a one-row ``points @ M`` through its
+    matrix-vector routine, whose last bit can differ from the same row in
+    a batch, so a lone point is computed beside a neighbour and a value
+    never depends on how many points share the call.
     """
 
     def __init__(self, groups):
@@ -137,6 +150,7 @@ class PrimitiveStack:
         self.rotation = np.array([p.rotation for p in prims])
         # each row's own offset in its local frame, R^T t
         self.offset = np.array([p.translation @ p.rotation for p in prims])
+        self.chunk = max(2, BUDGET // (24 * len(prims)))
         self.blocks = []    # (formula, row slice, parameters) per kind
         for kind in KINDS:
             ks = [r for r, p in enumerate(prims) if p.kind == kind]
@@ -157,29 +171,59 @@ class PrimitiveStack:
         b = (translations[self.owner][:, None] @ R)[:, 0] + self.offset
         return R, R.transpose(1, 0, 2).reshape(3, -1), b.ravel()
 
+    def _passes(self, points, M, b):
+        """(output rows, local coordinates (m, P, 3)) per kernel pass.
+
+        A one-point pass is computed with the point before it, or with a
+        copy of itself when it is the only point, and only its own row is
+        kept."""
+        n = len(points)
+        for s in range(0, n, self.chunk):
+            e = min(s + self.chunk, n)
+            lo = max(min(s, e - 2), 0)
+            batch = points[lo:e] if e - lo > 1 else points[[s, s]]
+            local = batch @ M
+            local -= b
+            yield slice(s, e), local.reshape(len(batch), -1, 3)[s - e:]
+
+    def _distances(self, local):
+        """(m, P) distances from local coordinates (m, P, 3)."""
+        d = np.empty(local.shape[:2])
+        for formula, cols, params in self.blocks:
+            d[:, cols] = formula(local[:, cols], params, False)[0]
+        return d
+
     def query(self, rotations, translations, points, with_gradient=False):
         """Union SDF: min over all rows.
 
         Returns the distances, or with ``with_gradient`` (distances,
-        world gradients, owner of the nearest row).
+        world gradients, owner of the nearest row). Gradients come from
+        one formula call per kind, on the local points and parameters of
+        the rows that won only.
         """
         R, M, b = self._frames(rotations, translations)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.empty(len(points))
         nearest = np.empty(len(points), dtype=np.intp)
-        grad = np.empty((len(points), 3)) if with_gradient else None
-        for s in range(0, len(points), CHUNK):
-            d, g = _evaluate(points[s:s + CHUNK] @ M - b, self.blocks,
-                             with_gradient)
+        won_at = np.empty((len(points), 3)) if with_gradient else None
+        for out, local in self._passes(points, M, b):
+            d = self._distances(local)
             k = d.argmin(axis=1)
             n = np.arange(len(k))
-            best[s:s + CHUNK] = d[n, k]
-            nearest[s:s + CHUNK] = k
+            best[out] = d[n, k]
+            nearest[out] = k
             if with_gradient:
-                grad[s:s + CHUNK] = np.einsum("nij,nj->ni", R[k], g[n, k])
+                won_at[out] = local[n, k]
         if not with_gradient:
             return best
-        return best, grad, self.owner[nearest]
+        g = np.empty((len(points), 3))
+        for formula, cols, params in self.blocks:
+            won = (nearest >= cols.start) & (nearest < cols.stop)
+            if won.any():
+                rows = params[nearest[won] - cols.start]
+                g[won] = formula(won_at[won], rows, True)[1]
+        return (best, np.einsum("nij,nj->ni", R[nearest], g),
+                self.owner[nearest])
 
     def owner_distances(self, rotations, translations, points):
         """(G, N): each owner's union SDF at every point, owners in the
@@ -187,24 +231,11 @@ class PrimitiveStack:
         _, M, b = self._frames(rotations, translations)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(self._owner_starts), len(points)))
-        for s in range(0, len(points), CHUNK):
-            d, _ = _evaluate(points[s:s + CHUNK] @ M - b, self.blocks, False)
-            out[:, s:s + CHUNK] = np.minimum.reduceat(
-                d[:, self._by_owner], self._owner_starts, axis=1).T
+        for cols, local in self._passes(points, M, b):
+            out[:, cols] = np.minimum.reduceat(
+                self._distances(local)[:, self._by_owner],
+                self._owner_starts, axis=1).T
         return out
-
-
-def _evaluate(local, blocks, with_gradient):
-    """Distances (m, P) and local gradients (m, P, 3) or None, from local
-    coordinates (m, 3P)."""
-    local = local.reshape(len(local), -1, 3)
-    d = np.empty(local.shape[:2])
-    g = np.empty(local.shape) if with_gradient else None
-    for formula, cols, params in blocks:
-        d[:, cols], g_cols = formula(local[:, cols], params, with_gradient)
-        if with_gradient:
-            g[:, cols] = g_cols
-    return d, g
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,10 @@ class GraspScene:
             for i, sl in spec.sample_slices().items())
         self.matched_segments = [i for i in spec.segment_links()
                                  if spec.links[i].name in self.omega_m_target]
+        # where each segment's hand samples start, and each sample's segment
+        counts = [sl.stop - sl.start for sl in spec.sample_slices().values()]
+        self.segment_starts = np.cumsum([0] + counts[:-1])
+        self.sample_segment = np.repeat(np.arange(len(counts)), counts)
 
 
 class _GradientAccumulator:
@@ -244,30 +248,8 @@ class _ForwardPass:
                 self.hand_difs.append((i, dif, scale))
             hand_map_term = float(np.sum(per_seg)) if per_seg else 0.0
 
-        # --- knuckle attraction / non-pair repulsion: one KD query per
-        # target tree over all of H (a point's result does not depend on
-        # the others), then each segment's first argmin per tree
-        trees = scene.link_target_trees
-        queried = [tree.query(self.H) for tree in trees.values()]
-        dists = np.reshape([d for d, _ in queried], (len(trees), len(self.H)))
-        attract = 0.0
-        repel = 0.0
-        self.pulls = []     # (link, point, target point, distance, weight)
-        for i, sl in seg_slices.items():
-            first = dists[:, sl].argmin(axis=1) + sl.start
-            for j, (d, nearest), ia in zip(trees, queried, first):
-                dist = float(d[ia])
-                target = scene.link_targets[j]
-                if i == j:
-                    attract += dist
-                    if dist > 1e-12:
-                        self.pulls.append((i, self.H[ia], target[nearest[ia]],
-                                           dist, w.lam1))
-                else:
-                    repel += min(dist, w.d1)
-                    if 1e-12 < dist < w.d1:
-                        self.pulls.append((i, self.H[ia], target[nearest[ia]],
-                                           dist, -w.lam2))
+        # --- knuckle attraction / non-pair repulsion
+        attract, repel, self.pulls = self._pairs(seg_slices)
         loss_c = (contact_map_term + hand_map_term + w.lam1 * attract
                   - w.lam2 * repel)
 
@@ -301,6 +283,56 @@ class _ForwardPass:
             "self_penetration": loss_sp,
         }
         self.total = float(sum(self.terms.values()))
+
+    def _pairs(self, seg_slices):
+        """(attract, repel, pulls): for every hand segment and target
+        tree, the segment's sample nearest the tree and its distance,
+        summed as attraction on the segment's own tree and as truncated
+        repulsion on the others; pulls hold (link, point, target point,
+        distance, weight) of the pairs with a gradient.
+
+        Per tree, its own segment's samples get an exact search. A
+        repulsion pair reads its distance only below ``d1``, so the other
+        samples read inf beyond ``d1``: those farther than ``d1`` from the
+        tree's bounding box along some axis are not searched, and the rest
+        get a search bounded by ``d1``. One reduceat pass then gives every
+        segment's minimum and first argmin per tree; the sums run in
+        (segment, tree) order.
+        """
+        scene, w, H = self.scene, self.w, self.H
+        trees = scene.link_target_trees
+        dists = np.full((len(trees), len(H)), np.inf)
+        nearest = np.empty(dists.shape, dtype=np.intp)  # where dists < inf
+        # the factor covers the rounding of a gap and of a distance
+        reach = w.d1 * (1.0 + 1e-9)
+        for t, (j, tree) in enumerate(trees.items()):
+            gap = np.maximum(tree.mins - H, H - tree.maxes) <= reach
+            near = gap[:, 0] & gap[:, 1] & gap[:, 2]
+            dists[t, near], nearest[t, near] = tree.query(
+                H[near], distance_upper_bound=w.d1)
+            own = seg_slices[j]
+            dists[t, own], nearest[t, own] = tree.query(H[own])
+        mins = np.minimum.reduceat(dists, scene.segment_starts, axis=1)
+        rows = np.where(dists == mins[:, scene.sample_segment],
+                        np.arange(len(H)), len(H))
+        firsts = np.minimum.reduceat(rows, scene.segment_starts, axis=1)
+        attract = 0.0
+        repel = 0.0
+        pulls = []
+        for i, seg_mins, seg_firsts in zip(seg_slices, mins.T.tolist(),
+                                           firsts.T.tolist()):
+            for t, (j, dist, ia) in enumerate(zip(trees, seg_mins,
+                                                  seg_firsts)):
+                if i == j:
+                    attract += dist
+                    weight = w.lam1 if dist > 1e-12 else None
+                else:
+                    repel += min(dist, w.d1)
+                    weight = -w.lam2 if 1e-12 < dist < w.d1 else None
+                if weight is not None:
+                    target = scene.link_targets[j][nearest[t, ia]]
+                    pulls.append((i, H[ia], target, dist, weight))
+        return attract, repel, pulls
 
     def cloud_depth(self):
         """Deepest hand sample under the oriented object cloud (cm)."""

@@ -845,3 +845,62 @@ def retarget_reference(problem):
         if stale >= PATIENCE:
             break
     return apply_coupling(spec, a)[0], trace, iters
+
+
+def primitive_query_all_rows(stack, rotations, translations, points):
+    """``PrimitiveStack.query`` as first written: every point in one
+    ``points @ M`` product, every row's formula with its unit gradient,
+    and the nearest row's gradient kept. A lone point is computed as two
+    copies of itself, since a one-row product can differ in the last bit.
+
+    Returns (distances (N, P), world gradients (N, 3), nearest row (N,)).
+    """
+    R = rotations[stack.owner] @ stack.rotation
+    b = (translations[stack.owner][:, None] @ R)[:, 0] + stack.offset
+    M = R.transpose(1, 0, 2).reshape(3, -1)
+    points = np.asarray(points, dtype=float)
+    batch = np.repeat(points, 2, axis=0) if len(points) == 1 else points
+    local = (batch @ M - b.ravel()).reshape(len(batch), -1, 3)[:len(points)]
+    d = np.empty(local.shape[:2])
+    g = np.empty(local.shape)
+    for formula, cols, params in stack.blocks:
+        d[:, cols], g[:, cols] = formula(local[:, cols], params, True)
+    k = d.argmin(axis=1)
+    n = np.arange(len(k))
+    return d, np.einsum("nij,nj->ni", R[k], g[n, k]), k
+
+
+def forward_pass_pairs_per_segment(scene, grasp, ref, w):
+    """A ``grasp_opt._ForwardPass`` whose attraction/repulsion pairs come
+    from the loop first written for it: every target tree searched
+    exactly over all hand samples, then per segment and tree one
+    ``argmin`` over the segment's distances."""
+    from graspsynth.grasp_opt import _ForwardPass
+
+    class PairsPerSegment(_ForwardPass):
+        def _pairs(self, seg_slices):
+            trees = self.scene.link_target_trees
+            queried = [tree.query(self.H) for tree in trees.values()]
+            dists = np.reshape([d for d, _ in queried],
+                               (len(trees), len(self.H)))
+            attract = 0.0
+            repel = 0.0
+            pulls = []
+            for i, sl in seg_slices.items():
+                first = dists[:, sl].argmin(axis=1) + sl.start
+                for j, (d, nearest), ia in zip(trees, queried, first):
+                    dist = float(d[ia])
+                    target = self.scene.link_targets[j]
+                    if i == j:
+                        attract += dist
+                        if dist > 1e-12:
+                            pulls.append((i, self.H[ia], target[nearest[ia]],
+                                          dist, self.w.lam1))
+                    else:
+                        repel += min(dist, self.w.d1)
+                        if 1e-12 < dist < self.w.d1:
+                            pulls.append((i, self.H[ia], target[nearest[ia]],
+                                          dist, -self.w.lam2))
+            return attract, repel, pulls
+
+    return PairsPerSegment(scene, grasp, ref, w)

@@ -239,7 +239,7 @@ def test_link_distances_of_a_column_subset_are_those_columns(hand):
     # the march evaluates self-touch only on the samples an active joint
     # moves: a sample's link distances must not depend on the other points
     # of the call, bit for bit (a single point takes numpy's matrix-vector
-    # product, whose last bit can differ; the march never asks one alone)
+    # product; the kernel computes it beside a neighbour)
     spec = builtin_hand(hand)
     rng = np.random.default_rng(11)
     for _ in range(4):
@@ -255,8 +255,9 @@ def test_link_distances_of_a_column_subset_are_those_columns(hand):
 
 def test_march_closure_never_checks_self_touch_on_one_sample(monkeypatch):
     # pinch1 with a one-sample thumb, the index finger already at its
-    # limit: only the thumb's joint is active, and its lone sample is
-    # evaluated with a neighbour
+    # limit: only the thumb's joint is active, so the march asks the hand
+    # links' distances at the thumb's lone sample alone; its q must be that
+    # of a march that evaluates the lone sample beside a neighbour
     from graspsynth.hands.model import PosedHand
 
     doc = handspec_to_dict(builtin_hand("pinch1"))
@@ -266,15 +267,28 @@ def test_march_closure_never_checks_self_touch_on_one_sample(monkeypatch):
     spec = handspec_from_dict(doc)
     q = np.zeros(spec.dof)
     q[1] = spec.upper[1]
-    sizes = []
     real = PosedHand.link_distances
+
+    def march():
+        return march_closure(spec, Grasp(q, [1.0, 0.0, 0.0, 0.0], np.zeros(3)),
+                             lambda p: np.full(len(p), 9.0),
+                             delta=np.deg2rad(20.0), substeps=4,
+                             stop_self=True)
+
+    sizes = []
 
     def recording(self, points):
         sizes.append(len(points))
         return real(self, points)
 
     monkeypatch.setattr(PosedHand, "link_distances", recording)
-    march_closure(spec, Grasp(q, [1.0, 0.0, 0.0, 0.0], np.zeros(3)),
-                  lambda p: np.full(len(p), 9.0), delta=np.deg2rad(20.0),
-                  substeps=4, stop_self=True)
-    assert sizes and set(sizes) == {2}
+    q_march = march()
+    assert sizes and set(sizes) == {1}
+
+    def with_neighbour(self, points):
+        if len(points) > 1:
+            return real(self, points)
+        return real(self, np.vstack([points, self.sample_points[:1]]))[:, :1]
+
+    monkeypatch.setattr(PosedHand, "link_distances", with_neighbour)
+    assert np.array_equal(q_march, march())

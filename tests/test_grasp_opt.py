@@ -17,7 +17,8 @@ from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
                                     make_grasp)
 from graspsynth.metrics import self_penetration
 
-from oracles import (descend_reevaluate, link_sample_points, rot_about,
+from oracles import (descend_reevaluate, forward_pass_pairs_per_segment,
+                     link_sample_points, rot_about,
                      self_penetration_bruteforce)
 
 
@@ -342,6 +343,59 @@ def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
     rows += check(pressed, pressed, 10, refine_w, gesture_reference=pressed,
                   stop_depth=grasp_opt.REFINE_PENETRATION_GOAL)
     assert any(row["interpenetration"] > 0 for row in rows)
+
+
+@pytest.fixture(scope="module")
+def bottle_demo():
+    from graspsynth.fixtures import template_demo
+    demo, _, grasp, _ = template_demo("bottle")
+    return extract_bundle(demo, n_samples=2048, seed=0), grasp
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
+                                                    bottle_demo):
+    # bounded searches for the other links' trees and one reduceat pass
+    # must give the pulls, terms and total of the loop that searched every
+    # tree exactly and took one argmin per segment and tree, bit for bit
+    spec = builtin_hand(hand)
+    if hand == "human":
+        g = cylinder_scene["grasp"]
+        bundles = [extract_bundle(cylinder_scene["demo"], n_samples=2048,
+                                  seed=seed) for seed in (0, 1)]
+    else:
+        bundles, g = [bottle_demo[0]], bottle_demo[1]
+    lo, hi = spec.actuated_limits[:, 0], spec.actuated_limits[:, 1]
+    rng = np.random.default_rng(5)
+    far = False
+    for bundle in bundles:
+        for w in (LossWeights(), LossWeights(d1=0.5)):
+            scene = GraspScene(spec, bundle, w)
+            slices = spec.sample_slices()
+            for k in range(4):
+                a = lo + rng.uniform(0.2, 0.8, spec.doa) * (hi - lo)
+                t = g.translation + rng.normal(0.0, 0.5, 3)
+                if k == 3:      # moved off the object
+                    t = t + np.array([0.0, 0.0, 12.0])
+                grasp = Grasp(apply_coupling(spec, a)[0], tf.quat_normalize(
+                    tf.quat_mul(tf.rotvec_to_quat(rng.normal(0.0, 0.1, 3)),
+                                g.rotation)), t)
+                fwd = grasp_opt._ForwardPass(scene, grasp, grasp, w)
+                ref = forward_pass_pairs_per_segment(scene, grasp, grasp, w)
+                assert len(fwd.pulls) == len(ref.pulls)
+                for pull, o_pull in zip(fwd.pulls, ref.pulls):
+                    assert pull[0] == o_pull[0] and pull[3:] == o_pull[3:]
+                    assert np.array_equal(pull[1], o_pull[1])
+                    assert np.array_equal(pull[2], o_pull[2])
+                assert list(fwd.terms.items()) == list(ref.terms.items())
+                assert fwd.total == ref.total
+                assert np.array_equal(fwd.gradient(), ref.gradient())
+                # some segment with no other link's tree within d1
+                d = {j: tree.query(fwd.H)[0]
+                     for j, tree in scene.link_target_trees.items()}
+                far |= any(all(d[j][sl].min() >= w.d1 for j in d if j != i)
+                           for i, sl in slices.items())
+    assert far
 
 
 def test_optimize_monotone_and_within_limits(cylinder_scene, cylinder_bundle):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from graspsynth import transforms as tf
 from graspsynth.errors import InvalidInputError
 from graspsynth.geometry import Primitive, primitive_sdf, tessellate, union_sdf
+from graspsynth.geometry.primitives import PrimitiveStack
+from graspsynth.hands import builtin_hand, forward_kinematics
+from graspsynth.hands.model import Grasp
 
-from oracles import rot_about
+from oracles import primitive_query_all_rows, rot_about
+
+HANDS = ["human", "coupled9", "quad16", "pinch1"]
 
 
 def test_sphere_point_values():
@@ -101,3 +107,112 @@ def test_tessellation_approximates_sdf():
     mesh = tessellate(prim, segments=48)
     d = primitive_sdf(prim, mesh.vertices, with_gradient=False)
     assert np.abs(d).max() < 0.01
+
+
+def _random_pose(spec, rng):
+    q = spec.lower + rng.uniform(size=spec.dof) * (spec.upper - spec.lower)
+    posed = forward_kinematics(spec, Grasp(q, tf.quat_normalize(
+        rng.normal(size=4)), rng.normal(size=3)))
+    return posed.rotations, posed.translations
+
+
+def _feature_points(prims):
+    """Local points on each primitive's features: a capsule's axis, where
+    the gradient falls back to a fixed direction, and a box's centre,
+    face centres, edge midpoints and corners, where faces tie."""
+    out = []
+    for prim in prims:
+        if prim.kind == "capsule":
+            h = prim.params[1]
+            local = [[0.0, 0.0, z] for z in (-h, -0.5 * h, 0.0, h)]
+        elif prim.kind == "box":
+            he = np.asarray(prim.params)
+            signs = np.meshgrid(*[(-1.0, 0.0, 1.0)] * 3)
+            local = np.reshape(signs, (3, -1)).T * he
+        else:
+            local = [[0.0, 0.0, 0.0]]
+        out.append(np.asarray(local) @ prim.rotation.T + prim.translation)
+    return np.vstack(out)
+
+
+def _check_against_all_rows(stack, rotations, translations, points):
+    d, grad, k = primitive_query_all_rows(stack, rotations, translations,
+                                          points)
+    n = np.arange(len(points))
+    best, g, owner = stack.query(rotations, translations, points,
+                                 with_gradient=True)
+    assert np.array_equal(best, d[n, k])
+    assert np.array_equal(g, grad)
+    assert np.array_equal(owner, stack.owner[k])
+    assert np.array_equal(stack.query(rotations, translations, points),
+                          d[n, k])
+    owners = sorted(set(stack.owner.tolist()))
+    assert np.array_equal(
+        stack.owner_distances(rotations, translations, points),
+        [d[:, stack.owner == o].min(axis=1) for o in owners])
+
+
+@pytest.mark.parametrize("hand", HANDS)
+def test_stack_matches_all_rows_kernel(hand):
+    # passes of ``chunk`` points, a one-point pass beside a neighbour and a
+    # gradient from the nearest row's formula alone must give the values of
+    # every row's gradient over all points at once, bit for bit
+    spec = builtin_hand(hand)
+    rng = np.random.default_rng(23)
+    for link in [None] + spec.segment_links():
+        stack = spec.primitive_stack(link)
+        rotations, translations = _random_pose(spec, rng)
+        links = spec.segment_links() if link is None else [link]
+        features = np.vstack([
+            _feature_points(spec.links[i].primitives) @ rotations[i].T
+            + translations[i] for i in links])
+        c = stack.chunk
+        for size in (1, 2, c - 1, c, c + 1, 3 * c + 2, 5000):
+            pool = np.vstack([features, features.mean(axis=0) + rng.normal(
+                0.0, 4.0, (max(size - len(features), 0), 3))])
+            points = pool[rng.permutation(len(pool))[:size]]
+            _check_against_all_rows(stack, rotations, translations, points)
+    for point in features:
+        _check_against_all_rows(stack, rotations, translations, point[None])
+
+
+def test_stack_matches_all_rows_kernel_on_exact_features():
+    # in identity frames the local points are exact: points on a capsule's
+    # axis take the fallback direction and box faces, edges and corners
+    # tie exactly
+    prims = [Primitive("capsule", (0.5, 1.0)),
+             Primitive("box", (1.0, 0.5, 0.5)),
+             Primitive("sphere", (0.7,), translation=np.array([3.0, 0, 0]))]
+    stack = PrimitiveStack({0: prims[:2], 1: prims[2:]})
+    frames = np.stack([np.eye(3)] * 2), np.zeros((2, 3))
+    points = np.vstack([_feature_points(prims),
+                        [[0.25, 0.25, 0.0], [0.9, 0.4, 0.4], [3.0, 0.0, 0.0]]])
+    _check_against_all_rows(stack, *frames, points)
+    for point in points:
+        _check_against_all_rows(stack, *frames, point[None])
+
+
+@pytest.mark.parametrize("hand", HANDS)
+def test_one_point_query_equals_its_batch_row(hand):
+    # a one-row ``points @ M`` takes numpy's matrix-vector routine, whose
+    # last bit can differ from the same row in a batch: a point's value
+    # must not depend on how many points share the call
+    spec = builtin_hand(hand)
+    rng = np.random.default_rng(40)
+    rotations, translations = _random_pose(spec, rng)
+    stack = spec.primitive_stack()
+    points = rng.normal(0.0, 4.0, (500, 3)) + translations.mean(axis=0)
+    best, grad, owner = stack.query(rotations, translations, points,
+                                    with_gradient=True)
+    dist = stack.query(rotations, translations, points)
+    owners = stack.owner_distances(rotations, translations, points)
+    for r in rng.choice(len(points), 40, replace=False):
+        one = points[r:r + 1]
+        b1, g1, o1 = stack.query(rotations, translations, one,
+                                 with_gradient=True)
+        assert b1[0] == best[r] and o1[0] == owner[r]
+        assert np.array_equal(g1[0], grad[r])
+        assert stack.query(rotations, translations, one)[0] == dist[r]
+        assert np.array_equal(
+            stack.owner_distances(rotations, translations, one)[:, 0],
+            owners[:, r])

@@ -4,6 +4,10 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
+from graspsynth.hands import builtin_hand
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -71,3 +75,15 @@ def test_every_keyword_option_has_a_caller():
                           if not any(_passes(call, index, option)
                                      for call in calls.get(name, []))]
     assert found == []
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_primitive_chunk_fits_the_budget(hand):
+    # a kernel pass's (points, P, 3) float64 temporaries stay under glibc's
+    # 128 KiB mmap threshold, so they come from reused heap memory rather
+    # than freshly mapped pages; and no pass is a one-point product
+    spec = builtin_hand(hand)
+    for link in [None] + spec.segment_links():
+        stack = spec.primitive_stack(link)
+        assert stack.chunk >= 2
+        assert stack.chunk * len(stack.owner) * 3 * 8 <= 128 * 1024
