@@ -135,6 +135,10 @@ class PrimitiveStack:
     matrix-vector routine, whose last bit can differ from the same row in
     a batch, so a lone point is computed beside a neighbour and a value
     never depends on how many points share the call.
+
+    A query is two steps: the distance pass ``nearest`` keeps each
+    point's winning row and its local point, and ``gradient`` evaluates
+    the winners' gradient formulas later, only when a caller needs them.
     """
 
     def __init__(self, groups):
@@ -163,13 +167,16 @@ class PrimitiveStack:
         self._owner_starts = np.searchsorted(group[self._by_owner],
                                              np.arange(len(owners)))
 
+    def _rotations(self, rotations):
+        """World rotation (P, 3, 3) of each row."""
+        return rotations[self.owner] @ self.rotation
+
     def _frames(self, rotations, translations):
-        """World rotation R (P, 3, 3) of each row, and the world-to-local
-        map as one product: local = points @ M - b, row k in columns
-        3k..3k+2."""
-        R = rotations[self.owner] @ self.rotation
+        """The world-to-local map as one product: local = points @ M - b,
+        row k in columns 3k..3k+2."""
+        R = self._rotations(rotations)
         b = (translations[self.owner][:, None] @ R)[:, 0] + self.offset
-        return R, R.transpose(1, 0, 2).reshape(3, -1), b.ravel()
+        return R.transpose(1, 0, 2).reshape(3, -1), b.ravel()
 
     def _passes(self, points, M, b):
         """(output rows, local coordinates (m, P, 3)) per kernel pass.
@@ -193,42 +200,52 @@ class PrimitiveStack:
             d[:, cols] = formula(local[:, cols], params, False)[0]
         return d
 
-    def query(self, rotations, translations, points, with_gradient=False):
-        """Union SDF: min over all rows.
+    def nearest(self, rotations, translations, points):
+        """Distance pass of the union SDF (min over all rows).
 
-        Returns the distances, or with ``with_gradient`` (distances,
-        world gradients, owner of the nearest row). Gradients come from
-        one formula call per kind, on the local points and parameters of
-        the rows that won only.
+        Returns (distances, each point's winning row, the point in that
+        row's local frame); ``gradient`` takes the last two.
         """
-        R, M, b = self._frames(rotations, translations)
+        M, b = self._frames(rotations, translations)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.empty(len(points))
-        nearest = np.empty(len(points), dtype=np.intp)
-        won_at = np.empty((len(points), 3)) if with_gradient else None
+        rows = np.empty(len(points), dtype=np.intp)
+        won_at = np.empty((len(points), 3))
         for out, local in self._passes(points, M, b):
             d = self._distances(local)
             k = d.argmin(axis=1)
             n = np.arange(len(k))
             best[out] = d[n, k]
-            nearest[out] = k
-            if with_gradient:
-                won_at[out] = local[n, k]
+            rows[out] = k
+            won_at[out] = local[n, k]
+        return best, rows, won_at
+
+    def gradient(self, rotations, rows, won_at):
+        """World unit gradients of winning ``rows`` at their local points
+        ``won_at`` (from ``nearest``): one formula call per kind, on the
+        winners of that kind and their parameters only."""
+        g = np.empty((len(rows), 3))
+        for formula, cols, params in self.blocks:
+            won = (rows >= cols.start) & (rows < cols.stop)
+            if won.any():
+                g[won] = formula(won_at[won], params[rows[won] - cols.start],
+                                 True)[1]
+        return np.einsum("nij,nj->ni", self._rotations(rotations)[rows], g)
+
+    def query(self, rotations, translations, points, with_gradient=False):
+        """Union SDF: the distances of ``nearest``, or with
+        ``with_gradient`` (distances, world gradients, owner of the
+        nearest row), the gradients from ``gradient``."""
+        best, rows, won_at = self.nearest(rotations, translations, points)
         if not with_gradient:
             return best
-        g = np.empty((len(points), 3))
-        for formula, cols, params in self.blocks:
-            won = (nearest >= cols.start) & (nearest < cols.stop)
-            if won.any():
-                rows = params[nearest[won] - cols.start]
-                g[won] = formula(won_at[won], rows, True)[1]
-        return (best, np.einsum("nij,nj->ni", R[nearest], g),
-                self.owner[nearest])
+        return (best, self.gradient(rotations, rows, won_at),
+                self.owner[rows])
 
     def owner_distances(self, rotations, translations, points):
         """(G, N): each owner's union SDF at every point, owners in the
         order of ``groups``."""
-        _, M, b = self._frames(rotations, translations)
+        M, b = self._frames(rotations, translations)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(self._owner_starts), len(points)))
         for cols, local in self._passes(points, M, b):

@@ -12,11 +12,14 @@ joint-space gradient. Point-set distances freeze their argmin pair per
 step; live contact maps are recomputed every evaluation.
 
 An evaluation is split in two. The forward pass (``_ForwardPass``) poses
-the hand, takes every distance and argmin pair the loss needs and keeps
-them; the gradient pass (``_ForwardPass.gradient``) contracts that kept
-state without posing or querying again. The descent gives each
-line-search candidate one forward pass and runs the gradient pass only
-over the accepted candidate's state.
+the hand and computes only what the loss needs: every distance and
+argmin pair, and for the hand SDF each object point's winning primitive
+and local point. The gradient pass (``_ForwardPass.gradient``)
+evaluates the gradient formulas at those kept winners and contracts the
+kept state without posing or searching again. A backtracking line
+search needs only loss values at its trial points, so the descent gives
+each candidate one forward pass and runs the gradient pass only over an
+accepted candidate's state, when the next step needs it.
 
 The anchor-alignment term L_A is a hinge: each anchor adds
 ``anchor_weight * dist``, its distance to the nearest assigned object
@@ -29,6 +32,8 @@ keeps the optimizer free of mesh SDF queries in the hot loop; reported
 metrics use exact mesh SDFs elsewhere.
 """
 
+import functools
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -38,7 +43,7 @@ from scipy.spatial import cKDTree
 from . import transforms as tf
 from .contact import digitize
 from .errors import InvalidInputError
-from .hands.model import (Grasp, actuated_from_q, ancestor_axes,
+from .hands.model import (Grasp, _ancestor_dofs, actuated_from_q,
                           apply_coupling, forward_kinematics)
 
 SMOOTH_EPS = 1e-6
@@ -112,14 +117,17 @@ class GraspScene:
         self.object_tree = cKDTree(self.object_points)
 
         name_to_link = {spec.links[i].name: i for i in spec.segment_links()}
-        # attraction/repulsion targets, keyed by robot link index
+        # attraction/repulsion targets, keyed by robot link index, and per
+        # target its link, its rows of the object cloud and a tree over them
         self.link_targets = {}
-        self.link_target_trees = {}
+        self.target_trees = []
         for name, idx in bundle.knuckle_partition.items():
             if name in name_to_link and len(idx):
-                pts = self.object_points[idx]
+                rows = np.asarray(idx, dtype=np.intp)
+                pts = self.object_points[rows]
                 self.link_targets[name_to_link[name]] = pts
-                self.link_target_trees[name_to_link[name]] = cKDTree(pts)
+                self.target_trees.append((name_to_link[name], rows,
+                                          cKDTree(pts)))
         # anchor targets by name
         self.anchor_targets = {}
         for k, anchor in enumerate(spec.anchors):
@@ -139,43 +147,99 @@ class GraspScene:
             for i, sl in spec.sample_slices().items())
         self.matched_segments = [i for i in spec.segment_links()
                                  if spec.links[i].name in self.omega_m_target]
+        if self.per_sample_hand_map:
+            # every segment is matched: the targets of all stacked samples
+            self.omega_m_rows = np.concatenate(
+                [self.omega_m_target[spec.links[i].name]
+                 for i in spec.sample_slices()])
         # where each segment's hand samples start, and each sample's segment
         counts = [sl.stop - sl.start for sl in spec.sample_slices().values()]
         self.segment_starts = np.cumsum([0] + counts[:-1])
         self.sample_segment = np.repeat(np.arange(len(counts)), counts)
+        # each segment's link, and the (segment, target) pairs where the
+        # target is the segment's own
+        self.segment_links = np.array(spec.segment_links(), dtype=np.intp)
+        self.target_own = np.equal.outer(
+            self.segment_links,
+            np.array([j for j, _, _ in self.target_trees], dtype=np.intp))
 
 
 class _GradientAccumulator:
     """Collects d(loss)/d(world point) pairs per link and contracts them
-    against the kinematic Jacobians in closed form."""
+    against the kinematic Jacobians in closed form.
+
+    Rows come in groups, each for one link. A group's rows are summed in
+    row order, and the group sums are added to their link's moments
+    (sum V, sum P x V) in the order the groups came: the sums of one
+    ``add`` per group. ``gradient`` takes one cross product over all
+    rows, the group and link sums by ``np.bincount`` (which adds in that
+    order from 0.0, as ``.sum(axis=0)`` does), one cross product over
+    all (link, DoF) pairs, and each pair's ``axis @ v`` on its own.
+    """
 
     def __init__(self, posed):
         self.posed = posed
-        self.moments = {}   # link -> [sum V, sum P x V]
+        self.links = []     # per batch: the link of each of its groups
+        self.groups = []    # per batch: the group of each row, numbered
+        self.points = []    # across batches
+        self.vectors = []
+        self.n_groups = 0
 
     def add(self, link, points, vectors):
-        points = np.atleast_2d(points)
-        vectors = np.atleast_2d(vectors)
-        s0 = vectors.sum(axis=0)
-        s1 = tf.cross(points, vectors).sum(axis=0)
-        if link in self.moments:
-            self.moments[link][0] += s0
-            self.moments[link][1] += s1
-        else:
-            self.moments[link] = [s0, s1]
+        """One group of rows for ``link``."""
+        self.add_groups([link], np.zeros(len(points), dtype=np.intp),
+                        points, vectors)
+
+    def add_groups(self, links, groups, points, vectors):
+        """Rows whose group ``groups[r]`` (0, 1, ... in row order) goes
+        to link ``links[groups[r]]``."""
+        self.groups.append(groups + self.n_groups)
+        self.links.append(np.asarray(links, dtype=np.intp))
+        self.n_groups += len(links)
+        self.points.append(points)
+        self.vectors.append(vectors)
 
     def gradient(self):
         posed = self.posed
-        grad_q = np.zeros(posed.spec.dof)
-        grad_t = np.zeros(3)
-        grad_r = np.zeros(3)
-        wrist_t = posed.grasp.translation
-        for link, (s0, s1) in self.moments.items():
-            for dof, axis, origin in ancestor_axes(posed, link):
-                grad_q[dof] += axis @ (s1 - tf.cross(origin, s0))
-            grad_t += s0
-            grad_r += s1 - tf.cross(wrist_t, s0)
+        spec = posed.spec
+        grad_q = np.zeros(spec.dof)
+        if not self.n_groups:
+            return grad_q, np.zeros(3), np.zeros(3)
+        links = np.concatenate(self.links)
+        groups = np.concatenate(self.groups)
+        vectors = np.concatenate(self.vectors)
+        moments = tf.cross(np.concatenate(self.points), vectors)
+        s0 = _row_sums(groups, vectors, len(links))
+        s1 = _row_sums(groups, moments, len(links))
+        # links in the order their first group came
+        slots = {}
+        slot = np.array([slots.setdefault(link, len(slots))
+                         for link in links.tolist()], dtype=np.intp)
+        s0 = _row_sums(slot, s0, len(slots))
+        s1 = _row_sums(slot, s1, len(slots))
+        dofs = [_ancestor_dofs(spec, link) for link in slots]
+        pair = np.repeat(np.arange(len(dofs)), [len(d) for d in dofs])
+        pair_dof = np.array([d for ds in dofs for d in ds], dtype=np.intp)
+        axes, origins = posed.joint_axes
+        v = s1[pair] - tf.cross(origins[pair_dof], s0[pair])
+        np.add.at(grad_q, pair_dof, [a @ x for a, x in zip(axes[pair_dof], v)])
+        grad_t = s0.sum(axis=0)
+        grad_r = (s1 - tf.cross(posed.grasp.translation, s0)).sum(axis=0)
         return grad_q, grad_t, grad_r
+
+
+def _row_sums(groups, rows, n):
+    """(n, 3): the sum of each group's rows of ``rows`` (N, 3), added in
+    row order from 0.0."""
+    cells = (3 * groups)[:, None] + np.arange(3)
+    return np.bincount(cells.ravel(), rows.ravel(),
+                       minlength=3 * n).reshape(n, 3)
+
+
+def _sequential_sum(values):
+    """Sum of an array's values, added left to right from 0.0 (the order
+    of a ``+=`` loop, on any Python version)."""
+    return functools.reduce(operator.add, values.tolist(), 0.0)
 
 
 def _oriented_cloud_distance(scene, points):
@@ -194,12 +258,14 @@ def _max_depth(signed):
 class _ForwardPass:
     """The loss of one grasp, and the state its gradient pass reads.
 
-    Construction poses the hand and takes every distance the loss needs:
-    the hand SDF at the object points, the oriented-cloud distance of the
-    hand samples ``H``, the attraction/repulsion and anchor argmin pairs
-    and the self distances. ``gradient()`` contracts that state into the
-    (actuated, translation, rotation) gradient without posing the hand or
-    querying anything again.
+    Construction poses the hand and takes every distance the loss needs
+    and nothing more: the hand SDF's distance pass at the object points
+    (keeping each point's winning primitive and local point), the
+    oriented-cloud distance of the hand samples ``H``, the
+    attraction/repulsion and anchor argmin pairs and the self distances.
+    ``gradient()`` evaluates the hand SDF's gradient formulas at the kept
+    winners and contracts that state into the (actuated, translation,
+    rotation) gradient without posing the hand or searching again.
     """
 
     def __init__(self, scene, grasp, ref, w):
@@ -209,8 +275,8 @@ class _ForwardPass:
 
         # --- object-side SDF against the hand (contact map + interpenetration)
         obj_pts = scene.object_points
-        self.sdf_o, self.grad_o, self.link_o = posed.sdf(obj_pts,
-                                                         with_gradient=True)
+        self.sdf_o, self.won_o, self.won_at_o = spec.primitive_stack().nearest(
+            posed.rotations, posed.translations, obj_pts)
         self.map_div = float(len(obj_pts)) if w.map_norm == "mean" else 1.0
         self.diff_o = digitize(self.sdf_o) - scene.omega_o_target
         contact_map_term = float(_smooth_abs(self.diff_o).sum()) / self.map_div
@@ -221,20 +287,15 @@ class _ForwardPass:
         self.H = posed.sample_points
         self.d_m, self.n_m, _ = _oriented_cloud_distance(scene, self.H)
         omega_m_live = digitize(self.d_m)
-        # per matched segment: (link, live - target map[, scale])
-        self.hand_difs = []
         if scene.per_sample_hand_map:
-            for i in scene.matched_segments:
-                target = scene.omega_m_target[spec.links[i].name]
-                self.hand_difs.append((i, omega_m_live[seg_slices[i]] - target))
-            n_matched = sum(len(dif) for _, dif in self.hand_difs)
-            self.hand_div = float(n_matched) if w.map_norm == "mean" else 1.0
-            hand_map_term = (float(np.concatenate(
-                [_smooth_abs(dif) for _, dif in self.hand_difs]).sum())
-                / self.hand_div if self.hand_difs else 0.0)
+            self.hand_dif = omega_m_live - scene.omega_m_rows
+            self.hand_div = float(len(self.H)) if w.map_norm == "mean" else 1.0
+            hand_map_term = float(_smooth_abs(self.hand_dif).sum()) / self.hand_div
         else:
             # segment-mean comparison for mismatched layouts, scaled to the
-            # same magnitude the per-sample sum would have
+            # same magnitude the per-sample sum would have; per matched
+            # segment: (link, live - target mean, scale)
+            self.hand_difs = []
             per_seg = []
             n_segs = max(len(scene.matched_segments), 1)
             for i in scene.matched_segments:
@@ -291,47 +352,41 @@ class _ForwardPass:
         repulsion on the others; pulls hold (link, point, target point,
         distance, weight) of the pairs with a gradient.
 
-        Per tree, its own segment's samples get an exact search. A
-        repulsion pair reads its distance only below ``d1``, so the other
-        samples read inf beyond ``d1``: those farther than ``d1`` from the
-        tree's bounding box along some axis are not searched, and the rest
-        get a search bounded by ``d1``. One reduceat pass then gives every
-        segment's minimum and first argmin per tree; the sums run in
-        (segment, tree) order.
+        A repulsion pair adds ``d1`` and no pull from a distance at or
+        beyond ``d1``, so per tree one exact search covers its own
+        segment's samples and the samples within ``d1`` of the tree's
+        bounding box along every axis; the rest read inf. One reduceat
+        pass then gives every segment's minimum and first argmin per
+        tree, and the sums run in (segment, tree) order.
         """
         scene, w, H = self.scene, self.w, self.H
-        trees = scene.link_target_trees
-        dists = np.full((len(trees), len(H)), np.inf)
-        nearest = np.empty(dists.shape, dtype=np.intp)  # where dists < inf
+        targets = scene.target_trees
+        dists = np.full((len(targets), len(H)), np.inf)
+        nearest = np.empty(dists.shape, dtype=np.intp)  # object rows, < inf
         # the factor covers the rounding of a gap and of a distance
         reach = w.d1 * (1.0 + 1e-9)
-        for t, (j, tree) in enumerate(trees.items()):
+        for t, (j, rows, tree) in enumerate(targets):
             gap = np.maximum(tree.mins - H, H - tree.maxes) <= reach
             near = gap[:, 0] & gap[:, 1] & gap[:, 2]
-            dists[t, near], nearest[t, near] = tree.query(
-                H[near], distance_upper_bound=w.d1)
-            own = seg_slices[j]
-            dists[t, own], nearest[t, own] = tree.query(H[own])
+            near[seg_slices[j]] = True
+            near = np.flatnonzero(near)
+            dists[t, near], found = tree.query(H[near])
+            nearest[t, near] = rows[found]
         mins = np.minimum.reduceat(dists, scene.segment_starts, axis=1)
-        rows = np.where(dists == mins[:, scene.sample_segment],
-                        np.arange(len(H)), len(H))
-        firsts = np.minimum.reduceat(rows, scene.segment_starts, axis=1)
-        attract = 0.0
-        repel = 0.0
-        pulls = []
-        for i, seg_mins, seg_firsts in zip(seg_slices, mins.T.tolist(),
-                                           firsts.T.tolist()):
-            for t, (j, dist, ia) in enumerate(zip(trees, seg_mins,
-                                                  seg_firsts)):
-                if i == j:
-                    attract += dist
-                    weight = w.lam1 if dist > 1e-12 else None
-                else:
-                    repel += min(dist, w.d1)
-                    weight = -w.lam2 if 1e-12 < dist < w.d1 else None
-                if weight is not None:
-                    target = scene.link_targets[j][nearest[t, ia]]
-                    pulls.append((i, H[ia], target, dist, weight))
+        firsts = np.minimum.reduceat(
+            np.where(dists == mins[:, scene.sample_segment],
+                     np.arange(len(H)), len(H)),
+            scene.segment_starts, axis=1)
+        # (segment, tree) arrays, read in that order
+        mins, firsts, own = mins.T, firsts.T, scene.target_own
+        attract = _sequential_sum(mins[own])
+        repel = _sequential_sum(np.minimum(mins[~own], w.d1))
+        s, t = np.nonzero((mins > 1e-12) & (own | (mins < w.d1)))
+        ia = firsts[s, t]
+        pulls = list(zip(scene.segment_links[s].tolist(), H[ia],
+                         scene.object_points[nearest[t, ia]],
+                         mins[s, t].tolist(),
+                         np.where(own[s, t], w.lam1, -w.lam2).tolist()))
         return attract, repel, pulls
 
     def cloud_depth(self):
@@ -344,24 +399,27 @@ class _ForwardPass:
         spec = scene.spec
         acc = _GradientAccumulator(posed)
 
+        # object side: one group per hand link, links ascending
         w_map = (_smooth_abs_grad(self.diff_o) * _digitize_slope(self.sdf_o)
                  / self.map_div)
         w_ip = np.where(self.sdf_o < 0.0, -w.lam6, 0.0)
         w_d = w_map + w_ip
-        live = w_d != 0.0
-        for link in np.unique(self.link_o[live]):
-            rows = live & (self.link_o == link)
-            acc.add(int(link), scene.object_points[rows],
-                    (-w_d[rows, None]) * self.grad_o[rows])
+        stack = spec.primitive_stack()
+        live = np.flatnonzero(w_d != 0.0)
+        rows = live[np.argsort(stack.owner[self.won_o[live]], kind="stable")]
+        won = self.won_o[rows]
+        links, groups = np.unique(stack.owner[won], return_inverse=True)
+        grad_o = stack.gradient(posed.rotations, won, self.won_at_o[rows])
+        acc.add_groups(links, groups, scene.object_points[rows],
+                       (-w_d[rows, None]) * grad_o)
 
         seg_slices = spec.sample_slices()
         if scene.per_sample_hand_map:
-            for i, dif in self.hand_difs:
-                if len(dif):
-                    sl = seg_slices[i]
-                    w_m = (_smooth_abs_grad(dif) * _digitize_slope(self.d_m[sl])
-                           / self.hand_div)
-                    acc.add(i, H[sl], w_m[:, None] * self.n_m[sl])
+            # one group per segment
+            w_m = (_smooth_abs_grad(self.hand_dif) * _digitize_slope(self.d_m)
+                   / self.hand_div)
+            acc.add_groups(scene.segment_links, scene.sample_segment, H,
+                           w_m[:, None] * self.n_m)
         else:
             for i, dif, scale in self.hand_difs:
                 sl = seg_slices[i]
@@ -370,8 +428,14 @@ class _ForwardPass:
                        * _digitize_slope(self.d_m[sl]) * (scale / n_seg))
                 acc.add(i, H[sl], w_m[:, None] * self.n_m[sl])
 
-        for link, point, target, dist, weight in self.pulls:
-            acc.add(link, point, weight * ((point - target) / dist))
+        if self.pulls:
+            # one group per pull
+            links, points, targets, dists, weights = zip(*self.pulls)
+            points = np.array(points)
+            acc.add_groups(links, np.arange(len(links)), points,
+                           np.array(weights)[:, None]
+                           * ((points - np.array(targets))
+                              / np.array(dists)[:, None]))
 
         if self.terms["self_penetration"] > 0.0:
             segs = spec.segment_links()
@@ -478,12 +542,15 @@ def _state_to_grasp(scene, a, t, base_quat):
 
 def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
              stop_depth=None):
-    """Monotone projected descent from one start; returns (grasp, rows).
+    """Monotone projected descent from one start; returns (grasp, rows,
+    counts).
 
-    Each line-search candidate gets one forward pass; the gradient pass
-    runs only over an accepted step's forward state, when the next step
-    needs it. With ``stop_depth`` the descent ends at the first accepted
-    step whose oriented-cloud penetration depth is below it.
+    Each line-search candidate gets one forward pass, which computes the
+    loss only; the gradient pass runs only over an accepted step's
+    forward state, when the next step needs it. With ``stop_depth`` the
+    descent ends at the first accepted step whose oriented-cloud
+    penetration depth is below it. ``counts`` holds the forward passes,
+    gradient passes and backtracks (rejected candidates) it ran.
     """
     spec = scene.spec
     w = weights or scene.weights
@@ -504,17 +571,21 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
     rows = [{"step": 0, "total": fwd.total, **fwd.terms}]
     if not np.isfinite(fwd.total):
         raise InvalidInputError("non-finite loss at optimization start")
+    counts = {"forward_passes": 1, "gradient_passes": 0, "backtracks": 0}
     step = 0.01
     for it in range(1, steps + 1):
         grad = fwd.gradient()
+        counts["gradient_passes"] += 1
         x0 = np.concatenate([a, t, np.zeros(3)])
         for _ in range(20):
             xc = x0 - step * grad
             a_c, t_c, quat_c = unpack(xc, base_quat)
             cand = _ForwardPass(scene, _state_to_grasp(scene, a_c, t_c, quat_c),
                                 ref, w)
+            counts["forward_passes"] += 1
             if cand.total < fwd.total - 1e-12:
                 break
+            counts["backtracks"] += 1
             step *= 0.5
         else:       # no candidate lowered the loss
             break
@@ -524,7 +595,7 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
         step = min(step * 1.8, 0.5)
         if stop_depth is not None and fwd.cloud_depth() < stop_depth:
             break
-    return fwd.grasp, rows
+    return fwd.grasp, rows, counts
 
 
 def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
@@ -535,7 +606,9 @@ def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
     with seeded noise (sigma_q 0.05 rad on actuated values, 0.5 cm on
     translation, 0.05 rad on rotation). The restart with the lowest
     final loss wins; ties go to the lowest index. Deterministic for a
-    fixed seed.
+    fixed seed. Each restart's summary also counts its forward passes,
+    gradient passes and line-search backtracks; ``opt_report_to_dict``
+    leaves those counters out of the hashed report.
     """
     weights = weights or LossWeights()
     scene = scene or GraspScene(spec, bundle, weights)
@@ -556,10 +629,10 @@ def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
                 tf.rotvec_to_quat(rng.normal(0.0, RESTART_SIGMA_R, 3)),
                 start.rotation))
             start = Grasp(q, rot, trans)
-        grasp, rows = _descend(scene, start, g_init, steps, weights)
+        grasp, rows, counts = _descend(scene, start, g_init, steps, weights)
         final = rows[-1]["total"]
         summaries.append({"restart": r, "final_loss": final,
-                          "steps_run": len(rows) - 1})
+                          "steps_run": len(rows) - 1, **counts})
         if best is None or final < best[0]:
             best = (final, r, grasp, rows)
     final_loss, chosen, grasp, rows = best
@@ -599,7 +672,7 @@ def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
     if penetration_depth_cloud(scene, grasp) < REFINE_PENETRATION_GOAL:
         return grasp.copy()
 
-    refined, _ = _descend(scene, grasp, grasp, max_steps, weights,
+    refined, _, _ = _descend(scene, grasp, grasp, max_steps, weights,
                           gesture_reference=grasp,
                           stop_depth=REFINE_PENETRATION_GOAL)
     if object_sdf is None:

@@ -441,14 +441,6 @@ def point_jacobian(spec, grasp, link, local_point):
     return point_jacobian_world(spec, posed, link, p)
 
 
-def ancestor_axes(posed, link):
-    """(dof, world axis, world origin) of each joint moving the link,
-    innermost first."""
-    axes, origins = posed.joint_axes
-    for dof in _ancestor_dofs(posed.spec, link):
-        yield dof, axes[dof], origins[dof]
-
-
 def point_jacobian_world(spec, posed, link, world_point):
     """Same Jacobian for a point already expressed in world coordinates."""
     J = np.zeros((3, spec.dof + 6))

@@ -415,7 +415,7 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
     from graspsynth.grasp_opt import (SMOOTH_EPS, _digitize_slope,
                                       _oriented_cloud_distance, _smooth_abs,
                                       _smooth_abs_grad)
-    from graspsynth.hands.model import ancestor_axes, forward_kinematics
+    from graspsynth.hands.model import _ancestor_dofs, forward_kinematics
 
     w = weights or scene.weights
     spec = scene.spec
@@ -488,9 +488,10 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
 
     attract = 0.0
     repel = 0.0
+    trees = {j: cKDTree(pts) for j, pts in scene.link_targets.items()}
     for i in seg_slices:
         pts_i = H[seg_slices[i]]
-        for j, tree in scene.link_target_trees.items():
+        for j, tree in trees.items():
             d, nearest = tree.query(pts_i)
             ia = int(d.argmin())
             dist = float(d[ia])
@@ -550,9 +551,10 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
     grad_q = np.zeros(spec.dof)
     grad_t = np.zeros(3)
     grad_r = np.zeros(3)
+    axes, origins = posed.joint_axes
     for link, (s0, s1) in moments.items():
-        for dof, axis, origin in ancestor_axes(posed, link):
-            grad_q[dof] += axis @ (s1 - np.cross(origin, s0))
+        for dof in _ancestor_dofs(spec, link):
+            grad_q[dof] += axes[dof] @ (s1 - np.cross(origins[dof], s0))
         grad_t += s0
         grad_r += s1 - np.cross(grasp.translation, s0)
     grad_q += w.lam3 * dq / np.sqrt(dq ** 2 + SMOOTH_EPS ** 2)
@@ -879,7 +881,8 @@ def forward_pass_pairs_per_segment(scene, grasp, ref, w):
 
     class PairsPerSegment(_ForwardPass):
         def _pairs(self, seg_slices):
-            trees = self.scene.link_target_trees
+            trees = {j: cKDTree(pts)
+                     for j, pts in self.scene.link_targets.items()}
             queried = [tree.query(self.H) for tree in trees.values()]
             dists = np.reshape([d for d, _ in queried],
                                (len(trees), len(self.H)))

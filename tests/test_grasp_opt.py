@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from graspsynth import grasp_opt
 from graspsynth import transforms as tf
 from graspsynth.contact import ContactBundle, extract_bundle
 from graspsynth.errors import InvalidInputError
 from graspsynth.geometry import MeshSDF, Primitive
+from graspsynth.geometry.primitives import PrimitiveStack
 from graspsynth.grasp_opt import (GraspScene, LossWeights, evaluate,
                                   loss_anchor, loss_contact, loss_gesture,
                                   loss_interpenetration,
@@ -16,6 +20,7 @@ from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
                                     apply_coupling, forward_kinematics,
                                     make_grasp)
 from graspsynth.metrics import self_penetration
+from graspsynth.pipeline import opt_report_to_dict
 
 from oracles import (descend_reevaluate, forward_pass_pairs_per_segment,
                      link_sample_points, rot_about,
@@ -297,9 +302,9 @@ def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
 
     def check(start, g0, steps, w, gesture_reference=None, stop_depth=None):
         grads.clear()
-        grasp, rows = grasp_opt._descend(scene, start, g0, steps, w,
-                                         gesture_reference=gesture_reference,
-                                         stop_depth=stop_depth)
+        grasp, rows, _ = grasp_opt._descend(
+            scene, start, g0, steps, w, gesture_reference=gesture_reference,
+            stop_depth=stop_depth)
         stop = None if stop_depth is None else (
             lambda gr: grasp_opt.penetration_depth_cloud(scene, gr)
             < stop_depth)
@@ -335,6 +340,8 @@ def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
                               start.rotation)),
                           start.translation + rng.normal(0.0, 0.5, 3))
         rows += check(start, g_init, 6, weights)
+    # contact-map terms as means
+    rows += check(g_init, g_init, 4, LossWeights(map_norm="mean"))
     # physical refinement: gesture reference, 10x penetration weights and
     # the stop on the accepted step's cloud depth
     pressed = Grasp(g_init.q.copy(), g_init.rotation.copy(),
@@ -345,6 +352,70 @@ def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
     assert any(row["interpenetration"] > 0 for row in rows)
 
 
+def test_gradient_step_runs_only_in_gradient_passes(cylinder_scene,
+                                                   cylinder_bundle,
+                                                   monkeypatch):
+    # a line-search candidate needs only its loss: the hand SDF's gradient
+    # step runs once per gradient pass, never for a rejected candidate and
+    # never for the last accepted state
+    spec = cylinder_scene["spec"]
+    g = cylinder_scene["grasp"]
+    scene = GraspScene(spec, cylinder_bundle, LossWeights())
+    hand_stack = spec.primitive_stack()
+    passes, graded, inside, steps = [], [], [], []
+    build = grasp_opt._ForwardPass.__init__
+    gradient = grasp_opt._ForwardPass.gradient
+    step = PrimitiveStack.gradient
+
+    def built(fwd, *args):
+        build(fwd, *args)
+        passes.append(fwd)
+
+    def graded_pass(fwd):
+        graded.append(fwd)
+        inside.append(fwd)
+        try:
+            return gradient(fwd)
+        finally:
+            inside.pop()
+
+    def counted(stack, *args):
+        if stack is hand_stack:
+            steps.append(inside[-1] if inside else None)
+        return step(stack, *args)
+
+    monkeypatch.setattr(grasp_opt._ForwardPass, "__init__", built)
+    monkeypatch.setattr(grasp_opt._ForwardPass, "gradient", graded_pass)
+    monkeypatch.setattr(PrimitiveStack, "gradient", counted)
+    start = Grasp(g.q.copy(), g.rotation.copy(),
+                  g.translation + np.array([0.3, -0.2, 0.4]))
+    _, rows, counts = grasp_opt._descend(scene, start, g, 8, None)
+    assert len(rows) == 9 and counts["backtracks"] > 0
+    assert counts == {"forward_passes": len(passes),
+                      "gradient_passes": len(graded),
+                      "backtracks": len(passes) - len(rows)}
+    # one step per gradient pass, taken inside it
+    assert steps == graded
+    # the start and every accepted state but the last
+    assert [fwd.total for fwd in graded] == [r["total"] for r in rows[:-1]]
+    assert graded[0] is passes[0] and passes[-1] not in graded
+
+
+def test_restart_summaries_count_passes(cylinder_scene, cylinder_bundle):
+    # unhashed counters: every forward pass is the start, an accepted step
+    # or a backtrack, and the last accepted state has a gradient pass only
+    # when the line search went on from it
+    spec = cylinder_scene["spec"]
+    report = optimize(spec, cylinder_scene["grasp"], cylinder_bundle,
+                      restarts=3, steps=10, seed=4)
+    for r in report.restarts:
+        assert r["forward_passes"] == 1 + r["steps_run"] + r["backtracks"]
+        assert r["gradient_passes"] in (r["steps_run"], r["steps_run"] + 1)
+    assert any(r["backtracks"] for r in report.restarts)
+    assert [list(r) for r in opt_report_to_dict(report)["restarts"]] == [
+        ["restart", "final_loss", "steps_run"]] * 3
+
+
 @pytest.fixture(scope="module")
 def bottle_demo():
     from graspsynth.fixtures import template_demo
@@ -352,12 +423,29 @@ def bottle_demo():
     return extract_bundle(demo, n_samples=2048, seed=0), grasp
 
 
+def _check_pairs_match_per_segment_loop(scene, grasp, w):
+    fwd = grasp_opt._ForwardPass(scene, grasp, grasp, w)
+    ref = forward_pass_pairs_per_segment(scene, grasp, grasp, w)
+    assert len(fwd.pulls) == len(ref.pulls)
+    for pull, o_pull in zip(fwd.pulls, ref.pulls):
+        assert pull[0] == o_pull[0] and pull[3:] == o_pull[3:]
+        assert np.array_equal(pull[1], o_pull[1])
+        assert np.array_equal(pull[2], o_pull[2])
+    assert list(fwd.terms.items()) == list(ref.terms.items())
+    assert fwd.total == ref.total
+    assert np.array_equal(fwd.gradient(), ref.gradient())
+    return fwd
+
+
 @pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
 def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
                                                     bottle_demo):
-    # bounded searches for the other links' trees and one reduceat pass
-    # must give the pulls, terms and total of the loop that searched every
-    # tree exactly and took one argmin per segment and tree, bit for bit
+    # one exact search per target tree over its own segment and the
+    # samples near its bounding box, and one reduceat pass, must give the
+    # pulls, terms and total of the loop that searched every tree exactly
+    # and took one argmin per segment and tree, bit for bit; also with no
+    # targets at all, with d1 = 0 and with a sample exactly d1 from
+    # another link's target
     spec = builtin_hand(hand)
     if hand == "human":
         g = cylinder_scene["grasp"]
@@ -369,7 +457,9 @@ def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
     rng = np.random.default_rng(5)
     far = False
     for bundle in bundles:
-        for w in (LossWeights(), LossWeights(d1=0.5)):
+        untargeted = GraspScene(spec, replace(bundle, knuckle_partition={}))
+        assert not untargeted.link_targets
+        for w in (LossWeights(), LossWeights(d1=0.5), LossWeights(d1=0.0)):
             scene = GraspScene(spec, bundle, w)
             slices = spec.sample_slices()
             for k in range(4):
@@ -380,21 +470,20 @@ def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
                 grasp = Grasp(apply_coupling(spec, a)[0], tf.quat_normalize(
                     tf.quat_mul(tf.rotvec_to_quat(rng.normal(0.0, 0.1, 3)),
                                 g.rotation)), t)
-                fwd = grasp_opt._ForwardPass(scene, grasp, grasp, w)
-                ref = forward_pass_pairs_per_segment(scene, grasp, grasp, w)
-                assert len(fwd.pulls) == len(ref.pulls)
-                for pull, o_pull in zip(fwd.pulls, ref.pulls):
-                    assert pull[0] == o_pull[0] and pull[3:] == o_pull[3:]
-                    assert np.array_equal(pull[1], o_pull[1])
-                    assert np.array_equal(pull[2], o_pull[2])
-                assert list(fwd.terms.items()) == list(ref.terms.items())
-                assert fwd.total == ref.total
-                assert np.array_equal(fwd.gradient(), ref.gradient())
+                fwd = _check_pairs_match_per_segment_loop(scene, grasp, w)
+                _check_pairs_match_per_segment_loop(untargeted, grasp, w)
                 # some segment with no other link's tree within d1
-                d = {j: tree.query(fwd.H)[0]
-                     for j, tree in scene.link_target_trees.items()}
+                d = {j: cKDTree(pts).query(fwd.H)[0]
+                     for j, pts in scene.link_targets.items()}
                 far |= any(all(d[j][sl].min() >= w.d1 for j in d if j != i)
                            for i, sl in slices.items())
+                # d1 set to the distance of a segment's nearest sample to
+                # another link's target: that pair adds d1 and no pull
+                edge = min(d[j][sl].min() for i, sl in slices.items()
+                           for j in d if j != i)
+                edge_w = replace(w, d1=float(edge))
+                fwd = _check_pairs_match_per_segment_loop(scene, grasp, edge_w)
+                assert 1e-12 < edge and all(p[3] != edge for p in fwd.pulls)
     assert far
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graspsynth import transforms as tf
 from graspsynth.errors import InvalidInputError
@@ -216,3 +217,51 @@ def test_one_point_query_equals_its_batch_row(hand):
         assert np.array_equal(
             stack.owner_distances(rotations, translations, one)[:, 0],
             owners[:, r])
+
+
+_SPECS = {}
+
+
+def _spec(hand):
+    if hand not in _SPECS:
+        _SPECS[hand] = builtin_hand(hand)
+    return _SPECS[hand]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.5, 8.0))
+def test_distance_pass_and_gradient_step_match_all_rows_kernel(seed, spread):
+    # the distance pass keeps each point's winning row and local point and
+    # the gradient step runs the winners' formulas later: together they
+    # must give every row's formula over all points at once, bit for bit,
+    # at every batch size around a pass, and a one-point call its batch row
+    rng = np.random.default_rng(seed)
+    for hand in HANDS:
+        spec = _spec(hand)
+        stack = spec.primitive_stack()
+        rotations, translations = _random_pose(spec, rng)
+        c = stack.chunk
+        for size in (0, 1, 2, c - 1, c, c + 1):
+            points = translations.mean(axis=0) + rng.normal(0.0, spread,
+                                                             (size, 3))
+            best, rows, won_at = stack.nearest(rotations, translations, points)
+            grad = stack.gradient(rotations, rows, won_at)
+            assert best.shape == rows.shape == (size,)
+            assert grad.shape == won_at.shape == (size, 3)
+            b, g, owner = stack.query(rotations, translations, points,
+                                      with_gradient=True)
+            assert np.array_equal(b, best) and np.array_equal(g, grad)
+            assert np.array_equal(owner, stack.owner[rows])
+            if not size:
+                continue
+            d, want, k = primitive_query_all_rows(stack, rotations,
+                                                  translations, points)
+            assert np.array_equal(best, d[np.arange(size), k])
+            assert np.array_equal(rows, k)
+            assert np.array_equal(grad, want)
+            for r in rng.choice(size, min(size, 3), replace=False):
+                b1, r1, w1 = stack.nearest(rotations, translations,
+                                           points[r:r + 1])
+                assert b1[0] == best[r] and r1[0] == rows[r]
+                assert np.array_equal(stack.gradient(rotations, r1, w1)[0],
+                                      grad[r])
