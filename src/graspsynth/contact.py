@@ -8,6 +8,8 @@ hand segment and pinned to their nearest anchor point.
 """
 
 import json
+import pathlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +17,10 @@ from scipy.spatial import cKDTree
 
 from . import transforms as tf
 from .errors import InvalidInputError, SchemaError
-from .geometry import MeshSDF, TriMesh, sample_surface
+from .geometry import MeshSDF, TriMesh, load_mesh, sample_surface
 from .hands.model import forward_kinematics
+from .hands.schema import (_is_number, _keys_of, _vector, grasp_fields,
+                           load_handspec)
 
 TAU_CONTACT = 0.5  # cm; membership threshold for the contact sets
 CONTACTS_SCHEMA = "contacts/1"
@@ -90,8 +94,15 @@ class ContactBundle:
 
     def validate(self):
         n = len(self.object_points)
+        # the partition sets and anchor indices lie within O^c (below)
+        if np.any((self.contact_object < 0) | (self.contact_object >= n)):
+            raise InvalidInputError("contact index out of range")
         if np.any((self.omega_object < 0) | (self.omega_object > 1)):
             raise InvalidInputError("omega_object out of [0, 1]")
+        # the optimizer takes a segment's mean when layouts differ
+        for name, omega in self.omega_hand.items():
+            if not len(omega):
+                raise InvalidInputError(f"omega_hand {name!r} is empty")
         seen = set()
         for name, idx in self.knuckle_partition.items():
             s = set(int(i) for i in idx)
@@ -105,8 +116,6 @@ class ContactBundle:
                 raise InvalidInputError(f"anchor {name} assigned outside O^c")
             if np.any(delta < 0):
                 raise InvalidInputError("negative anchor distance")
-        if np.any(self.contact_object >= n):
-            raise InvalidInputError("contact index out of range")
         return self
 
 
@@ -237,23 +246,92 @@ def bundle_to_dict(bundle):
     }
 
 
+def _rows(value, n, where, key):
+    """``value`` as an (n, 3) float array if it is a list of ``n`` lists
+    of 3 finite numbers (any number of them for ``n`` None), else a
+    SchemaError naming ``key``."""
+    if not (isinstance(value, list) and n in (None, len(value))
+            and all(isinstance(row, list) and len(row) == 3
+                    for row in value)):
+        raise SchemaError(f"{where}: {key!r} must be "
+                          f"{'a list' if n is None else f'{n} rows'} of "
+                          f"[x, y, z], got {value!r:.40}")
+    return _vector([v for row in value for v in row], None, where, key,
+                   "rows of 3 numbers").reshape(-1, 3)
+
+
+def _indices(value, n, where, key):
+    """``value`` as an int64 array if it is a list of integers in
+    ``[0, n)``: else a SchemaError, or an InvalidInputError for an index
+    out of range, naming ``key``."""
+    if not (isinstance(value, list) and all(
+            isinstance(i, int) and not isinstance(i, bool) for i in value)):
+        raise SchemaError(f"{where}: {key!r} must be a list of indices, "
+                          f"got {value!r:.40}")
+    if not all(0 <= i < n for i in value):
+        raise InvalidInputError(f"{where}: {key!r} has an index outside "
+                                f"[0, {n})")
+    return np.asarray(value, np.int64)
+
+
+def _table(value, where, key):
+    """``value`` if it is a JSON object, else a SchemaError."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: {key!r} must be an object, "
+                          f"got {value!r:.40}")
+    return value
+
+
 def bundle_from_dict(doc):
+    """A ``ContactBundle`` from a contacts/1 document. A field of the wrong
+    type is a SchemaError and an index outside its array an
+    InvalidInputError, each naming the key; the bundle is validated."""
     if doc.get("schema") != CONTACTS_SCHEMA:
         raise SchemaError(f"expected {CONTACTS_SCHEMA}, got {doc.get('schema')!r}")
-    return ContactBundle(
-        np.asarray(doc["object_points"], float),
-        np.asarray(doc["object_normals"], float),
-        np.asarray(doc["omega_object"], float),
-        np.asarray(doc["contact_object"], np.int64),
-        list(doc["segment_names"]),
-        {k: np.asarray(v, float) for k, v in doc["omega_hand"].items()},
-        {k: np.asarray(v, np.int64) for k, v in doc["contact_hand"].items()},
-        {k: np.asarray(v, np.int64) for k, v in doc["knuckle_partition"].items()},
-        {k: (np.asarray(v["indices"], np.int64), np.asarray(v["delta"], float))
-         for k, v in doc["anchor_assignment"].items()},
-        tau_c=float(doc.get("tau_c", TAU_CONTACT)),
-        template_id=doc.get("template_id", ""),
-    ).validate()
+    where = f"{CONTACTS_SCHEMA} document"
+    with _keys_of(where):
+        points = _rows(doc["object_points"], None, where, "object_points")
+        n = len(points)
+        names, tau_c = doc["segment_names"], doc.get("tau_c", TAU_CONTACT)
+        template_id = doc.get("template_id", "")
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise SchemaError(f"{where}: 'segment_names' must be a list of "
+                              f"strings, got {names!r:.40}")
+        # written so that a NaN, and an int past any float, fails it too
+        if not (_is_number(tau_c) and abs(tau_c) <= sys.float_info.max):
+            raise SchemaError(f"{where}: 'tau_c' must be a finite number, "
+                              f"got {tau_c!r:.40}")
+        if not isinstance(template_id, str):
+            raise SchemaError(f"{where}: 'template_id' must be a string, "
+                              f"got {template_id!r:.40}")
+        omega_hand = {k: _vector(v, None, where, f"omega_hand.{k}",
+                                 "a list of numbers")
+                      for k, v in _table(doc["omega_hand"], where,
+                                         "omega_hand").items()}
+        anchors = {}
+        for k, v in _table(doc["anchor_assignment"], where,
+                           "anchor_assignment").items():
+            key = f"anchor_assignment.{k}"
+            idx = _indices(_table(v, where, key)["indices"], n, where,
+                           f"{key}.indices")
+            anchors[k] = (idx, _vector(v["delta"], len(idx), where,
+                                       f"{key}.delta"))
+        return ContactBundle(
+            points,
+            _rows(doc["object_normals"], n, where, "object_normals"),
+            _vector(doc["omega_object"], n, where, "omega_object"),
+            _indices(doc["contact_object"], n, where, "contact_object"),
+            list(names), omega_hand,
+            {k: _indices(v, len(omega_hand.get(k, ())), where,
+                         f"contact_hand.{k}")
+             for k, v in _table(doc["contact_hand"], where,
+                                "contact_hand").items()},
+            {k: _indices(v, n, where, f"knuckle_partition.{k}")
+             for k, v in _table(doc["knuckle_partition"], where,
+                                "knuckle_partition").items()},
+            anchors, tau_c=float(tau_c), template_id=template_id,
+        ).validate()
 
 
 def save_bundle(path, bundle):
@@ -285,27 +363,34 @@ def save_demo(path, object_path, handspec_path, grasp, note=""):
 
 
 def load_demo(path, base_dir=None):
-    """Load a demo/1 file into a Demonstration (realizes the hand via FK)."""
-    import pathlib
+    """Load a demo/1 file into a Demonstration (realizes the hand via FK).
 
-    from .geometry import load_mesh
-    from .hands.model import Grasp
-    from .hands.schema import load_handspec
+    ``object`` and ``handspec`` are paths, a relative one against
+    ``base_dir`` (by default the file's directory); ``q`` and ``wrist``
+    are read as in grasp/1. A field of the wrong type is a SchemaError
+    and a path naming no file an InvalidInputError, each naming the key.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != DEMO_SCHEMA:
         raise SchemaError(f"expected {DEMO_SCHEMA}, got {doc.get('schema')!r}")
+    where = f"{DEMO_SCHEMA} document"
     base = pathlib.Path(base_dir) if base_dir else pathlib.Path(path).parent
-
-    def resolve(p):
-        p = pathlib.Path(p)
-        return p if p.is_absolute() else base / p
-
-    spec = load_handspec(resolve(doc["handspec"]))
-    mesh = load_mesh(resolve(doc["object"]))
-    grasp = Grasp(np.asarray(doc["q"], float),
-                  np.asarray(doc["wrist"]["rotation"], float),
-                  np.asarray(doc["wrist"]["translation"], float))
+    files = {}
+    with _keys_of(where):
+        for key in ("handspec", "object"):
+            value = doc[key]
+            if not isinstance(value, str):
+                raise SchemaError(f"{where}: {key!r} must be a path string, "
+                                  f"got {value!r:.40}")
+            # an absolute path stays as it is
+            files[key] = base / value
+            if not files[key].is_file():
+                raise InvalidInputError(f"{where}: {key!r} names no file: "
+                                        f"{str(files[key])!r:.80}")
+    grasp = grasp_fields(doc, where)
+    spec = load_handspec(files["handspec"])
+    mesh = load_mesh(files["object"])
     return demonstration_from_hand(spec, grasp, mesh), spec, grasp
 
 

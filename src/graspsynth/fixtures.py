@@ -14,7 +14,7 @@ from . import transforms as tf
 from .closure import close_until_contact
 from .contact import demonstration_from_hand
 from .correspondence import save_keypoints
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, TriMesh, save_obj
 from .hands.model import Grasp
 from .hands.schema import builtin_hand
@@ -297,11 +297,27 @@ def write_category(directory, name, n=4):
 
 
 def load_category(path):
+    """(category/1 document, its directory). ``name`` and ``template``
+    are strings, ``instances`` a non-empty list of strings and
+    ``keypoints``, when present, a string; else a SchemaError naming the
+    key."""
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / "category.json"
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != "category/1":
+    if not isinstance(doc, dict) or doc.get("schema") != "category/1":
         raise InvalidInputError(f"{path}: not a category/1 manifest")
+    for key in ("name", "template", "instances"):
+        if key not in doc:
+            raise SchemaError(f"{path}: category/1 document has no {key!r}")
+    for key in ("name", "template", "keypoints"):
+        if not isinstance(doc.get(key, ""), str):
+            raise SchemaError(f"{path}: {key!r} must be a string, "
+                              f"got {doc[key]!r:.40}")
+    instances = doc["instances"]
+    if not (isinstance(instances, list) and instances
+            and all(isinstance(name, str) for name in instances)):
+        raise SchemaError(f"{path}: 'instances' must be a non-empty list of "
+                          f"strings, got {instances!r:.40}")
     return doc, path.parent

@@ -60,10 +60,6 @@ class TriMesh:
         """Face corner coordinates, shape (F, 3, 3)."""
         return self.vertices[self.faces]
 
-    @property
-    def area(self):
-        return float(self.face_areas.sum())
-
     def face_normals(self):
         tri = self.triangles
         n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])

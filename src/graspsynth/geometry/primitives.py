@@ -139,6 +139,9 @@ class PrimitiveStack:
     A query is two steps: the distance pass ``nearest`` keeps each
     point's winning row and its local point, and ``gradient`` evaluates
     the winners' gradient formulas later, only when a caller needs them.
+
+    A hand has one stack (``HandSpec.primitive_stack``): ``nearest`` with
+    ``owners`` gives each point its owner's union, as a one-owner stack.
     """
 
     def __init__(self, groups):
@@ -200,8 +203,10 @@ class PrimitiveStack:
             d[:, cols] = formula(local[:, cols], params, False)[0]
         return d
 
-    def nearest(self, rotations, translations, points):
-        """Distance pass of the union SDF (min over all rows).
+    def nearest(self, rotations, translations, points, owners=None):
+        """Distance pass of the union SDF (min over all rows), or with
+        ``owners`` (N,) of each point's owner's union only: the minimum
+        over the rows of ``owners[n]``, which must own rows.
 
         Returns (distances, each point's winning row, the point in that
         row's local frame); ``gradient`` takes the last two.
@@ -213,6 +218,8 @@ class PrimitiveStack:
         won_at = np.empty((len(points), 3))
         for out, local in self._passes(points, M, b):
             d = self._distances(local)
+            if owners is not None:
+                d[owners[out, None] != self.owner] = np.inf
             k = d.argmin(axis=1)
             n = np.arange(len(k))
             best[out] = d[n, k]

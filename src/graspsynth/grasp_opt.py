@@ -106,28 +106,24 @@ def _smooth_abs_grad(x):
 
 
 class GraspScene:
-    """Immutable per-(hand, bundle) precompute for the optimizer."""
+    """Immutable per-(hand, bundle) precompute: only what the forward and
+    gradient passes read (loss weights come with each evaluation)."""
 
-    def __init__(self, spec, bundle, weights=None):
+    def __init__(self, spec, bundle):
         self.spec = spec
-        self.bundle = bundle
-        self.weights = weights or LossWeights()
         self.object_points = np.asarray(bundle.object_points, float)
         self.object_normals = np.asarray(bundle.object_normals, float)
         self.object_tree = cKDTree(self.object_points)
 
         name_to_link = {spec.links[i].name: i for i in spec.segment_links()}
-        # attraction/repulsion targets, keyed by robot link index, and per
-        # target its link, its rows of the object cloud and a tree over them
-        self.link_targets = {}
+        # attraction/repulsion targets: per target its robot link, its rows
+        # of the object cloud and a tree over them
         self.target_trees = []
         for name, idx in bundle.knuckle_partition.items():
             if name in name_to_link and len(idx):
                 rows = np.asarray(idx, dtype=np.intp)
-                pts = self.object_points[rows]
-                self.link_targets[name_to_link[name]] = pts
                 self.target_trees.append((name_to_link[name], rows,
-                                          cKDTree(pts)))
+                                          cKDTree(self.object_points[rows])))
         # anchor targets by name
         self.anchor_targets = {}
         for k, anchor in enumerate(spec.anchors):
@@ -438,13 +434,16 @@ class _ForwardPass:
                               / np.array(dists)[:, None]))
 
         if self.terms["self_penetration"] > 0.0:
-            segs = spec.segment_links()
+            # one kernel pass over all pairs, each on its link's rows only
             sources = spec.sample_links()
             rows, cols = np.nonzero(self.d_self < 0.0)
+            _, won, won_at = stack.nearest(
+                posed.rotations, posed.translations, H[cols],
+                owners=scene.segment_links[rows])
+            g_all = stack.gradient(posed.rotations, won, won_at)
             for r in np.unique(rows):
-                j, n = segs[r], cols[rows == r]
-                _, g = posed.link_sdf(j, H[n])
-                acc.add(j, H[n], w.lam7 * g)
+                n, g = cols[rows == r], g_all[rows == r]
+                acc.add(int(scene.segment_links[r]), H[n], w.lam7 * g)
                 for i in np.unique(sources[n]):
                     own = sources[n] == i
                     acc.add(int(i), H[n][own], -w.lam7 * g[own])
@@ -476,7 +475,7 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
     against (used by physical refinement); default is ``g_init``.
     """
     ref = gesture_reference if gesture_reference is not None else g_init
-    fwd = _ForwardPass(scene, grasp, ref, weights or scene.weights)
+    fwd = _ForwardPass(scene, grasp, ref, weights or LossWeights())
     return fwd.total, fwd.terms, fwd.gradient() if accumulate else None
 
 
@@ -486,7 +485,7 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
 
 def _term(posed, bundle, weights, name):
     """One term of the loss of a posed hand against a bundle."""
-    scene = GraspScene(posed.spec, bundle, weights)
+    scene = GraspScene(posed.spec, bundle)
     return evaluate(scene, posed.grasp, posed.grasp, weights=weights)[1][name]
 
 
@@ -553,7 +552,7 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
     gradient passes and backtracks (rejected candidates) it ran.
     """
     spec = scene.spec
-    w = weights or scene.weights
+    w = weights or LossWeights()
     ref = gesture_reference if gesture_reference is not None else g_init
     lo_a = spec.actuated_limits[:, 0]
     hi_a = spec.actuated_limits[:, 1]
@@ -599,7 +598,7 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
 
 
 def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
-             seed=0, scene=None):
+             seed=0):
     """Run the five-loss optimization with random restarts.
 
     Restart 0 starts from ``g_init`` exactly; restart r > 0 perturbs it
@@ -611,7 +610,7 @@ def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
     leaves those counters out of the hashed report.
     """
     weights = weights or LossWeights()
-    scene = scene or GraspScene(spec, bundle, weights)
+    scene = GraspScene(spec, bundle)
     t0 = time.perf_counter()
     best = None
     summaries = []
@@ -667,7 +666,7 @@ def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
     """
     base = weights or LossWeights()
     weights = replace(base, lam6=base.lam6 * 10.0, lam7=base.lam7 * 10.0)
-    scene = GraspScene(spec, bundle, weights)
+    scene = GraspScene(spec, bundle)
 
     if penetration_depth_cloud(scene, grasp) < REFINE_PENETRATION_GOAL:
         return grasp.copy()

@@ -77,7 +77,8 @@ class HandSpec:
     """Immutable hand description.
 
     Nothing may change a spec after it is built: the sample layout, the
-    primitive stacks and the kinematics arrays are cached on first use
+    hand's one primitive stack (every segment link's primitives; there is
+    no per-link stack) and the kinematics arrays are cached on first use
     and never rebuilt.
 
     coupling maps actuated values (DoA) to the full joint vector (DoF):
@@ -148,7 +149,7 @@ class HandSpec:
         self._sample_layout = None
         self._kinematics_arrays = None
         self._link_meshes = None
-        self._primitive_stacks = {}
+        self._primitive_stack = None
         self._self_contact_mask = None
 
     def _validate_coupling_range(self):
@@ -246,14 +247,14 @@ class HandSpec:
                 pairs.add((i, j))
         return pairs
 
-    def primitive_stack(self, link=None):
-        """SDF kernel over every segment link's primitives, or over those
-        of one link (lazy)."""
-        if link not in self._primitive_stacks:
-            links = self.segment_links() if link is None else [link]
-            self._primitive_stacks[link] = PrimitiveStack(
-                {i: self.links[i].primitives for i in links})
-        return self._primitive_stacks[link]
+    def primitive_stack(self):
+        """The hand's one SDF kernel, over every segment link's primitives
+        (lazy); a query against one link's primitives passes ``owners``
+        to its ``nearest``."""
+        if self._primitive_stack is None:
+            self._primitive_stack = PrimitiveStack(
+                {i: self.links[i].primitives for i in self.segment_links()})
+        return self._primitive_stack
 
     def sample_links(self):
         """Owning link of each row of the stacked hand samples."""
@@ -340,12 +341,6 @@ class PosedHand:
         """
         return self.spec.primitive_stack().query(
             self.rotations, self.translations, points, with_gradient)
-
-    def link_sdf(self, i, points):
-        """SDF of one link's primitive union and its world gradient."""
-        d, g, _ = self.spec.primitive_stack(i).query(
-            self.rotations, self.translations, points, with_gradient=True)
-        return d, g
 
     def link_distances(self, points):
         """(L, N) SDF of every segment link (rows in segment_links() order)."""

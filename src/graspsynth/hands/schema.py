@@ -1,6 +1,7 @@
 """handspec/1 and grasp/1 document IO (JSON)."""
 
 import json
+import sys
 from contextlib import contextmanager
 from importlib import resources
 
@@ -45,11 +46,11 @@ def _vector(value, n, where, key, form=None):
             and all(_is_number(v) for v in value)):
         raise SchemaError(f"{where}: {key!r} must be "
                           f"{form or f'{n} numbers'}, got {value!r:.40}")
-    vector = np.asarray(value, float)
-    if not np.isfinite(vector).all():
+    # written so that a NaN, and an int past any float, fails it too
+    if not all(abs(v) <= sys.float_info.max for v in value):
         raise SchemaError(f"{where}: {key!r} must be finite, "
                           f"got {value!r:.40}")
-    return vector
+    return np.asarray(value, float)
 
 
 def _limits(value, where):
@@ -267,24 +268,33 @@ def grasp_to_dict(grasp, hand=None, provenance=None):
     return doc
 
 
+def grasp_fields(doc, where):
+    """The ``Grasp`` of a document's ``q`` and ``wrist`` (grasp/1 and
+    demo/1 hold them alike), else a SchemaError naming ``where`` and the
+    key."""
+    with _keys_of(where):
+        wrist = doc["wrist"]
+        if not isinstance(wrist, dict):
+            raise SchemaError(f"{where}: 'wrist' must be an object, "
+                              f"got {wrist!r:.40}")
+        return Grasp(_vector(doc["q"], None, where, "q", "a list of numbers"),
+                     _vector(wrist["rotation"], 4, where, "wrist.rotation"),
+                     _vector(wrist["translation"], 3, where,
+                             "wrist.translation"))
+
+
 def grasp_from_dict(doc):
     if doc.get("schema") != GRASP_SCHEMA:
         raise SchemaError(f"expected {GRASP_SCHEMA}, got {doc.get('schema')!r}")
     where = f"{GRASP_SCHEMA} document"
-    with _keys_of(where):
-        wrist, flags = doc["wrist"], doc.get("flags", [])
-        if not isinstance(wrist, dict):
-            raise SchemaError(f"{where}: 'wrist' must be an object, "
-                              f"got {wrist!r:.40}")
-        if not (isinstance(flags, list)
-                and all(isinstance(f, str) for f in flags)):
-            raise SchemaError(f"{where}: 'flags' must be a list of strings, "
-                              f"got {flags!r:.40}")
-        return Grasp(_vector(doc["q"], None, where, "q", "a list of numbers"),
-                     _vector(wrist["rotation"], 4, where, "wrist.rotation"),
-                     _vector(wrist["translation"], 3, where,
-                             "wrist.translation"),
-                     flags=list(flags))
+    flags = doc.get("flags", [])
+    if not (isinstance(flags, list)
+            and all(isinstance(f, str) for f in flags)):
+        raise SchemaError(f"{where}: 'flags' must be a list of strings, "
+                          f"got {flags!r:.40}")
+    grasp = grasp_fields(doc, where)
+    grasp.flags = list(flags)
+    return grasp
 
 
 def load_grasp(path):

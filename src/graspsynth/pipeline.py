@@ -22,7 +22,7 @@ from .correspondence import (correspond, diffuse_contacts, dsc_to_dict,
                              fit_deformation)
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, load_mesh, sample_surface
-from .grasp_opt import (GraspScene, LossWeights, optimize, refine_physical)
+from .grasp_opt import LossWeights, optimize, refine_physical
 from .hands.schema import grasp_to_dict
 from .metrics import evaluate_grasp, report_to_dict
 from .retarget import problem_from_demo, retarget
@@ -132,10 +132,9 @@ def synthesize_instance(robot, init, bundle_demo, map_demo, template_samples,
     map_i = correspond(template_samples, i_samples, field_i)
     bundle_i = diffuse_contacts(bundle_demo, map_demo, map_i)
 
-    scene = GraspScene(robot, bundle_i, config.weights)
     report = optimize(robot, init.grasp, bundle_i, weights=config.weights,
                       restarts=config.restarts, steps=config.steps,
-                      seed=config.seed, scene=scene)
+                      seed=config.seed)
     object_sdf = MeshSDF(instance_mesh)
     refined = refine_physical(robot, report.grasp, bundle_i,
                               weights=config.weights,

@@ -217,6 +217,30 @@ def link_sample_points(posed):
             for i, local in _link_local_samples(posed.spec).items()}
 
 
+@functools.lru_cache(maxsize=None)
+def link_stack(spec, link):
+    """A ``PrimitiveStack`` over one link's primitives alone, built once
+    per (spec, link): what a query on the hand's stack with ``owners``
+    must match."""
+    from graspsynth.geometry.primitives import PrimitiveStack
+
+    return PrimitiveStack({link: spec.links[link].primitives})
+
+
+def link_sdf(posed, link, points):
+    """(distance, world gradient) of one link's primitive union, from its
+    own one-link stack."""
+    d, g, _ = link_stack(posed.spec, link).query(
+        posed.rotations, posed.translations, points, with_gradient=True)
+    return d, g
+
+
+def link_targets(scene):
+    """{robot link: its attraction target points} of a ``GraspScene``,
+    in target order."""
+    return {j: scene.object_points[rows] for j, rows, _ in scene.target_trees}
+
+
 def support_function_radius(wrenches, restarts=200, seed=0):
     """Largest origin-centered ball inside conv(wrenches).
 
@@ -332,7 +356,7 @@ def march_closure_per_link(spec, grasp, object_sdf, delta, stop_sdf,
                         or geometric_parent(i) == j
                         or geometric_parent(j) == i):
                     continue
-                if posed.link_sdf(j, pts)[0].min() <= stop_sdf:
+                if link_sdf(posed, j, pts)[0].min() <= stop_sdf:
                     touching[i] = True
         return nearest, touching
 
@@ -412,12 +436,13 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
     """
     from graspsynth import transforms as tf
     from graspsynth.contact import digitize
-    from graspsynth.grasp_opt import (SMOOTH_EPS, _digitize_slope,
+    from graspsynth.grasp_opt import (SMOOTH_EPS, LossWeights,
+                                      _digitize_slope,
                                       _oriented_cloud_distance, _smooth_abs,
                                       _smooth_abs_grad)
     from graspsynth.hands.model import _ancestor_dofs, forward_kinematics
 
-    w = weights or scene.weights
+    w = weights or LossWeights()
     spec = scene.spec
     posed = forward_kinematics(spec, grasp)
     ref = gesture_reference if gesture_reference is not None else g_init
@@ -488,7 +513,8 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
 
     attract = 0.0
     repel = 0.0
-    trees = {j: cKDTree(pts) for j, pts in scene.link_targets.items()}
+    targets = link_targets(scene)
+    trees = {j: cKDTree(pts) for j, pts in targets.items()}
     for i in seg_slices:
         pts_i = H[seg_slices[i]]
         for j, tree in trees.items():
@@ -496,7 +522,7 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
             ia = int(d.argmin())
             dist = float(d[ia])
             ib = int(nearest[ia])
-            target = scene.link_targets[j]
+            target = targets[j]
             if i == j:
                 attract += dist
                 if accumulate and dist > 1e-12:
@@ -536,7 +562,7 @@ def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
         rows, cols = np.nonzero(d_self < 0.0)
         for r in np.unique(rows):
             j, n = segs[r], cols[rows == r]
-            _, g = posed.link_sdf(j, H[n])
+            _, g = link_sdf(posed, j, H[n])
             add(j, H[n], w.lam7 * g)
             for i in np.unique(sources[n]):
                 own = sources[n] == i
@@ -881,8 +907,8 @@ def forward_pass_pairs_per_segment(scene, grasp, ref, w):
 
     class PairsPerSegment(_ForwardPass):
         def _pairs(self, seg_slices):
-            trees = {j: cKDTree(pts)
-                     for j, pts in self.scene.link_targets.items()}
+            targets = link_targets(self.scene)
+            trees = {j: cKDTree(pts) for j, pts in targets.items()}
             queried = [tree.query(self.H) for tree in trees.values()]
             dists = np.reshape([d for d, _ in queried],
                                (len(trees), len(self.H)))
@@ -893,7 +919,7 @@ def forward_pass_pairs_per_segment(scene, grasp, ref, w):
                 first = dists[:, sl].argmin(axis=1) + sl.start
                 for j, (d, nearest), ia in zip(trees, queried, first):
                     dist = float(d[ia])
-                    target = self.scene.link_targets[j]
+                    target = targets[j]
                     if i == j:
                         attract += dist
                         if dist > 1e-12:

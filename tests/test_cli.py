@@ -285,3 +285,88 @@ def test_console_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "synthesize" in proc.stdout
+
+
+def _demo_elsewhere(workspace, tmp_path, damage):
+    # the wand demo with absolute paths, damaged and written to tmp_path
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "demo.json").read_text())
+    for key in ("object", "handspec"):
+        doc[key] = str(cat / doc[key])
+    damage(doc)
+    bad = tmp_path / "demo.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d.update(q="x"),
+     "demo/1 document: 'q' must be a list of numbers, got 'x'"),
+    (lambda d: d.update(handspec=3),
+     "demo/1 document: 'handspec' must be a path string, got 3"),
+    (lambda d: d.pop("wrist"), "demo/1 document: missing key 'wrist'"),
+    (lambda d: d.update(object=""), "demo/1 document: 'object' names no file"),
+], ids=["q-a-string", "handspec-a-number", "no-wrist", "object-empty"])
+def test_contacts_bad_demo_exit_2(workspace, tmp_path, capsys, damage,
+                                  message):
+    # these demo/1 documents used to end in a ValueError, TypeError or
+    # IsADirectoryError traceback, or a bare "error: 'wrist'"
+    bad = _demo_elsewhere(workspace, tmp_path, damage)
+    code = main(["contacts", "--demo", str(bad),
+                 "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def _negative_contact(doc):
+    doc["contact_object"].append(-1)
+    doc["knuckle_partition"][next(iter(doc["knuckle_partition"]))].append(-1)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d.update(object_points="x"),
+     "'object_points' must be a list of [x, y, z], got 'x'"),
+    (lambda d: d["object_points"][1].pop(),
+     "'object_points' must be a list of [x, y, z]"),
+    (lambda d: d["anchor_assignment"].update(tip=3),
+     "'anchor_assignment.tip' must be an object, got 3"),
+    (_negative_contact, "'contact_object' has an index outside [0, "),
+], ids=["points-a-string", "points-ragged", "anchor-not-an-object",
+        "negative-index"])
+def test_eval_bad_truth_exit_2(workspace, tmp_path, capsys, damage, message):
+    # these contacts/1 documents used to end in a ValueError or TypeError
+    # traceback, and a -1 index passed and picked the last point
+    run1 = workspace / "run1"
+    doc = json.loads((run1 / "wand_0.contacts.json").read_text())
+    damage(doc)
+    bad = tmp_path / "truth.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["eval", "--grasp", str(run1 / "wand_0.grasp.json"),
+                 "--hand", "pinch1",
+                 "--object", str(workspace / "data" / "wand" / "wand_0.obj"),
+                 "--truth", str(bad), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert (f"error: contacts/1 document: {message}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d.update(instances=3),
+     "'instances' must be a non-empty list of strings, got 3"),
+    (lambda d: d.update(template=5), "'template' must be a string, got 5"),
+    (lambda d: d.pop("template"), "category/1 document has no 'template'"),
+], ids=["instances-a-number", "template-a-number", "no-template"])
+def test_synthesize_bad_category_exit_2(workspace, tmp_path, capsys, damage,
+                                        message):
+    # these category/1 documents used to end in a TypeError traceback
+    # outside the per-instance isolation, or a bare "error: 'template'"
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "category.json").read_text())
+    damage(doc)
+    bad = tmp_path / "category.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["synthesize", "--category", str(bad),
+                 "--demo", str(cat / "demo.json"), "--hand", "pinch1",
+                 *FAST, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err

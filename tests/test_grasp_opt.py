@@ -23,7 +23,7 @@ from graspsynth.metrics import self_penetration
 from graspsynth.pipeline import opt_report_to_dict
 
 from oracles import (descend_reevaluate, forward_pass_pairs_per_segment,
-                     link_sample_points, rot_about,
+                     link_sample_points, link_sdf, link_targets, rot_about,
                      self_penetration_bruteforce)
 
 
@@ -100,14 +100,14 @@ def test_loss_self_penetration_rules():
         for j in spec.segment_links():
             if i == j or (i, j) in spec.adjacent_pairs:
                 continue
-            d, _ = posed.link_sdf(j, samples[i])
+            d, _ = link_sdf(posed, j, samples[i])
             expected += float(np.maximum(-d, 0).sum())
     assert val == pytest.approx(expected, rel=1e-12)
     assert val > 0
     deepest = 0.4
     per_sample_max = max(
-        float(np.maximum(-posed.link_sdf(2, samples[0])[0], 0).max()),
-        float(np.maximum(-posed.link_sdf(0, samples[2])[0], 0).max()))
+        float(np.maximum(-link_sdf(posed, 2, samples[0])[0], 0).max()),
+        float(np.maximum(-link_sdf(posed, 0, samples[2])[0], 0).max()))
     assert per_sample_max == pytest.approx(deepest, abs=0.05)
 
 
@@ -290,7 +290,7 @@ def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
     g_init = Grasp(apply_coupling(spec, lo + 0.5 * (hi - lo))[0],
                    g.rotation.copy(), g.translation.copy())
     weights = LossWeights()
-    scene = GraspScene(spec, cylinder_bundle, weights)
+    scene = GraspScene(spec, cylinder_bundle)
     grads = []
     gradient = grasp_opt._ForwardPass.gradient
 
@@ -350,6 +350,9 @@ def test_descend_matches_reevaluating_oracle(hand, cylinder_scene,
     rows += check(pressed, pressed, 10, refine_w, gesture_reference=pressed,
                   stop_depth=grasp_opt.REFINE_PENETRATION_GOAL)
     assert any(row["interpenetration"] > 0 for row in rows)
+    # where the oracle takes each self-penetration gradient from a one-link
+    # stack and the descent from the hand stack with owners
+    assert any(row["self_penetration"] > 0 for row in rows)
 
 
 def test_gradient_step_runs_only_in_gradient_passes(cylinder_scene,
@@ -360,7 +363,7 @@ def test_gradient_step_runs_only_in_gradient_passes(cylinder_scene,
     # never for the last accepted state
     spec = cylinder_scene["spec"]
     g = cylinder_scene["grasp"]
-    scene = GraspScene(spec, cylinder_bundle, LossWeights())
+    scene = GraspScene(spec, cylinder_bundle)
     hand_stack = spec.primitive_stack()
     passes, graded, inside, steps = [], [], [], []
     build = grasp_opt._ForwardPass.__init__
@@ -458,9 +461,9 @@ def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
     far = False
     for bundle in bundles:
         untargeted = GraspScene(spec, replace(bundle, knuckle_partition={}))
-        assert not untargeted.link_targets
+        assert not untargeted.target_trees
+        scene = GraspScene(spec, bundle)
         for w in (LossWeights(), LossWeights(d1=0.5), LossWeights(d1=0.0)):
-            scene = GraspScene(spec, bundle, w)
             slices = spec.sample_slices()
             for k in range(4):
                 a = lo + rng.uniform(0.2, 0.8, spec.doa) * (hi - lo)
@@ -474,7 +477,7 @@ def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
                 _check_pairs_match_per_segment_loop(untargeted, grasp, w)
                 # some segment with no other link's tree within d1
                 d = {j: cKDTree(pts).query(fwd.H)[0]
-                     for j, pts in scene.link_targets.items()}
+                     for j, pts in link_targets(scene).items()}
                 far |= any(all(d[j][sl].min() >= w.d1 for j in d if j != i)
                            for i, sl in slices.items())
                 # d1 set to the distance of a segment's nearest sample to

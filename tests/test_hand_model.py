@@ -15,7 +15,7 @@ from graspsynth.hands import (Anchor, FingertipFrame, Grasp, HandSpec, Link,
                               point_jacobian_world)
 
 from oracles import (finite_difference_jacobian, fk_matrix_chain,
-                     forward_kinematics_per_link, link_sample_points,
+                     forward_kinematics_per_link, link_sample_points, link_sdf,
                      point_jacobian_per_joint, rot_about)
 
 HANDS = ["human", "coupled9", "quad16", "pinch1"]
@@ -421,6 +421,6 @@ def test_rest_pose_collision_free():
             for j in spec.segment_links():
                 if i == j or (i, j) in spec.adjacent_pairs:
                     continue
-                d, _ = posed.link_sdf(j, samples[i])
+                d, _ = link_sdf(posed, j, samples[i])
                 assert d.min() > -1e-9, (hand, spec.links[i].name,
                                          spec.links[j].name)

@@ -1,0 +1,299 @@
+"""Property tests over the demo/1, contacts/1 and category/1 loaders.
+
+Each replaces one key of a valid document, at any depth, with an
+arbitrary JSON value. The loader must then load the document or raise a
+``GraspSynthError`` subtype (which the CLI turns into exit code 2):
+never another exception and never a RuntimeWarning. Every case these
+properties found has a named test of its own below.
+"""
+
+import copy
+import json
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from graspsynth.contact import bundle_from_dict, load_demo, save_demo
+from graspsynth.errors import GraspSynthError, InvalidInputError, SchemaError
+from graspsynth.fixtures import cylinder_mesh, load_category
+from graspsynth.geometry import save_obj
+from graspsynth.hands import builtin_hand, make_grasp, save_handspec
+
+SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(max_size=6))
+# arbitrary JSON, and lists of number rows near the valid shapes
+JSON = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=8) | st.lists(
+        st.lists(st.integers() | st.floats(), min_size=2, max_size=4),
+        max_size=5)
+
+
+def _paths(doc, prefix=()):
+    """Every key of a JSON document at any depth, as a path of keys and
+    list positions (only the first item of a list)."""
+    items = (doc.items() if isinstance(doc, dict)
+             else [(0, doc[0])] if isinstance(doc, list) and doc else [])
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def _loads_or_typed_error(load):
+    """``load()``'s result, or None when it raises a GraspSynthError;
+    RuntimeWarnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return load()
+        except GraspSynthError:
+            return None
+
+
+# ---------------------------------------------------------------------------
+# demo/1
+
+
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("demo")
+    spec = builtin_hand("pinch1")
+    save_obj(root / "object.obj", cylinder_mesh(radius=2.0, height=8.0))
+    save_handspec(root / "hand.json", spec)
+    grasp = make_grasp(spec, q=[0.2, 0.2],
+                       translation=np.array([0.0, 6.0, 0.0]))
+    save_demo(root / "demo.json", "object.obj", "hand.json", grasp,
+              note="test")
+    return root
+
+
+def _demo_doc(demo_dir):
+    return json.loads((demo_dir / "demo.json").read_text())
+
+
+def _load_demo_doc(demo_dir, doc):
+    path = demo_dir / "case.json"
+    path.write_text(json.dumps(doc))
+    return load_demo(path)
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_demo_loader_takes_any_value_at_any_key(demo_dir, data, value):
+    doc = _demo_doc(demo_dir)
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    _loads_or_typed_error(
+        lambda: _load_demo_doc(demo_dir, _replaced(doc, path, value)))
+
+
+@pytest.mark.parametrize("path,value,error,message", [
+    (("handspec",), "", InvalidInputError, "'handspec' names no file"),
+    (("object",), ".", InvalidInputError, "'object' names no file"),
+    (("object",), "missing.obj", InvalidInputError,
+     "'object' names no file"),
+    (("object",), "x\x00", InvalidInputError, "'object' names no file"),
+    (("object",), ["object.obj"], SchemaError,
+     "'object' must be a path string"),
+    (("wrist", "rotation"), [10 ** 400, 0, 0, 0], SchemaError,
+     "'wrist.rotation' must be finite"),
+    (("q",), [0.2, 10 ** 400], SchemaError, "'q' must be finite"),
+    (("q",), False, SchemaError, "'q' must be a list of numbers, got False"),
+    (("q",), [[0, 0, 0, 0], [0, 0, 0, 0]], SchemaError,
+     "'q' must be a list of numbers"),
+    (("wrist",), [], SchemaError, "'wrist' must be an object, got []"),
+    (("wrist",), {}, SchemaError, "missing key 'rotation'"),
+    (("wrist", "rotation"), [True], SchemaError,
+     "'wrist.rotation' must be 4 numbers, got [True]"),
+    (("wrist", "rotation"), [1.3407807929942597e+154], SchemaError,
+     "'wrist.rotation' must be 4 numbers"),
+    (("wrist", "translation"), [], SchemaError,
+     "'wrist.translation' must be 3 numbers, got []"),
+], ids=["handspec-empty", "object-directory", "object-missing",
+        "object-nul", "object-a-list", "rotation-past-any-float",
+        "q-past-any-float", "q-false", "q-nested", "wrist-a-list",
+        "wrist-empty", "rotation-bool", "rotation-one-number",
+        "translation-empty"])
+def test_demo_loader_names_the_bad_path_or_number(demo_dir, path, value,
+                                                  error, message):
+    doc = _replaced(_demo_doc(demo_dir), path, value)
+    with pytest.raises(error, match=re.escape(f"demo/1 document: {message}")):
+        _load_demo_doc(demo_dir, doc)
+
+
+# ---------------------------------------------------------------------------
+# contacts/1
+
+
+def _contacts_doc():
+    return {
+        "schema": "contacts/1", "tau_c": 0.5, "template_id": "cyl",
+        "object_points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0]],
+        "object_normals": [[0.0, 0.0, 1.0]] * 4,
+        "omega_object": [1.0, 0.5, 0.25, 0.9],
+        "contact_object": [0, 3],
+        "segment_names": ["thumb", "index"],
+        "omega_hand": {"thumb": [0.1, 0.9], "index": [0.5]},
+        "contact_hand": {"thumb": [1], "index": [0]},
+        "knuckle_partition": {"thumb": [0], "index": [3]},
+        "anchor_assignment": {"tip": {"indices": [0, 3],
+                                      "delta": [0.1, 0.2]}},
+    }
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_contacts_loader_takes_any_value_at_any_key(data, value):
+    doc = _contacts_doc()
+    assert bundle_from_dict(doc).object_points.shape == (4, 3)
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    _loads_or_typed_error(
+        lambda: bundle_from_dict(_replaced(doc, path, value)))
+
+
+@pytest.mark.parametrize("path,value,error,message", [
+    (("object_points",), "x", SchemaError,
+     "'object_points' must be a list of [x, y, z], got 'x'"),
+    (("object_points", 1), [1.0, 0.0], SchemaError,
+     "'object_points' must be a list of [x, y, z]"),
+    (("object_points", 1), [1.0, 0.0, "x"], SchemaError,
+     "'object_points' must be rows of 3 numbers"),
+    (("object_normals",), [[0.0, 0.0, 1.0]], SchemaError,
+     "'object_normals' must be 4 rows of [x, y, z]"),
+    (("omega_object",), [1.0, 0.5], SchemaError,
+     "'omega_object' must be 4 numbers"),
+    (("contact_object",), [0, 1.5], SchemaError,
+     "'contact_object' must be a list of indices"),
+    (("contact_object",), [0, True], SchemaError,
+     "'contact_object' must be a list of indices"),
+    (("contact_object",), [0, 10 ** 30], InvalidInputError,
+     "'contact_object' has an index outside [0, 4)"),
+    (("knuckle_partition", "index"), [-1], InvalidInputError,
+     "'knuckle_partition.index' has an index outside [0, 4)"),
+    (("contact_hand", "index"), [1], InvalidInputError,
+     "'contact_hand.index' has an index outside [0, 1)"),
+    (("anchor_assignment", "tip"), 3, SchemaError,
+     "'anchor_assignment.tip' must be an object, got 3"),
+    (("anchor_assignment", "tip", "delta"), [0.1], SchemaError,
+     "'anchor_assignment.tip.delta' must be 2 numbers"),
+    (("omega_hand",), [0.5], SchemaError,
+     "'omega_hand' must be an object"),
+    (("segment_names",), "thumb", SchemaError,
+     "'segment_names' must be a list of strings"),
+    (("tau_c",), "x", SchemaError, "'tau_c' must be a finite number"),
+    (("tau_c",), 10 ** 400, SchemaError, "'tau_c' must be a finite number"),
+    (("template_id",), 3, SchemaError, "'template_id' must be a string"),
+    (("object_points",), None, SchemaError,
+     "'object_points' must be a list of [x, y, z], got None"),
+    (("contact_object",), False, SchemaError,
+     "'contact_object' must be a list of indices, got False"),
+    (("contact_object", 0), 2 ** 63, InvalidInputError,
+     "'contact_object' has an index outside [0, 4)"),
+    (("knuckle_partition", "index"), "", SchemaError,
+     "'knuckle_partition.index' must be a list of indices, got ''"),
+    (("omega_hand", "index"), {}, SchemaError,
+     "'omega_hand.index' must be a list of numbers, got {}"),
+], ids=["points-a-string", "points-ragged", "points-not-numbers",
+        "normals-short", "omega-short", "contact-fraction", "contact-bool",
+        "contact-past-int64", "partition-negative", "contact-hand-past-end",
+        "anchor-not-an-object", "anchor-delta-short", "omega-hand-a-list",
+        "segment-names-a-string", "tau-c-a-string", "tau-c-past-any-float",
+        "template-id-a-number", "points-none", "contact-false",
+        "contact-past-int64-by-one", "partition-a-string",
+        "omega-hand-an-object"])
+def test_contacts_loader_names_the_bad_key(path, value, error, message):
+    doc = _replaced(_contacts_doc(), path, value)
+    with pytest.raises(error,
+                       match=re.escape(f"contacts/1 document: {message}")):
+        bundle_from_dict(doc)
+
+
+def test_contacts_loader_refuses_missing_key():
+    doc = _contacts_doc()
+    del doc["anchor_assignment"]["tip"]["indices"]
+    with pytest.raises(SchemaError, match=re.escape(
+            "contacts/1 document: missing key 'indices'")):
+        bundle_from_dict(doc)
+
+
+def test_validate_refuses_empty_hand_map_row():
+    # an empty row loaded, and the optimizer's segment mean of it warned
+    # "Mean of empty slice" when the robot's layout differed
+    doc = _replaced(_contacts_doc(), ("omega_hand", "index"), [])
+    doc["contact_hand"]["index"] = []
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("omega_hand 'index' is empty")):
+        bundle_from_dict(doc)
+
+
+def test_validate_refuses_negative_contact_index():
+    # with -1 in O^c and in a partition set the bundle used to pass, and
+    # its indices picked points from the end of the array
+    bundle = bundle_from_dict(_contacts_doc())
+    bundle.contact_object = np.array([0, 3, -1])
+    bundle.knuckle_partition["index"] = np.array([3, -1])
+    with pytest.raises(InvalidInputError, match="contact index out of range"):
+        bundle.validate()
+
+
+# ---------------------------------------------------------------------------
+# category/1
+
+
+def _category_doc():
+    return {"schema": "category/1", "name": "wand", "template": "wand_0.obj",
+            "instances": ["wand_0.obj", "wand_1.obj"],
+            "keypoints": "wand_keypoints.txt"}
+
+
+def _load_category_doc(directory, doc):
+    (directory / "category.json").write_text(json.dumps(doc))
+    return load_category(directory)
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_category_loader_takes_any_value_at_any_key(tmp_path, data, value):
+    # a manifest that loads has the types ``run_category`` reads
+    doc = _category_doc()
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    loaded = _loads_or_typed_error(
+        lambda: _load_category_doc(tmp_path, _replaced(doc, path, value)))
+    if loaded is not None:
+        doc = loaded[0]
+        assert isinstance(doc["name"], str)
+        assert isinstance(doc["template"], str)
+        assert isinstance(doc.get("keypoints", ""), str)
+        assert doc["instances"] and all(isinstance(name, str)
+                                        for name in doc["instances"])
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("name",), 3, "'name' must be a string, got 3"),
+    (("keypoints",), ["x"], "'keypoints' must be a string, got ['x']"),
+    (("instances",), [], "'instances' must be a non-empty list of strings"),
+    (("instances", 0), 3, "'instances' must be a non-empty list of strings"),
+], ids=["name-a-number", "keypoints-a-list", "instances-empty",
+        "instance-a-number"])
+def test_category_loader_names_the_bad_key(tmp_path, path, value, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        _load_category_doc(tmp_path, _replaced(_category_doc(), path, value))

@@ -9,7 +9,7 @@ from graspsynth.geometry.primitives import PrimitiveStack
 from graspsynth.hands import builtin_hand, forward_kinematics
 from graspsynth.hands.model import Grasp
 
-from oracles import primitive_query_all_rows, rot_about
+from oracles import link_stack, primitive_query_all_rows, rot_about
 
 HANDS = ["human", "coupled9", "quad16", "pinch1"]
 
@@ -161,7 +161,8 @@ def test_stack_matches_all_rows_kernel(hand):
     spec = builtin_hand(hand)
     rng = np.random.default_rng(23)
     for link in [None] + spec.segment_links():
-        stack = spec.primitive_stack(link)
+        stack = (spec.primitive_stack() if link is None
+                 else link_stack(spec, link))
         rotations, translations = _random_pose(spec, rng)
         links = spec.segment_links() if link is None else [link]
         features = np.vstack([
@@ -265,3 +266,39 @@ def test_distance_pass_and_gradient_step_match_all_rows_kernel(seed, spread):
                 assert b1[0] == best[r] and r1[0] == rows[r]
                 assert np.array_equal(stack.gradient(rotations, r1, w1)[0],
                                       grad[r])
+
+
+@pytest.mark.parametrize("hand", HANDS)
+def test_owner_restricted_pass_matches_one_link_stack(hand):
+    # with ``owners`` each point's minimum runs over its owner's rows only:
+    # the distance pass and the gradient step must give what a stack built
+    # over that one link gives, bit for bit, at every batch size around a
+    # pass, with ties at the primitives' features among the points
+    spec = builtin_hand(hand)
+    stack = spec.primitive_stack()
+    links = spec.segment_links()
+    rng = np.random.default_rng(61)
+    c = stack.chunk
+    for size in (0, 1, 2, c - 1, c, c + 1):
+        rotations, translations = _random_pose(spec, rng)
+        features = [_feature_points(spec.links[i].primitives) @ rotations[i].T
+                    + translations[i] for i in links]
+        pool = np.vstack(features + [translations.mean(axis=0) + rng.normal(
+            0.0, 3.0, (size, 3))])
+        pool_owners = np.concatenate(
+            [np.full(len(f), i) for f, i in zip(features, links)]
+            + [rng.choice(links, size)])
+        pick = rng.permutation(len(pool))[:size]
+        points, owners = pool[pick], pool_owners[pick]
+        best, rows, won_at = stack.nearest(rotations, translations, points,
+                                           owners=owners)
+        grad = stack.gradient(rotations, rows, won_at)
+        assert best.shape == rows.shape == (size,)
+        assert grad.shape == won_at.shape == (size, 3)
+        assert np.array_equal(stack.owner[rows], owners)
+        for link in np.unique(owners):
+            mine = owners == link
+            d, g, _ = link_stack(spec, link).query(
+                rotations, translations, points[mine], with_gradient=True)
+            assert np.array_equal(best[mine], d)
+            assert np.array_equal(grad[mine], g)

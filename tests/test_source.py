@@ -8,6 +8,8 @@ import pytest
 
 from graspsynth.hands import builtin_hand
 
+from oracles import link_stack
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -84,6 +86,7 @@ def test_primitive_chunk_fits_the_budget(hand):
     # than freshly mapped pages; and no pass is a one-point product
     spec = builtin_hand(hand)
     for link in [None] + spec.segment_links():
-        stack = spec.primitive_stack(link)
+        stack = (spec.primitive_stack() if link is None
+                 else link_stack(spec, link))
         assert stack.chunk >= 2
         assert stack.chunk * len(stack.owner) * 3 * 8 <= 128 * 1024
