@@ -19,8 +19,8 @@ from . import transforms as tf
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, TriMesh, load_mesh, sample_surface
 from .hands.model import forward_kinematics
-from .hands.schema import (_is_number, _keys_of, _vector, grasp_fields,
-                           load_handspec)
+from .hands.schema import (_is_number, _keys_of, _read_json, _vector,
+                           grasp_fields, load_handspec)
 
 TAU_CONTACT = 0.5  # cm; membership threshold for the contact sets
 CONTACTS_SCHEMA = "contacts/1"
@@ -341,8 +341,7 @@ def save_bundle(path, bundle):
 
 
 def load_bundle(path):
-    with open(path) as fh:
-        return bundle_from_dict(json.load(fh))
+    return bundle_from_dict(_read_json(path))
 
 
 # demo/1: object + hand spec reference + grasp parameters
@@ -370,8 +369,7 @@ def load_demo(path, base_dir=None):
     are read as in grasp/1. A field of the wrong type is a SchemaError
     and a path naming no file an InvalidInputError, each naming the key.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if doc.get("schema") != DEMO_SCHEMA:
         raise SchemaError(f"expected {DEMO_SCHEMA}, got {doc.get('schema')!r}")
     where = f"{DEMO_SCHEMA} document"

@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 from . import transforms as tf
 from .errors import InvalidInputError, SchemaError, UnrecognizedObjectError
 from .geometry import TriMesh, sample_surface, sdf_grid_from_mesh
+from .hands.schema import _read_json
 
 OSE_WEIGHTS = (5.0, 1.0, 10.0)   # sdf, normal, chamfer
 GRID_SPACING_CM = 0.25           # physical detail resolved by template grids
@@ -429,5 +430,4 @@ def save_state(path, state):
 
 
 def load_state(path):
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    return state_from_dict(_read_json(path))

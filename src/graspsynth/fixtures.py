@@ -17,7 +17,7 @@ from .correspondence import save_keypoints
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, TriMesh, save_obj
 from .hands.model import Grasp
-from .hands.schema import builtin_hand
+from .hands.schema import _read_json, builtin_hand
 
 
 def cylinder_mesh(radius=2.8, height=12.0):
@@ -304,8 +304,7 @@ def load_category(path):
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / "category.json"
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("schema") != "category/1":
         raise InvalidInputError(f"{path}: not a category/1 manifest")
     for key in ("name", "template", "instances"):

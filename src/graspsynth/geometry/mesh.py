@@ -233,6 +233,11 @@ def _extract_vertex_data(names, rows, path):
     return points, normals
 
 
+def _ply_text(tokens):
+    """A body line's byte tokens as text, for an error message."""
+    return b" ".join(tokens).decode("ascii", "replace")
+
+
 def _parse_ply_ascii(fh, elements, path):
     points = normals = faces = None
     for name, count, props in elements:
@@ -249,7 +254,7 @@ def _parse_ply_ascii(fh, elements, path):
                     raise InvalidInputError(
                         f"{path}: PLY vertex line {k + 1} of {count}: "
                         f"expected {len(names)} numbers, got "
-                        f"{' '.join(line)!r:.60}")
+                        f"{_ply_text(line)!r:.60}")
                 rows.append(row)
             points, normals = _extract_vertex_data(names, rows, path)
         elif name == "face":
@@ -264,7 +269,7 @@ def _parse_ply_ascii(fh, elements, path):
                 if len(idx) != n:
                     raise InvalidInputError(
                         f"{path}: PLY face line {k + 1} of {count}: "
-                        f"malformed {' '.join(vals)!r:.60}")
+                        f"malformed {_ply_text(vals)!r:.60}")
                 for j in range(1, n - 1):
                     faces.append([idx[0], idx[j], idx[j + 1]])
             faces = np.array(faces, dtype=np.int64) if faces else None

@@ -21,6 +21,17 @@ search needs only loss values at its trial points, so the descent gives
 each candidate one forward pass and runs the gradient pass only over an
 accepted candidate's state, when the next step needs it.
 
+A candidate is only compared with a ceiling (the accepted loss less
+1e-12), so its forward pass runs in stages, cheapest first: gesture and
+anchors, the object-side hand SDF, the attraction/repulsion pairs, the
+oriented-cloud hand map and the self distances. After each stage the
+known terms, a floor for the others (0, or ``-lam2 * d1`` per repulsion
+pair) and a small slack bound the total from below; a bound at or above
+the ceiling refutes the candidate without the later stages, the way
+bound-based pruning skips distances in Elkan's k-means. A pass that
+goes on to the end sums its terms exactly as a full pass does, so every
+accepted state is the same bits.
+
 The anchor-alignment term L_A is a hinge: each anchor adds
 ``anchor_weight * dist``, its distance to the nearest assigned object
 point, only while that distance exceeds ``d2``; within ``d2`` it adds no
@@ -255,21 +266,66 @@ class _ForwardPass:
     """The loss of one grasp, and the state its gradient pass reads.
 
     Construction poses the hand and takes every distance the loss needs
-    and nothing more: the hand SDF's distance pass at the object points
-    (keeping each point's winning primitive and local point), the
-    oriented-cloud distance of the hand samples ``H``, the
-    attraction/repulsion and anchor argmin pairs and the self distances.
+    and nothing more, in five stages, cheapest first:
+
+    1. forward kinematics, the gesture term and the anchor pairs;
+    2. the hand SDF's distance pass at the object points (contact map
+       and L_IP), keeping each point's winning primitive and local point;
+    3. the attraction/repulsion argmin pairs (``_pairs``);
+    4. the oriented-cloud distance of the hand samples ``H`` (hand map);
+    5. the self distances (L_SP).
+
+    After each of the first four stages, the terms known so far plus a
+    floor for the rest bound the total from below: 0 for the contact
+    map, hand map, attraction, L_IP and L_SP, and
+    ``-lam2 * d1 * count(~target_own)`` for the repulsion (each
+    non-own pair adds at most ``d1``). The bound is lowered by a slack of
+    ``1e-9 * (1 + sum |known| + |floor|)``, far above the rounding of the
+    final sum (which is monotone in each term) and of ``_smooth_abs``'s
+    one ulp below 0. When the bound is at or above ``ceiling``, the pass
+    stops: it is ``refuted``, its ``total`` is inf and it has no
+    ``terms``; its full total would be at or above ``ceiling`` too. A
+    pass that is not refuted computes every term by the same expressions
+    and sums ``loss_c`` and ``total`` in the same order whatever the
+    stage order, so its terms and total are the same bits as a pass with
+    ``ceiling`` inf, which is never refuted.
+
     ``gradient()`` evaluates the hand SDF's gradient formulas at the kept
     winners and contracts that state into the (actuated, translation,
-    rotation) gradient without posing the hand or searching again.
+    rotation) gradient without posing the hand or searching again; it
+    reads an unrefuted pass only.
     """
 
-    def __init__(self, scene, grasp, ref, w):
+    def __init__(self, scene, grasp, ref, w, ceiling):
         spec = scene.spec
         self.scene, self.grasp, self.ref, self.w = scene, grasp, ref, w
         self.posed = posed = forward_kinematics(spec, grasp)
+        self.H = posed.sample_points
+        seg_slices = spec.sample_slices()
+        self.refuted = False
 
-        # --- object-side SDF against the hand (contact map + interpenetration)
+        # --- 1: gesture regularization and anchor alignment
+        self.dq = grasp.q - ref.q
+        self.dt = grasp.translation - ref.translation
+        loss_g = loss_gesture(grasp, ref, w)
+        loss_a = 0.0
+        anchor_pulls = []
+        for k, target in scene.anchor_targets.items():
+            a_pt = posed.anchor_points[k]
+            d = np.linalg.norm(target - a_pt, axis=1)
+            ib = int(d.argmin())
+            dist = float(d[ib])
+            if dist > w.d2:
+                loss_a += w.anchor_weight * dist
+                if dist > 1e-12 and w.anchor_weight > 0:
+                    anchor_pulls.append((spec.anchors[k].link, a_pt,
+                                         target[ib], dist, w.anchor_weight))
+        repel_floor = -w.lam2 * w.d1 * np.count_nonzero(~scene.target_own)
+        known = [loss_g, loss_a]
+        if self._refutes(ceiling, known, repel_floor):
+            return
+
+        # --- 2: object-side SDF against the hand (contact map, L_IP)
         obj_pts = scene.object_points
         self.sdf_o, self.won_o, self.won_at_o = spec.primitive_stack().nearest(
             posed.rotations, posed.translations, obj_pts)
@@ -277,10 +333,19 @@ class _ForwardPass:
         self.diff_o = digitize(self.sdf_o) - scene.omega_o_target
         contact_map_term = float(_smooth_abs(self.diff_o).sum()) / self.map_div
         loss_ip = w.lam6 * float(np.maximum(-self.sdf_o, 0.0).sum())
+        known += [contact_map_term, loss_ip]
+        if self._refutes(ceiling, known, repel_floor):
+            return
 
-        # --- hand-side contact map against the object cloud
-        seg_slices = spec.sample_slices()
-        self.H = posed.sample_points
+        # --- 3: knuckle attraction / non-pair repulsion; the anchor pulls
+        # follow the pairs' pulls
+        attract, repel, pulls = self._pairs(seg_slices)
+        self.pulls = pulls + anchor_pulls
+        known += [w.lam1 * attract, -w.lam2 * repel]
+        if self._refutes(ceiling, known, 0.0):
+            return
+
+        # --- 4: hand-side contact map against the object cloud
         self.d_m, self.n_m, _ = _oriented_cloud_distance(scene, self.H)
         omega_m_live = digitize(self.d_m)
         if scene.per_sample_hand_map:
@@ -304,34 +369,16 @@ class _ForwardPass:
                 per_seg.append(_smooth_abs(np.array([dif]))[0] * scale)
                 self.hand_difs.append((i, dif, scale))
             hand_map_term = float(np.sum(per_seg)) if per_seg else 0.0
+        known.append(hand_map_term)
+        if self._refutes(ceiling, known, 0.0):
+            return
 
-        # --- knuckle attraction / non-pair repulsion
-        attract, repel, self.pulls = self._pairs(seg_slices)
-        loss_c = (contact_map_term + hand_map_term + w.lam1 * attract
-                  - w.lam2 * repel)
-
-        # --- anchor alignment
-        loss_a = 0.0
-        for k, target in scene.anchor_targets.items():
-            a_pt = posed.anchor_points[k]
-            d = np.linalg.norm(target - a_pt, axis=1)
-            ib = int(d.argmin())
-            dist = float(d[ib])
-            if dist > w.d2:
-                loss_a += w.anchor_weight * dist
-                if dist > 1e-12 and w.anchor_weight > 0:
-                    self.pulls.append((spec.anchors[k].link, a_pt, target[ib],
-                                       dist, w.anchor_weight))
-
-        # --- gesture regularization
-        self.dq = grasp.q - ref.q
-        self.dt = grasp.translation - ref.translation
-        loss_g = loss_gesture(grasp, ref, w)
-
-        # --- self penetration: every hand sample inside a non-adjacent link
+        # --- 5: self penetration: every hand sample inside a non-adjacent link
         self.d_self = posed.self_distances()
         loss_sp = w.lam7 * float(np.maximum(-self.d_self, 0.0).sum())
 
+        loss_c = (contact_map_term + hand_map_term + w.lam1 * attract
+                  - w.lam2 * repel)
         self.terms = {
             "contact": loss_c,
             "anchor": loss_a,
@@ -340,6 +387,14 @@ class _ForwardPass:
             "self_penetration": loss_sp,
         }
         self.total = float(sum(self.terms.values()))
+
+    def _refutes(self, ceiling, known, floor):
+        """Whether the ``known`` terms plus ``floor`` for the rest, less
+        the slack, reach ``ceiling``; if so the pass is refuted."""
+        slack = 1e-9 * (1.0 + sum(map(abs, known)) + abs(floor))
+        if sum(known) + floor - slack >= ceiling:
+            self.refuted, self.total, self.terms = True, np.inf, None
+        return self.refuted
 
     def _pairs(self, seg_slices):
         """(attract, repel, pulls): for every hand segment and target
@@ -475,7 +530,7 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
     against (used by physical refinement); default is ``g_init``.
     """
     ref = gesture_reference if gesture_reference is not None else g_init
-    fwd = _ForwardPass(scene, grasp, ref, weights or LossWeights())
+    fwd = _ForwardPass(scene, grasp, ref, weights or LossWeights(), np.inf)
     return fwd.total, fwd.terms, fwd.gradient() if accumulate else None
 
 
@@ -545,11 +600,16 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
     counts).
 
     Each line-search candidate gets one forward pass, which computes the
-    loss only; the gradient pass runs only over an accepted step's
-    forward state, when the next step needs it. With ``stop_depth`` the
-    descent ends at the first accepted step whose oriented-cloud
-    penetration depth is below it. ``counts`` holds the forward passes,
-    gradient passes and backtracks (rejected candidates) it ran.
+    loss only, with the accepted loss less 1e-12 as its ceiling: a
+    candidate whose first stages already prove a loss at or above it is
+    refuted there (``_ForwardPass``), and one that is not is computed in
+    full and compared as before, so the accepted states, rows and counts
+    are those of full passes. The gradient pass runs only over an
+    accepted step's forward state, when the next step needs it. With
+    ``stop_depth`` the descent ends at the first accepted step whose
+    oriented-cloud penetration depth is below it. ``counts`` holds the
+    forward passes, gradient passes, backtracks (rejected candidates)
+    and refuted candidates (backtracks that stopped early) it ran.
     """
     spec = scene.spec
     w = weights or LossWeights()
@@ -566,25 +626,29 @@ def _descend(scene, g_start, g_init, steps, weights, gesture_reference=None,
                 tf.quat_normalize(tf.quat_mul(tf.rotvec_to_quat(x[na + 3:]),
                                               quat)))
 
-    fwd = _ForwardPass(scene, _state_to_grasp(scene, a, t, base_quat), ref, w)
+    fwd = _ForwardPass(scene, _state_to_grasp(scene, a, t, base_quat), ref, w,
+                       np.inf)
     rows = [{"step": 0, "total": fwd.total, **fwd.terms}]
     if not np.isfinite(fwd.total):
         raise InvalidInputError("non-finite loss at optimization start")
-    counts = {"forward_passes": 1, "gradient_passes": 0, "backtracks": 0}
+    counts = {"forward_passes": 1, "gradient_passes": 0, "backtracks": 0,
+              "refuted": 0}
     step = 0.01
     for it in range(1, steps + 1):
         grad = fwd.gradient()
         counts["gradient_passes"] += 1
         x0 = np.concatenate([a, t, np.zeros(3)])
+        ceiling = fwd.total - 1e-12
         for _ in range(20):
             xc = x0 - step * grad
             a_c, t_c, quat_c = unpack(xc, base_quat)
             cand = _ForwardPass(scene, _state_to_grasp(scene, a_c, t_c, quat_c),
-                                ref, w)
+                                ref, w, ceiling)
             counts["forward_passes"] += 1
-            if cand.total < fwd.total - 1e-12:
+            if cand.total < ceiling:
                 break
             counts["backtracks"] += 1
+            counts["refuted"] += cand.refuted
             step *= 0.5
         else:       # no candidate lowered the loss
             break
@@ -606,8 +670,9 @@ def optimize(spec, g_init, bundle, weights=None, restarts=5, steps=200,
     translation, 0.05 rad on rotation). The restart with the lowest
     final loss wins; ties go to the lowest index. Deterministic for a
     fixed seed. Each restart's summary also counts its forward passes,
-    gradient passes and line-search backtracks; ``opt_report_to_dict``
-    leaves those counters out of the hashed report.
+    gradient passes, line-search backtracks and the backtracks refuted
+    before their last stage; ``opt_report_to_dict`` leaves those
+    counters out of the hashed report.
     """
     weights = weights or LossWeights()
     scene = GraspScene(spec, bundle)

@@ -16,6 +16,16 @@ HANDSPEC_SCHEMA = "handspec/1"
 GRASP_SCHEMA = "grasp/1"
 
 
+def _read_json(path):
+    """The JSON document in the file ``path``; a file that is not JSON is
+    a SchemaError naming the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: not a JSON document ({exc})") from exc
+
+
 @contextmanager
 def _keys_of(where):
     """Turn a key missing inside ``where`` into a SchemaError naming both."""
@@ -247,8 +257,7 @@ def save_handspec(path, spec):
 
 
 def load_handspec(path):
-    with open(path) as fh:
-        return handspec_from_dict(json.load(fh))
+    return handspec_from_dict(_read_json(path))
 
 
 def grasp_to_dict(grasp, hand=None, provenance=None):
@@ -298,5 +307,4 @@ def grasp_from_dict(doc):
 
 
 def load_grasp(path):
-    with open(path) as fh:
-        return grasp_from_dict(json.load(fh))
+    return grasp_from_dict(_read_json(path))

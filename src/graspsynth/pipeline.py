@@ -23,7 +23,7 @@ from .correspondence import (correspond, diffuse_contacts, dsc_to_dict,
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, load_mesh, sample_surface
 from .grasp_opt import LossWeights, optimize, refine_physical
-from .hands.schema import grasp_to_dict
+from .hands.schema import _read_json, grasp_to_dict
 from .metrics import evaluate_grasp, report_to_dict
 from .retarget import problem_from_demo, retarget
 
@@ -58,8 +58,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
     def to_dict(self):
         doc = asdict(self)

@@ -932,4 +932,59 @@ def forward_pass_pairs_per_segment(scene, grasp, ref, w):
                                           dist, -self.w.lam2))
             return attract, repel, pulls
 
-    return PairsPerSegment(scene, grasp, ref, w)
+    return PairsPerSegment(scene, grasp, ref, w, np.inf)
+
+
+def descend_full_passes(scene, g_start, g_init, steps, weights,
+                        gesture_reference=None, stop_depth=None):
+    """``grasp_opt._descend`` with every forward pass computed in full:
+    each candidate's loss is the total of a pass with an infinite ceiling,
+    compared with the accepted loss less 1e-12. Returns (grasp, rows,
+    counts) with the forward passes, gradient passes and backtracks."""
+    from graspsynth import transforms as tf
+    from graspsynth.grasp_opt import (LossWeights, _ForwardPass,
+                                      _state_to_grasp)
+    from graspsynth.hands.model import actuated_from_q
+
+    spec = scene.spec
+    w = weights or LossWeights()
+    ref = gesture_reference if gesture_reference is not None else g_init
+    lo_a = spec.actuated_limits[:, 0]
+    hi_a = spec.actuated_limits[:, 1]
+    a = np.clip(actuated_from_q(spec, g_start.q), lo_a, hi_a)
+    t = g_start.translation.copy()
+    base_quat = g_start.rotation.copy()
+
+    def full(a, t, quat):
+        return _ForwardPass(scene, _state_to_grasp(scene, a, t, quat), ref, w,
+                            np.inf)
+
+    fwd = full(a, t, base_quat)
+    rows = [{"step": 0, "total": fwd.total, **fwd.terms}]
+    counts = {"forward_passes": 1, "gradient_passes": 0, "backtracks": 0}
+    step = 0.01
+    for it in range(1, steps + 1):
+        grad = fwd.gradient()
+        counts["gradient_passes"] += 1
+        x0 = np.concatenate([a, t, np.zeros(3)])
+        for _ in range(20):
+            xc = x0 - step * grad
+            a_c = np.clip(xc[:spec.doa], lo_a, hi_a)
+            t_c = xc[spec.doa:spec.doa + 3]
+            quat_c = tf.quat_normalize(tf.quat_mul(
+                tf.rotvec_to_quat(xc[spec.doa + 3:]), base_quat))
+            cand = full(a_c, t_c, quat_c)
+            counts["forward_passes"] += 1
+            if cand.total < fwd.total - 1e-12:
+                break
+            counts["backtracks"] += 1
+            step *= 0.5
+        else:
+            break
+        a, t, base_quat = a_c, t_c, quat_c
+        fwd = cand
+        rows.append({"step": it, "total": fwd.total, **fwd.terms})
+        step = min(step * 1.8, 0.5)
+        if stop_depth is not None and fwd.cloud_depth() < stop_depth:
+            break
+    return fwd.grasp, rows, counts

@@ -280,6 +280,22 @@ def test_fit_cloud_without_y_exit_2(tmp_path, workspace, capsys):
             in capsys.readouterr().err)
 
 
+def test_fit_cloud_short_vertex_row_exit_2(tmp_path, workspace, capsys):
+    # an ASCII PLY vertex row with two of its three numbers used to end in
+    # a TypeError traceback with exit 1
+    cloud = tmp_path / "short.ply"
+    cloud.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
+                     "property float x\nproperty float y\n"
+                     "property float z\nend_header\n0 0 0\n1 0\n")
+    lib_dir = workspace / "data" / "wand"
+    assert main(["fit", "--cloud", str(cloud), "--library", str(lib_dir),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {cloud}: PLY vertex line 2 of 2: expected 3 numbers, "
+            "got '1 0'" in err)
+    assert "Traceback" not in err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "graspsynth.cli", "--help"],
                           capture_output=True, text=True)

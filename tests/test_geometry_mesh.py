@@ -141,3 +141,28 @@ def test_mesh_readers_name_what_is_wrong(tmp_path, name, content, message):
         load(path)
     assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
+
+
+_PLY_TRIANGLE = (b"ply\nformat ascii 1.0\nelement vertex 3\n"
+                 b"property float x\nproperty float y\nproperty float z\n"
+                 b"element face 1\nproperty list uchar int vertex_indices\n"
+                 b"end_header\n")
+
+
+@pytest.mark.parametrize("load", [load_point_cloud, load_mesh],
+                         ids=["point-cloud", "mesh"])
+@pytest.mark.parametrize("body,message", [
+    (b"0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+     "PLY vertex line 2 of 3: expected 3 numbers, got '1 0'"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+     "PLY face line 1 of 1: malformed '3 0 1'"),
+], ids=["ply-ascii-short-vertex-row", "ply-ascii-short-face-row"])
+def test_ply_ascii_short_rows_are_invalid_input(tmp_path, load, body,
+                                                message):
+    # a row with too few numbers used to end in a TypeError from joining
+    # its bytes tokens into the message
+    path = tmp_path / "short.ply"
+    path.write_bytes(_PLY_TRIANGLE + body)
+    with pytest.raises(InvalidInputError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"

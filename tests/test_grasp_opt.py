@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from graspsynth import grasp_opt
@@ -22,7 +23,8 @@ from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
 from graspsynth.metrics import self_penetration
 from graspsynth.pipeline import opt_report_to_dict
 
-from oracles import (descend_reevaluate, forward_pass_pairs_per_segment,
+from oracles import (descend_full_passes, descend_reevaluate,
+                     forward_pass_pairs_per_segment,
                      link_sample_points, link_sdf, link_targets, rot_about,
                      self_penetration_bruteforce)
 
@@ -396,7 +398,8 @@ def test_gradient_step_runs_only_in_gradient_passes(cylinder_scene,
     assert len(rows) == 9 and counts["backtracks"] > 0
     assert counts == {"forward_passes": len(passes),
                       "gradient_passes": len(graded),
-                      "backtracks": len(passes) - len(rows)}
+                      "backtracks": len(passes) - len(rows),
+                      "refuted": sum(fwd.refuted for fwd in passes)}
     # one step per gradient pass, taken inside it
     assert steps == graded
     # the start and every accepted state but the last
@@ -406,15 +409,16 @@ def test_gradient_step_runs_only_in_gradient_passes(cylinder_scene,
 
 def test_restart_summaries_count_passes(cylinder_scene, cylinder_bundle):
     # unhashed counters: every forward pass is the start, an accepted step
-    # or a backtrack, and the last accepted state has a gradient pass only
-    # when the line search went on from it
+    # or a backtrack, the last accepted state has a gradient pass only
+    # when the line search went on from it, and some but not all
+    # backtracks in every restart are refuted before their last stage
     spec = cylinder_scene["spec"]
     report = optimize(spec, cylinder_scene["grasp"], cylinder_bundle,
                       restarts=3, steps=10, seed=4)
     for r in report.restarts:
         assert r["forward_passes"] == 1 + r["steps_run"] + r["backtracks"]
         assert r["gradient_passes"] in (r["steps_run"], r["steps_run"] + 1)
-    assert any(r["backtracks"] for r in report.restarts)
+        assert 0 < r["refuted"] <= r["backtracks"]
     assert [list(r) for r in opt_report_to_dict(report)["restarts"]] == [
         ["restart", "final_loss", "steps_run"]] * 3
 
@@ -427,7 +431,7 @@ def bottle_demo():
 
 
 def _check_pairs_match_per_segment_loop(scene, grasp, w):
-    fwd = grasp_opt._ForwardPass(scene, grasp, grasp, w)
+    fwd = grasp_opt._ForwardPass(scene, grasp, grasp, w, np.inf)
     ref = forward_pass_pairs_per_segment(scene, grasp, grasp, w)
     assert len(fwd.pulls) == len(ref.pulls)
     for pull, o_pull in zip(fwd.pulls, ref.pulls):
@@ -488,6 +492,102 @@ def test_forward_pass_pairs_match_per_segment_loop(hand, cylinder_scene,
                 fwd = _check_pairs_match_per_segment_loop(scene, grasp, edge_w)
                 assert 1e-12 < edge and all(p[3] != edge for p in fwd.pulls)
     assert far
+
+
+def _near_start(spec, g, rng, spread):
+    """A grasp of ``spec`` with random actuation inside its limits, near
+    ``g``'s wrist pose."""
+    lo, hi = spec.actuated_limits[:, 0], spec.actuated_limits[:, 1]
+    a = lo + rng.uniform(0.2, 0.8, spec.doa) * (hi - lo)
+    return Grasp(apply_coupling(spec, a)[0], tf.quat_normalize(tf.quat_mul(
+        tf.rotvec_to_quat(rng.normal(0.0, 0.1 * spread, 3)), g.rotation)),
+        g.translation + rng.normal(0.0, 0.5 * spread, 3))
+
+
+def _hand_scene(hand, cylinder_scene, cylinder_bundle, bottle_demo):
+    """(scene, wrist grasp): human on the cylinder, the rest on the bottle."""
+    if hand == "human":
+        return (GraspScene(cylinder_scene["spec"], cylinder_bundle),
+                cylinder_scene["grasp"])
+    return GraspScene(builtin_hand(hand), bottle_demo[0]), bottle_demo[1]
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+def test_staged_descent_matches_full_passes(hand, cylinder_scene,
+                                            cylinder_bundle, bottle_demo):
+    # refuting a candidate from its first stages must not change the
+    # descent: the grasp, every term of every row and the pass counts are
+    # those of the descent that computed every candidate in full, bit for
+    # bit, also on physical refinement's path (10x penetration weights,
+    # gesture reference, stop on the cloud depth)
+    scene, g = _hand_scene(hand, cylinder_scene, cylinder_bundle, bottle_demo)
+    spec = scene.spec
+    rng = np.random.default_rng(11)
+    g_init = _near_start(spec, g, rng, 0.0)
+    pressed = Grasp(g_init.q.copy(), g_init.rotation.copy(),
+                    g_init.translation + np.array([0.0, -0.3, 0.0]))
+    assert (grasp_opt.penetration_depth_cloud(scene, pressed)
+            > grasp_opt.REFINE_PENETRATION_GOAL)
+    refine_w = LossWeights(lam6=10.0, lam7=10.0)
+    runs = [(g_init, g_init, 8, LossWeights(), {}),
+            (_near_start(spec, g, rng, 1.0), g_init, 8, None, {}),
+            (pressed, pressed, 10, refine_w,
+             {"gesture_reference": pressed,
+              "stop_depth": grasp_opt.REFINE_PENETRATION_GOAL})]
+    refuted = 0
+    for start, g0, steps, w, options in runs:
+        grasp, rows, counts = grasp_opt._descend(scene, start, g0, steps, w,
+                                                 **options)
+        o_grasp, o_rows, o_counts = descend_full_passes(scene, start, g0,
+                                                        steps, w, **options)
+        assert len(rows) == len(o_rows) > 1
+        for row, o_row in zip(rows, o_rows):
+            assert list(row) == list(o_row)
+            assert (np.array(list(row.values())).tobytes()
+                    == np.array(list(o_row.values())).tobytes())
+        for attr in ("q", "rotation", "translation"):
+            assert np.array_equal(getattr(grasp, attr), getattr(o_grasp, attr))
+        assert {k: counts[k] for k in o_counts} == o_counts
+        assert counts["refuted"] <= counts["backtracks"]
+        refuted += counts["refuted"]
+    assert refuted > 0
+
+
+@pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
+@settings(derandomize=True, max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.0, 3.0),
+       frac=st.floats(0.0, 1.0),
+       weights=st.sampled_from([LossWeights(), LossWeights(map_norm="mean"),
+                                LossWeights(lam6=10.0, lam7=10.0),
+                                LossWeights(d1=0.0)]))
+def test_refuted_pass_is_sound_and_unrefuted_pass_is_full(
+        hand, cylinder_scene, cylinder_bundle, bottle_demo, seed, spread,
+        frac, weights):
+    # a pass refuted below a ceiling has a full total at or above it; a
+    # pass that is not refuted has the full pass's terms, total and
+    # gradient, bit for bit; a ceiling one ulp above the full total never
+    # refutes
+    scene, g = _hand_scene(hand, cylinder_scene, cylinder_bundle, bottle_demo)
+    rng = np.random.default_rng(seed)
+    ref = _near_start(scene.spec, g, rng, 0.0)
+    grasp = _near_start(scene.spec, g, rng, spread)
+    full = grasp_opt._ForwardPass(scene, grasp, ref, weights, np.inf)
+    assert not full.refuted and np.isfinite(full.total)
+    values = np.array(list(full.terms.values()))
+    above = np.nextafter(full.total, np.inf)
+    for ceiling in (full.total, np.nextafter(full.total, -np.inf), above,
+                    frac * full.total):
+        staged = grasp_opt._ForwardPass(scene, grasp, ref, weights, ceiling)
+        if staged.refuted:
+            assert full.total >= ceiling and ceiling < above
+            assert staged.total == np.inf and staged.terms is None
+        else:
+            assert list(staged.terms) == list(full.terms)
+            assert (np.array(list(staged.terms.values())).tobytes()
+                    == values.tobytes())
+            assert staged.total == full.total
+            assert np.array_equal(staged.gradient(), full.gradient())
 
 
 def test_optimize_monotone_and_within_limits(cylinder_scene, cylinder_bundle):

@@ -4,16 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from graspsynth.contact import (bundle_from_dict, load_demo, save_demo)
+from graspsynth.contact import (bundle_from_dict, load_bundle, load_demo,
+                                save_demo)
 from graspsynth.correspondence import dsc_from_dict
 from graspsynth.errors import InvalidInputError, SchemaError
-from graspsynth.fit import state_from_dict
-from graspsynth.fixtures import cylinder_mesh
+from graspsynth.fit import load_state, state_from_dict
+from graspsynth.fixtures import cylinder_mesh, load_category
 from graspsynth.geometry import save_obj
 from graspsynth.grasp_opt import LossWeights
 from graspsynth.hands import (builtin_hand, grasp_from_dict,
-                              handspec_from_dict, handspec_to_dict, make_grasp,
-                              save_handspec)
+                              handspec_from_dict, handspec_to_dict, load_grasp,
+                              load_handspec, make_grasp, save_handspec)
 from graspsynth.metrics import report_from_dict
 from graspsynth.pipeline import RunConfig
 
@@ -29,6 +30,24 @@ from graspsynth.pipeline import RunConfig
 def test_loaders_reject_wrong_schema(loader, schema):
     with pytest.raises(SchemaError):
         loader({"schema": "bogus/9"})
+
+
+@pytest.mark.parametrize("content", [b'{"schema": "demo/1",', b"\x80\x81"],
+                         ids=["truncated-json", "not-utf8"])
+@pytest.mark.parametrize("loader", [
+    load_demo, load_bundle, load_handspec, load_grasp, load_category,
+    load_state, RunConfig.from_file,
+], ids=["demo", "contacts", "handspec", "grasp", "category", "objstate",
+        "config"])
+def test_file_loaders_refuse_a_file_that_is_not_json(tmp_path, loader,
+                                                     content):
+    # used to raise the decoder's own error, which is no GraspSynthError
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError) as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}: not a JSON document")
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("hand,damage,message", [
