@@ -9,6 +9,7 @@ from a demonstrated object to any instance of the same category
 ("contact diffusion").
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.spatial import cKDTree
 from .contact import ContactBundle
 from .errors import InvalidInputError, SchemaError
 from .geometry import bbox_diagonal
+from .hands.schema import _keys_of, _vector
 
 DSC_SCHEMA = "dsc/1"
 LATTICE_K = 8
@@ -478,12 +480,34 @@ def dsc_to_dict(field, cmap=None, report=None):
 
 
 def dsc_from_dict(doc):
+    """A ``DeformationField`` from a dsc/1 document. A field of the wrong
+    type or length is a SchemaError and a spacing that is not positive
+    an InvalidInputError, each naming the key."""
     if doc.get("schema") != DSC_SCHEMA:
         raise SchemaError(f"expected {DSC_SCHEMA}, got {doc.get('schema')!r}")
-    lat = doc["lattice"]
-    dims = tuple(lat["dims"])
-    field = DeformationField(
-        np.asarray(lat["origin"], float), np.asarray(lat["spacing"], float),
-        dims, np.asarray(lat["displacements"], float).reshape(*dims, 3),
-        template_id=doc.get("template_id", ""))
-    return field
+    where = f"{DSC_SCHEMA} document"
+    template_id = doc.get("template_id", "")
+    if not isinstance(template_id, str):
+        raise SchemaError(f"{where}: 'template_id' must be a string, "
+                          f"got {template_id!r:.40}")
+    with _keys_of(where):
+        lat = doc["lattice"]
+        if not isinstance(lat, dict):
+            raise SchemaError(f"{where}: 'lattice' must be an object, "
+                              f"got {lat!r:.40}")
+        origin = _vector(lat["origin"], 3, where, "lattice.origin")
+        spacing = _vector(lat["spacing"], 3, where, "lattice.spacing")
+        dims = lat["dims"]
+        if not (isinstance(dims, list) and len(dims) == 3
+                and all(isinstance(k, int) and not isinstance(k, bool)
+                        and k >= 2 for k in dims)):
+            raise SchemaError(f"{where}: 'lattice.dims' must be 3 integers "
+                              f"of at least 2, got {dims!r:.40}")
+        displacements = _vector(lat["displacements"], 3 * math.prod(dims),
+                                where, "lattice.displacements")
+    if not np.all(spacing > 0):
+        raise InvalidInputError(f"{where}: 'lattice.spacing' must be "
+                                f"positive, got {spacing.tolist()}")
+    return DeformationField(origin, spacing, tuple(dims),
+                            displacements.reshape(*dims, 3),
+                            template_id=template_id)

@@ -14,6 +14,7 @@ ICP with Umeyama scale estimation provides the initial state.
 """
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from scipy.spatial import cKDTree
 from . import transforms as tf
 from .errors import InvalidInputError, SchemaError, UnrecognizedObjectError
 from .geometry import TriMesh, sample_surface, sdf_grid_from_mesh
-from .hands.schema import _read_json
+from .hands.schema import _is_number, _keys_of, _read_json, _vector
 
 OSE_WEIGHTS = (5.0, 1.0, 10.0)   # sdf, normal, chamfer
 GRID_SPACING_CM = 0.25           # physical detail resolved by template grids
@@ -34,6 +35,8 @@ DEFAULT_LOSS_CEILING = 5.0
 # cloud that needs more is not that object, and the loss overflows
 SCALE_LIMIT = 1e3
 OBJSTATE_SCHEMA = "objstate/1"
+# how far from 1 a stored rotation quaternion's norm may read
+QUAT_UNIT_TOL = 1e-6
 
 
 def canonicalize(mesh):
@@ -414,13 +417,44 @@ def state_to_dict(state):
 
 
 def state_from_dict(doc):
+    """An ``ObjectState`` from an objstate/1 document. A field of the
+    wrong type is a SchemaError and a non-positive scale or a rotation
+    that is not a unit quaternion an InvalidInputError, each naming the
+    key."""
     if doc.get("schema") != OBJSTATE_SCHEMA:
         raise SchemaError(f"expected {OBJSTATE_SCHEMA}, got {doc.get('schema')!r}")
+    where = f"{OBJSTATE_SCHEMA} document"
+    with _keys_of(where):
+        template_id, s = doc["template_id"], doc["s"]
+        rotation = _vector(doc["rotation"], 4, where, "rotation",
+                           "a quaternion [w, x, y, z]")
+        translation = _vector(doc["translation"], 3, where, "translation")
+    if not isinstance(template_id, str):
+        raise SchemaError(f"{where}: 'template_id' must be a string, "
+                          f"got {template_id!r:.40}")
+    # written so that a NaN, and an int past any float, fails it too
+    if not (_is_number(s) and abs(s) <= sys.float_info.max):
+        raise SchemaError(f"{where}: 's' must be a finite number, "
+                          f"got {s!r:.40}")
+    if s <= 0:
+        raise InvalidInputError(f"{where}: 's' must be positive, got {s!r}")
+    norm = float(np.linalg.norm(rotation))
+    if abs(norm - 1.0) > QUAT_UNIT_TOL:
+        raise InvalidInputError(f"{where}: 'rotation' must be a unit "
+                                f"quaternion, got norm {norm:.6g}")
+    losses = doc.get("losses", {})
+    if not (isinstance(losses, dict)
+            and all(_is_number(v) and abs(v) <= sys.float_info.max
+                    for v in losses.values())):
+        raise SchemaError(f"{where}: 'losses' must be an object of finite "
+                          f"numbers, got {losses!r:.40}")
     res = doc.get("icp_residual")
-    return ObjectState(doc["template_id"], float(doc["s"]),
-                       np.asarray(doc["rotation"], float),
-                       np.asarray(doc["translation"], float),
-                       losses=dict(doc.get("losses", {})),
+    if not (res is None or (_is_number(res)
+                            and abs(res) <= sys.float_info.max)):
+        raise SchemaError(f"{where}: 'icp_residual' must be a finite number "
+                          f"or null, got {res!r:.40}")
+    return ObjectState(template_id, float(s), rotation, translation,
+                       losses={k: float(v) for k, v in losses.items()},
                        icp_residual=np.nan if res is None else float(res))
 
 

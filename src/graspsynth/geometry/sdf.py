@@ -12,9 +12,9 @@ distance with positive sign (with a warning).
 ``MeshSDF.inside`` keeps ray-crossing parity through the same BVH, with
 a winding-number fallback for rays that graze edges. Its callers
 (voxelization, SDF grids, penetration volume) ask about dense grids,
-where a closest-feature sign costs several times the ray casts (1.48 s
-against 0.23 s on the bottle template's 38,637 grid nodes, 2-core VM)
-and can flip nodes that lie within 1e-15 of a cap.
+where a closest-feature sign still costs more than the ray casts
+(0.30 s against 0.17 s on the bottle template's 38,637 grid nodes,
+2-core VM) and can flip nodes that lie within 1e-15 of a cap.
 """
 
 import warnings
@@ -27,6 +27,10 @@ from ..errors import InvalidInputError
 _LEAF_SIZE = 8
 _RAY_EPS = 1e-9        # ray hits this close to an edge or plane are marginal
 _WINDING_CHUNK = 512   # points per solid-angle batch
+# bytes of min_distance's largest temporary, (pairs * _LEAF_SIZE, 3)
+# float64 at the leaves: a few hundred KiB keeps a frontier in cache
+_FRONTIER_BUDGET = 384 * 1024
+_FRONTIER_PAIRS = _FRONTIER_BUDGET // (24 * _LEAF_SIZE)
 
 # fixed irrational-ish directions make grazing hits measure-zero and retries rare
 _RAY_DIRECTIONS = [
@@ -66,13 +70,15 @@ def closest_point_on_triangles(p, a, b, c):
     va = d3 * d6 - d5 * d4
 
     # each pair takes the first region whose test holds, in Ericson's order
-    feature = np.select(
-        [(d1 <= 0) & (d2 <= 0), (d3 >= 0) & (d4 <= d3),
-         (vc <= 0) & (d1 >= 0) & (d3 <= 0), (d6 >= 0) & (d5 <= d6),
-         (vb <= 0) & (d2 >= 0) & (d6 <= 0),
-         (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)],
-        [VERTEX_A, VERTEX_B, EDGE_AB, VERTEX_C, EDGE_CA, EDGE_BC],
-        FACE).astype(np.int8)
+    regions = (
+        (VERTEX_A, (d1 <= 0) & (d2 <= 0)), (VERTEX_B, (d3 >= 0) & (d4 <= d3)),
+        (EDGE_AB, (vc <= 0) & (d1 >= 0) & (d3 <= 0)),
+        (VERTEX_C, (d6 >= 0) & (d5 <= d6)),
+        (EDGE_CA, (vb <= 0) & (d2 >= 0) & (d6 <= 0)),
+        (EDGE_BC, (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)))
+    feature = np.full(len(p), FACE, dtype=np.int8)
+    for f, test in reversed(regions):
+        feature[test] = f
     order = np.argsort(feature, kind="stable")
     bounds = np.searchsorted(feature[order], np.arange(FACE + 2))
     rows = [order[bounds[f]:bounds[f + 1]] for f in range(FACE + 1)]
@@ -85,24 +91,31 @@ def closest_point_on_triangles(p, a, b, c):
         out[m] = start[m] + edge * (num / np.where(den != 0, den, 1.0))[:, None]
 
     m = rows[EDGE_AB]
-    along(m, a, ab[m], d1[m], d1[m] - d3[m])
+    if len(m):
+        along(m, a, ab[m], d1[m], d1[m] - d3[m])
     m = rows[EDGE_CA]
-    along(m, a, ac[m], d2[m], d2[m] - d6[m])
+    if len(m):
+        along(m, a, ac[m], d2[m], d2[m] - d6[m])
     m = rows[EDGE_BC]
-    along(m, b, c[m] - b[m], d4[m] - d3[m], (d4[m] - d3[m]) + (d5[m] - d6[m]))
+    if len(m):
+        along(m, b, c[m] - b[m], d4[m] - d3[m],
+              (d4[m] - d3[m]) + (d5[m] - d6[m]))
     m = rows[FACE]
-    denom = va[m] + vb[m] + vc[m]
-    denom = np.where(denom != 0, denom, 1.0)
-    out[m] = (a[m] + ab[m] * (vb[m] / denom)[:, None]
-              + ac[m] * (vc[m] / denom)[:, None])
+    if len(m):
+        denom = va[m] + vb[m] + vc[m]
+        denom = np.where(denom != 0, denom, 1.0)
+        out[m] = (a[m] + ab[m] * (vb[m] / denom)[:, None]
+                  + ac[m] * (vc[m] / denom)[:, None])
     return out, feature
 
 
 class TriangleBVH:
     """Axis-aligned BVH over mesh triangles.
 
-    Median split on centroids keeps the tree balanced, so recursive
-    traversal depth stays logarithmic.
+    Median split on centroids keeps the tree balanced: every leaf sits
+    at depth ``depth`` or one level above it. ``min_distance`` walks
+    the tree in ``depth`` array passes, and ``ray_crossings``' recursion
+    stays as shallow.
     """
 
     def __init__(self, mesh):
@@ -117,8 +130,9 @@ class TriangleBVH:
         node_left, node_right = [], []
         node_start, node_count = [], []
         leaf_tris = []
+        self.depth = 0
 
-        def build(idx):
+        def build(idx, level):
             node_id = len(node_min)
             node_min.append(tri_min[idx].min(axis=0))
             node_max.append(tri_max[idx].max(axis=0))
@@ -130,16 +144,17 @@ class TriangleBVH:
                 node_start[node_id] = len(leaf_tris)
                 node_count[node_id] = len(idx)
                 leaf_tris.extend(np.sort(idx).tolist())
+                self.depth = max(self.depth, level)
                 return node_id
             cen = centroids[idx]
             axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
             part = np.argsort(cen[:, axis], kind="stable")
             half = len(idx) // 2
-            node_left[node_id] = build(idx[part[:half]])
-            node_right[node_id] = build(idx[part[half:]])
+            node_left[node_id] = build(idx[part[:half]], level + 1)
+            node_right[node_id] = build(idx[part[half:]], level + 1)
             return node_id
 
-        build(np.arange(n))
+        build(np.arange(n), 0)
         self.node_min = np.array(node_min)
         self.node_max = np.array(node_max)
         self.node_left = np.array(node_left)
@@ -149,65 +164,141 @@ class TriangleBVH:
         self.leaf_tris = np.array(leaf_tris, dtype=np.int64)
         self._centroid_tree = cKDTree(centroids)
 
+        # min_distance's tables. A node's two children and their boxes; a
+        # leaf's are itself and an empty box, so a pair that reaches a
+        # leaf early rides along until the last pass.
+        nodes = np.arange(len(node_min))
+        leaf = self.node_left < 0
+        self._kids = np.stack([np.where(leaf, nodes, self.node_left),
+                               np.where(leaf, nodes, self.node_right)], axis=1)
+        self._kid_min = self.node_min[self._kids]
+        self._kid_max = self.node_max[self._kids]
+        self._kid_min[leaf, 1] = np.inf
+        self._kid_max[leaf, 1] = np.inf
+        # a leaf's triangles in index order, one slot each with the
+        # triangle's own box; unused slots hold an empty box
+        self._slot_tri = np.zeros((len(nodes), _LEAF_SIZE), dtype=np.int64)
+        self._slot_min = np.full((len(nodes), _LEAF_SIZE, 3), np.inf)
+        self._slot_max = np.full((len(nodes), _LEAF_SIZE, 3), np.inf)
+        leaves = np.flatnonzero(leaf)
+        row, slot = np.nonzero(np.arange(_LEAF_SIZE)
+                               < self.node_count[leaves][:, None])
+        node = leaves[row]
+        tris = self.leaf_tris[self.node_start[node] + slot]
+        self._slot_tri[node, slot] = tris
+        self._slot_min[node, slot] = tri_min[tris]
+        self._slot_max[node, slot] = tri_max[tris]
+
     # -- distance ----------------------------------------------------------
 
     def min_distance(self, points):
-        """Exact unsigned distance and closest triangle index per query.
+        """Exact unsigned distance, closest triangle index, closest point
+        and its feature (as ``closest_point_on_triangles`` gives them)
+        per query.
 
         Of the triangles at the closest distance, the one with the lowest
         index wins, so each point's result does not depend on the other
-        points in the call: nodes within the best distance so far are
-        searched (ties included), and a leaf lists its triangles in index
-        order.
+        points in the call.
+
+        Each point starts from the distance to the triangle whose
+        centroid is nearest. The walk is over arrays of (point, node)
+        pairs, one tree level per pass: a pair goes on to each child
+        whose box lies within the point's best distance, ties included.
+        At the leaves, a pair becomes one (point, triangle) pair per
+        triangle whose own box lies within that distance; each point
+        keeps the minimum of those, lowest index first. Box distances
+        are summed in the order of the triangle distances, so a box
+        whose nearest corner is a triangle's closest vertex reads that
+        vertex's distance to the bit, and a tie there is searched.
+
+        The pairs are held point by point. A frontier of more than
+        ``_FRONTIER_PAIRS`` pairs is split between two points, and the
+        halves are walked one after the other, so the walk's temporaries
+        stay within ``_FRONTIER_BUDGET`` bytes unless one point alone
+        needs more.
         """
         points = np.atleast_2d(points)
         n = len(points)
         # seed upper bounds with the centroid-nearest triangle
         _, seed_tri = self._centroid_tree.query(points)
         seed = self.tri[seed_tri]
-        cp, _ = closest_point_on_triangles(points, seed[:, 0], seed[:, 1],
-                                           seed[:, 2])
-        best = np.linalg.norm(points - cp, axis=1)
+        best_cp, best_feature = closest_point_on_triangles(
+            points, seed[:, 0], seed[:, 1], seed[:, 2])
+        best = np.linalg.norm(points - best_cp, axis=1)
         best_tri = np.asarray(seed_tri, dtype=np.int64)
 
-        def aabb_dist(idx, node):
-            d = np.maximum(self.node_min[node] - points[idx], 0.0)
-            d = np.maximum(d, points[idx] - self.node_max[node])
-            return np.linalg.norm(d, axis=1)
+        todo = [(np.arange(n), np.zeros(n, dtype=np.int64), 0)]
+        while todo:
+            p, node, level = todo.pop()
+            while True:
+                if len(p) > _FRONTIER_PAIRS and p[0] != p[-1]:
+                    cut = np.searchsorted(p, p[len(p) // 2])
+                    if cut == 0:
+                        cut = np.searchsorted(p, p[0], side="right")
+                    todo.append((p[cut:], node[cut:], level))
+                    p, node = p[:cut], node[:cut]
+                if level == self.depth:
+                    break
+                p = np.repeat(p, 2)
+                keep = self._within(points, p, self._kid_min, self._kid_max,
+                                    node, best)
+                p = p.take(keep)
+                node = self._kids.take(node, axis=0).take(keep)
+                level += 1
+            self._nearest_in_leaves(points, p, node, best, best_tri, best_cp,
+                                    best_feature)
+        return best, best_tri, best_cp, best_feature
 
-        def descend(node, idx):
-            if len(idx) == 0:
-                return
-            left, right = self.node_left[node], self.node_right[node]
-            if left < 0:
-                s, c = self.node_start[node], self.node_count[node]
-                tris = self.leaf_tris[s:s + c]
-                nq, nt = len(idx), len(tris)
-                pts = np.repeat(points[idx], nt, axis=0)
-                tri = np.tile(self.tri[tris], (nq, 1, 1))
-                cp, _ = closest_point_on_triangles(pts, tri[:, 0], tri[:, 1],
-                                                   tri[:, 2])
-                d = np.linalg.norm(pts - cp, axis=1).reshape(nq, nt)
-                col = d.argmin(axis=1)
-                dmin = d[np.arange(nq), col]
-                won = tris[col]
-                improved = (dmin < best[idx]) | ((dmin == best[idx])
-                                                 & (won < best_tri[idx]))
-                upd = idx[improved]
-                best[upd] = dmin[improved]
-                best_tri[upd] = won[improved]
-                return
-            dl = aabb_dist(idx, left)
-            dr = aabb_dist(idx, right)
-            if dl.sum() <= dr.sum():       # nearer child first
-                descend(left, idx[dl <= best[idx]])
-                descend(right, idx[dr <= best[idx]])
-            else:
-                descend(right, idx[dr <= best[idx]])
-                descend(left, idx[dl <= best[idx]])
+    @staticmethod
+    def _within(points, p, box_min, box_max, node, best):
+        """Positions of the pairs (``p``, box) whose box lies within the
+        point's best distance; ``box_min``/``box_max`` hold each node's
+        row of boxes, flattened in order to line up with ``p``."""
+        q = points.take(p, axis=0)
+        d = box_min.take(node, axis=0).reshape(-1, 3) - q
+        np.maximum(d, q - box_max.take(node, axis=0).reshape(-1, 3), out=d)
+        np.maximum(d, 0.0, out=d)
+        d *= d
+        # summed in np.linalg.norm's order, as the triangle distances are
+        gap = np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
+        return np.flatnonzero(gap <= best.take(p))
 
-        descend(0, np.arange(n))
-        return best, best_tri
+    def _nearest_in_leaves(self, points, p, node, best, best_tri, best_cp,
+                           best_feature):
+        """Fold the triangles of leaf pairs (``p``, ``node``), sorted by
+        point and holding all of each point's leaves, into the ``best*``
+        arrays."""
+        p = np.repeat(p, _LEAF_SIZE)
+        keep = self._within(points, p, self._slot_min, self._slot_max,
+                            node, best)
+        if len(keep) == 0:
+            return
+        p = p.take(keep)
+        tris = self._slot_tri.take(node, axis=0).take(keep)
+        q = points.take(p, axis=0)
+        corners = self.tri.take(tris, axis=0)
+        cp, feature = closest_point_on_triangles(q, corners[:, 0],
+                                                 corners[:, 1], corners[:, 2])
+        d = np.linalg.norm(q - cp, axis=1)
+        # one segment per point: its minimum, then the lowest triangle at it
+        first = np.empty(len(p), dtype=bool)
+        first[0] = True
+        np.not_equal(p[1:], p[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        segment = np.cumsum(first) - 1
+        mins = np.minimum.reduceat(d, starts)
+        at_min = d == mins.take(segment)
+        won = np.minimum.reduceat(np.where(at_min, tris, len(self.tri)), starts)
+        # a point meets each triangle once, so one pair per segment wins
+        pair = np.flatnonzero(at_min & (tris == won.take(segment)))
+        p = p.take(starts)
+        held = best.take(p)
+        better = (mins < held) | ((mins == held) & (won < best_tri.take(p)))
+        p, pair = p[better], pair[better]
+        best[p] = mins[better]
+        best_tri[p] = won[better]
+        best_cp[p] = cp.take(pair, axis=0)
+        best_feature[p] = feature.take(pair)
 
     # -- ray parity --------------------------------------------------------
 
@@ -361,12 +452,9 @@ class MeshSDF:
         triangle index).
         """
         points = _as_points(points)
-        dist, tri = self.bvh.min_distance(points)
+        dist, tri, closest, feature = self.bvh.min_distance(points)
         if not self.watertight:
             return dist
-        corners = self.bvh.tri[tri]
-        closest, feature = closest_point_on_triangles(
-            points, corners[:, 0], corners[:, 1], corners[:, 2])
         normal = self._pseudonormals[tri, feature]
         behind = np.einsum("ij,ij->i", points - closest, normal) < 0
         return np.where(behind, -dist, dist)

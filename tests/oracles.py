@@ -81,11 +81,13 @@ def mesh_signed_distance(mesh, p, direction=(1.0, 0.0, 0.0)):
 
 
 def bvh_min_distance_recursive(bvh, points):
-    """Unsigned distance and a closest triangle per query by the recursive
-    BVH descent that ``TriangleBVH.min_distance`` used before it broke
-    ties by triangle index: nearer child first by median box distance,
-    boxes pruned at the best distance so far. Its distances are the
-    reference the production traversal must match bit for bit."""
+    """Unsigned distance and closest triangle per query by the recursive
+    BVH descent that ``TriangleBVH.min_distance`` used before its array
+    traversal: the centroid-nearest triangle as the seed, the nearer
+    child first by summed box distance, boxes at or within the best
+    distance so far searched, and the lowest index winning a tie. The
+    production traversal must match it bit for bit, distances and
+    triangle ids."""
     from graspsynth.geometry.sdf import closest_point_on_triangles
 
     points = np.atleast_2d(points)
@@ -114,19 +116,21 @@ def bvh_min_distance_recursive(bvh, points):
             d = np.linalg.norm(pts - cp, axis=1).reshape(nq, nt)
             col = d.argmin(axis=1)
             dmin = d[np.arange(nq), col]
-            improved = dmin < best[idx]
+            won = tris[col]
+            improved = (dmin < best[idx]) | ((dmin == best[idx])
+                                             & (won < best_tri[idx]))
             upd = idx[improved]
             best[upd] = dmin[improved]
-            best_tri[upd] = tris[col[improved]]
+            best_tri[upd] = won[improved]
             return
         dl = aabb_dist(idx, left)
         dr = aabb_dist(idx, right)
-        if np.median(dl) <= np.median(dr):
-            descend(left, idx[dl < best[idx]])
-            descend(right, idx[dr < best[idx]])
+        if dl.sum() <= dr.sum():
+            descend(left, idx[dl <= best[idx]])
+            descend(right, idx[dr <= best[idx]])
         else:
-            descend(right, idx[dr < best[idx]])
-            descend(left, idx[dl < best[idx]])
+            descend(right, idx[dr <= best[idx]])
+            descend(left, idx[dl <= best[idx]])
 
     descend(0, np.arange(len(points)))
     return best, best_tri

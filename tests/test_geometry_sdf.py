@@ -14,8 +14,8 @@ from graspsynth.hands import builtin_hand, forward_kinematics
 from graspsynth.hands.model import Grasp
 
 from conftest import make_sphere, make_unit_cube
-from oracles import (mesh_signed_distance, ray_parity_query,
-                     trilinear_point)
+from oracles import (bvh_min_distance_recursive, mesh_signed_distance,
+                     ray_parity_query, trilinear_point)
 
 
 def test_sphere_center_and_outside(sphere):
@@ -199,7 +199,7 @@ def test_query_value_does_not_depend_on_the_batch():
                         _near_surface_points(mesh, rng, 500)])
     sdf = MeshSDF(mesh)
     whole = sdf.query(points)
-    _, closest = sdf.bvh.min_distance(points)
+    closest = sdf.bvh.min_distance(points)[1]
     order = rng.permutation(len(points))
     assert sdf.query(points[order]).tobytes() == whole[order].tobytes()
     for part in np.array_split(order, 9):
@@ -218,6 +218,66 @@ def test_query_value_does_not_depend_on_the_batch():
     assert np.array_equal(np.abs(whole), d.min(axis=1))
     assert np.array_equal(closest, d.argmin(axis=1))
     assert np.count_nonzero((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 500
+
+
+def _tie_points(mesh, rng):
+    """Points where several triangles share the closest point: on the
+    vertices and edge midpoints and just off them along the eight box
+    diagonals (so a triangle's box can lie exactly as far as the
+    vertex), and lattice nodes over and on the end caps, through the
+    axis where the cap fans meet."""
+    tri = mesh.triangles
+    corners = np.vstack([mesh.vertices,
+                         0.5 * (tri + np.roll(tri, 1, axis=1)).reshape(-1, 3)])
+    diagonals = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                          for z in (-1, 1)], dtype=float)
+    off = (corners[rng.integers(len(corners), size=1500)]
+           + diagonals[rng.integers(8, size=1500)]
+           * rng.choice([1e-3, 0.05, 0.3], size=(1500, 1)))
+    lo, hi = mesh.bounds()
+    xs = np.union1d(np.linspace(lo[0] - 0.5, hi[0] + 0.5, 9), [0.0])
+    ys = np.union1d(np.linspace(lo[1] - 0.5, hi[1] + 0.5, 9), [0.0])
+    zs = [lo[2] - 1.0, lo[2] - 0.25, lo[2], hi[2], hi[2] + 0.25, hi[2] + 1.0]
+    lattice = np.array([[x, y, z] for x in xs for y in ys for z in zs])
+    return np.vstack([corners, off, lattice])
+
+
+@pytest.mark.parametrize("name", ["cylinder", "bottle", "tumbler", "wand"])
+def test_min_distance_matches_the_recursive_traversal(name):
+    # distances and closest triangles bit for bit as the recursion gave
+    # them, for batches of 1 to 5,000 points, exact ties included; the
+    # closest points and features as the winning triangle gives them
+    mesh = cylinder_mesh() if name == "cylinder" else CATEGORY_TEMPLATES[name]()
+    rng = np.random.default_rng(31)
+    lo, hi = mesh.bounds()
+    pool = np.vstack([_tie_points(mesh, rng),
+                      _near_surface_points(mesh, rng, 2000),
+                      rng.uniform(lo - 1.0, hi + 1.0, size=(1500, 3))])
+    pool = pool[rng.permutation(len(pool))]
+    assert len(pool) >= 5000
+    bvh = MeshSDF(mesh).bvh
+    for size, batches in ((1, 60), (2, 30), (50, 10), (900, 2), (5000, 1)):
+        for k in range(batches):
+            points = pool[k * size:(k + 1) * size]
+            dist, tri, foot, feature = bvh.min_distance(points)
+            want_dist, want_tri = bvh_min_distance_recursive(bvh, points)
+            assert dist.tobytes() == want_dist.tobytes()
+            assert np.array_equal(tri, want_tri)
+            # the closest point and feature of the winning triangle
+            corners = mesh.triangles[tri]
+            want_foot, want_feature = closest_point_on_triangles(
+                points, corners[:, 0], corners[:, 1], corners[:, 2])
+            assert foot.tobytes() == want_foot.tobytes()
+            assert feature.tobytes() == want_feature.tobytes()
+    # the pool holds exact ties: every pair evaluated, as the brute force
+    pairs = np.repeat(pool[:900], len(mesh.faces), axis=0)
+    corners = np.tile(mesh.triangles, (900, 1, 1))
+    foot, _ = closest_point_on_triangles(pairs, corners[:, 0], corners[:, 1],
+                                         corners[:, 2])
+    d = np.linalg.norm(pairs - foot, axis=1).reshape(900, -1)
+    ties = np.count_nonzero((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+    assert ties > 50
+    assert np.array_equal(bvh.min_distance(pool[:900])[1], d.argmin(axis=1))
 
 
 def test_inward_wound_mesh_keeps_its_sign(sphere):

@@ -1,4 +1,5 @@
-"""Property tests over the demo/1, contacts/1 and category/1 loaders.
+"""Property tests over the demo/1, contacts/1, category/1, objstate/1 and
+dsc/1 loaders.
 
 Each replaces one key of a valid document, at any depth, with an
 arbitrary JSON value. The loader must then load the document or raise a
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graspsynth.contact import bundle_from_dict, load_demo, save_demo
+from graspsynth.correspondence import dsc_from_dict
 from graspsynth.errors import GraspSynthError, InvalidInputError, SchemaError
+from graspsynth.fit import state_from_dict
 from graspsynth.fixtures import cylinder_mesh, load_category
 from graspsynth.geometry import save_obj
 from graspsynth.hands import builtin_hand, make_grasp, save_handspec
@@ -297,3 +300,125 @@ def test_category_loader_takes_any_value_at_any_key(tmp_path, data, value):
 def test_category_loader_names_the_bad_key(tmp_path, path, value, message):
     with pytest.raises(SchemaError, match=re.escape(message)):
         _load_category_doc(tmp_path, _replaced(_category_doc(), path, value))
+
+
+def _without(doc, path):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# objstate/1
+
+
+def _objstate_doc():
+    return {"schema": "objstate/1", "template_id": "bottle", "s": 1.25,
+            "rotation": [0.6, 0.0, 0.8, 0.0], "translation": [1.0, -2.0, 0.5],
+            "losses": {"total": 0.25, "sdf": 0.125}, "icp_residual": 0.01}
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_objstate_loader_takes_any_value_at_any_key(data, value):
+    doc = _objstate_doc()
+    assert state_from_dict(doc).s == 1.25
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    state = _loads_or_typed_error(
+        lambda: state_from_dict(_replaced(doc, path, value)))
+    if state is not None:
+        assert isinstance(state.template_id, str)
+        assert np.isfinite(state.s) and state.s > 0
+        assert abs(np.linalg.norm(state.rotation) - 1.0) <= 1e-6
+        assert np.all(np.isfinite(state.translation))
+        assert state.translation.shape == (3,)
+
+
+@pytest.mark.parametrize("path,value,error,message", [
+    (("s",), None, SchemaError, "missing key 's'"),
+    (("s",), "x", SchemaError, "'s' must be a finite number, got 'x'"),
+    (("losses",), [1], SchemaError,
+     "'losses' must be an object of finite numbers, got [1]"),
+    (("s",), float("nan"), SchemaError,
+     "'s' must be a finite number, got nan"),
+    (("rotation",), [1.0, 0.0], SchemaError,
+     "'rotation' must be a quaternion [w, x, y, z], got [1.0, 0.0]"),
+    (("rotation",), [1.0, 0.0, 1.0, 0.0], InvalidInputError,
+     "'rotation' must be a unit quaternion, got norm 1.41421"),
+    (("s",), 0, InvalidInputError, "'s' must be positive, got 0"),
+    (("translation", 2), float("inf"), SchemaError,
+     "'translation' must be finite"),
+    (("template_id",), 3, SchemaError, "'template_id' must be a string"),
+    (("icp_residual",), "x", SchemaError,
+     "'icp_residual' must be a finite number or null, got 'x'"),
+    (("losses", "sdf"), 10 ** 400, SchemaError,
+     "'losses' must be an object of finite numbers"),
+], ids=["s-missing", "s-a-string", "losses-a-list", "s-nan",
+        "rotation-two-numbers", "rotation-not-unit", "s-zero",
+        "translation-infinite", "template-id-a-number",
+        "icp-residual-a-string", "loss-past-any-float"])
+def test_objstate_loader_names_the_bad_key(path, value, error, message):
+    # each of these raised KeyError, ValueError or TypeError, or loaded
+    doc = (_without(_objstate_doc(), path) if value is None
+           else _replaced(_objstate_doc(), path, value))
+    with pytest.raises(error,
+                       match=re.escape(f"objstate/1 document: {message}")):
+        state_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# dsc/1
+
+
+def _dsc_doc():
+    return {"schema": "dsc/1", "template_id": "bottle",
+            "lattice": {"origin": [-1.0, -1.0, -2.0],
+                        "spacing": [1.0, 1.0, 2.0], "dims": [2, 3, 2],
+                        "displacements": [0.0, 0.5, -0.25] * 12},
+            "final_loss": 0.5, "final_chamfer": 0.25,
+            "correspondence": {"indices": [0, 1], "residuals": [0.0, 0.1]}}
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_dsc_loader_takes_any_value_at_any_key(data, value):
+    doc = _dsc_doc()
+    assert dsc_from_dict(doc).displacements.shape == (2, 3, 2, 3)
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    field = _loads_or_typed_error(
+        lambda: dsc_from_dict(_replaced(doc, path, value)))
+    if field is not None:
+        assert field.displacements.shape == (*field.dims, 3)
+        assert np.all(np.isfinite(field.displacements))
+        assert np.all(field.spacing > 0) and field.spacing.shape == (3,)
+        assert np.all(np.isfinite(field.origin))
+
+
+@pytest.mark.parametrize("path,value,error,message", [
+    (("lattice",), None, SchemaError, "missing key 'lattice'"),
+    (("lattice", "displacements"), [0.0] * 24, SchemaError,
+     "'lattice.displacements' must be 36 numbers"),
+    (("lattice", "origin", 1), float("nan"), SchemaError,
+     "'lattice.origin' must be finite, got [-1.0, nan, -2.0]"),
+    (("lattice",), [], SchemaError, "'lattice' must be an object, got []"),
+    (("lattice", "dims"), [2, 3], SchemaError,
+     "'lattice.dims' must be 3 integers of at least 2, got [2, 3]"),
+    (("lattice", "dims", 0), 2.0, SchemaError,
+     "'lattice.dims' must be 3 integers of at least 2"),
+    (("lattice", "spacing", 0), 0.0, InvalidInputError,
+     "'lattice.spacing' must be positive, got [0.0, 1.0, 2.0]"),
+    (("template_id",), ["bottle"], SchemaError,
+     "'template_id' must be a string"),
+], ids=["lattice-missing", "displacements-not-3k3", "origin-nan",
+        "lattice-a-list", "dims-two", "dims-a-float", "spacing-zero",
+        "template-id-a-list"])
+def test_dsc_loader_names_the_bad_key(path, value, error, message):
+    # the first three raised KeyError or numpy's reshape ValueError, or
+    # loaded
+    doc = (_without(_dsc_doc(), path) if value is None
+           else _replaced(_dsc_doc(), path, value))
+    with pytest.raises(error, match=re.escape(f"dsc/1 document: {message}")):
+        dsc_from_dict(doc)

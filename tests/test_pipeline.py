@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graspsynth.contact import extract_bundle
+from graspsynth.correspondence import dsc_from_dict
 from graspsynth.fixtures import (category_instances, load_category,
                                  template_demo, write_category)
 from graspsynth.geometry import TriMesh, load_mesh, save_obj
@@ -43,6 +44,18 @@ def test_manifest_contents(small_run):
     for entry in manifest["outputs"]:
         digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+def test_written_dsc_documents_load(small_run):
+    # the dsc/1 loader's types hold for what run_category writes
+    manifest, out, _ = small_run
+    names = [e["file"] for e in manifest["outputs"]
+             if e["file"].endswith(".dsc.json")]
+    assert len(names) == 3
+    for name in names:
+        field = dsc_from_dict(json.loads((out / name).read_text()))
+        assert field.template_id == "wand"
+        assert field.displacements.shape == (*field.dims, 3)
 
 
 def test_optreport_structure(small_run):
