@@ -9,18 +9,18 @@ hand segment and pinned to their nearest anchor point.
 
 import json
 import pathlib
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import transforms as tf
-from .errors import InvalidInputError, SchemaError
+from .documents import (document, indices, keys_of, list_of, number,
+                        read_json, rows, typed, vector)
+from .errors import InvalidInputError
 from .geometry import MeshSDF, TriMesh, load_mesh, sample_surface
 from .hands.model import forward_kinematics
-from .hands.schema import (_is_number, _keys_of, _read_json, _vector,
-                           grasp_fields, load_handspec)
+from .hands.schema import grasp_fields, load_handspec
 
 TAU_CONTACT = 0.5  # cm; membership threshold for the contact sets
 CONTACTS_SCHEMA = "contacts/1"
@@ -246,91 +246,44 @@ def bundle_to_dict(bundle):
     }
 
 
-def _rows(value, n, where, key):
-    """``value`` as an (n, 3) float array if it is a list of ``n`` lists
-    of 3 finite numbers (any number of them for ``n`` None), else a
-    SchemaError naming ``key``."""
-    if not (isinstance(value, list) and n in (None, len(value))
-            and all(isinstance(row, list) and len(row) == 3
-                    for row in value)):
-        raise SchemaError(f"{where}: {key!r} must be "
-                          f"{'a list' if n is None else f'{n} rows'} of "
-                          f"[x, y, z], got {value!r:.40}")
-    return _vector([v for row in value for v in row], None, where, key,
-                   "rows of 3 numbers").reshape(-1, 3)
-
-
-def _indices(value, n, where, key):
-    """``value`` as an int64 array if it is a list of integers in
-    ``[0, n)``: else a SchemaError, or an InvalidInputError for an index
-    out of range, naming ``key``."""
-    if not (isinstance(value, list) and all(
-            isinstance(i, int) and not isinstance(i, bool) for i in value)):
-        raise SchemaError(f"{where}: {key!r} must be a list of indices, "
-                          f"got {value!r:.40}")
-    if not all(0 <= i < n for i in value):
-        raise InvalidInputError(f"{where}: {key!r} has an index outside "
-                                f"[0, {n})")
-    return np.asarray(value, np.int64)
-
-
-def _table(value, where, key):
-    """``value`` if it is a JSON object, else a SchemaError."""
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: {key!r} must be an object, "
-                          f"got {value!r:.40}")
-    return value
-
-
 def bundle_from_dict(doc):
-    """A ``ContactBundle`` from a contacts/1 document. A field of the wrong
-    type is a SchemaError and an index outside its array an
-    InvalidInputError, each naming the key; the bundle is validated."""
-    if doc.get("schema") != CONTACTS_SCHEMA:
-        raise SchemaError(f"expected {CONTACTS_SCHEMA}, got {doc.get('schema')!r}")
-    where = f"{CONTACTS_SCHEMA} document"
-    with _keys_of(where):
-        points = _rows(doc["object_points"], None, where, "object_points")
+    """A validated ``ContactBundle`` from a contacts/1 document; an index
+    outside its array is an InvalidInputError naming the key."""
+    where = document(doc, CONTACTS_SCHEMA)
+    with keys_of(where):
+        points = rows(doc["object_points"], None, where, "object_points")
         n = len(points)
-        names, tau_c = doc["segment_names"], doc.get("tau_c", TAU_CONTACT)
-        template_id = doc.get("template_id", "")
-        if not (isinstance(names, list)
-                and all(isinstance(name, str) for name in names)):
-            raise SchemaError(f"{where}: 'segment_names' must be a list of "
-                              f"strings, got {names!r:.40}")
-        # written so that a NaN, and an int past any float, fails it too
-        if not (_is_number(tau_c) and abs(tau_c) <= sys.float_info.max):
-            raise SchemaError(f"{where}: 'tau_c' must be a finite number, "
-                              f"got {tau_c!r:.40}")
-        if not isinstance(template_id, str):
-            raise SchemaError(f"{where}: 'template_id' must be a string, "
-                              f"got {template_id!r:.40}")
-        omega_hand = {k: _vector(v, None, where, f"omega_hand.{k}",
-                                 "a list of numbers")
-                      for k, v in _table(doc["omega_hand"], where,
-                                         "omega_hand").items()}
+        maps = {key: typed(doc[key], dict, where, key, "an object")
+                for key in ("omega_hand", "contact_hand", "knuckle_partition",
+                            "anchor_assignment")}
+        omega_hand = {k: vector(v, None, where, f"omega_hand.{k}",
+                                "a list of numbers")
+                      for k, v in maps["omega_hand"].items()}
         anchors = {}
-        for k, v in _table(doc["anchor_assignment"], where,
-                           "anchor_assignment").items():
+        for k, v in maps["anchor_assignment"].items():
             key = f"anchor_assignment.{k}"
-            idx = _indices(_table(v, where, key)["indices"], n, where,
-                           f"{key}.indices")
-            anchors[k] = (idx, _vector(v["delta"], len(idx), where,
-                                       f"{key}.delta"))
+            idx = indices(typed(v, dict, where, key, "an object")["indices"],
+                          n, where, f"{key}.indices")
+            anchors[k] = (idx, vector(v["delta"], len(idx), where,
+                                      f"{key}.delta"))
         return ContactBundle(
             points,
-            _rows(doc["object_normals"], n, where, "object_normals"),
-            _vector(doc["omega_object"], n, where, "omega_object"),
-            _indices(doc["contact_object"], n, where, "contact_object"),
-            list(names), omega_hand,
-            {k: _indices(v, len(omega_hand.get(k, ())), where,
-                         f"contact_hand.{k}")
-             for k, v in _table(doc["contact_hand"], where,
-                                "contact_hand").items()},
-            {k: _indices(v, n, where, f"knuckle_partition.{k}")
-             for k, v in _table(doc["knuckle_partition"], where,
-                                "knuckle_partition").items()},
-            anchors, tau_c=float(tau_c), template_id=template_id,
+            rows(doc["object_normals"], n, where, "object_normals"),
+            vector(doc["omega_object"], n, where, "omega_object"),
+            indices(doc["contact_object"], n, where, "contact_object"),
+            list(list_of(doc["segment_names"], str, None, where,
+                         "segment_names", "a list of strings")),
+            omega_hand,
+            {k: indices(v, len(omega_hand.get(k, ())), where,
+                        f"contact_hand.{k}")
+             for k, v in maps["contact_hand"].items()},
+            {k: indices(v, n, where, f"knuckle_partition.{k}")
+             for k, v in maps["knuckle_partition"].items()},
+            anchors,
+            tau_c=float(number(doc.get("tau_c", TAU_CONTACT), where, "tau_c",
+                               "a finite number")),
+            template_id=typed(doc.get("template_id", ""), str, where,
+                              "template_id", "a string"),
         ).validate()
 
 
@@ -341,7 +294,7 @@ def save_bundle(path, bundle):
 
 
 def load_bundle(path):
-    return bundle_from_dict(_read_json(path))
+    return bundle_from_dict(read_json(path))
 
 
 # demo/1: object + hand spec reference + grasp parameters
@@ -366,23 +319,18 @@ def load_demo(path, base_dir=None):
 
     ``object`` and ``handspec`` are paths, a relative one against
     ``base_dir`` (by default the file's directory); ``q`` and ``wrist``
-    are read as in grasp/1. A field of the wrong type is a SchemaError
-    and a path naming no file an InvalidInputError, each naming the key.
+    are read as in grasp/1. A path naming no file is an
+    InvalidInputError naming the key.
     """
-    doc = _read_json(path)
-    if doc.get("schema") != DEMO_SCHEMA:
-        raise SchemaError(f"expected {DEMO_SCHEMA}, got {doc.get('schema')!r}")
-    where = f"{DEMO_SCHEMA} document"
+    doc = read_json(path)
+    where = document(doc, DEMO_SCHEMA)
     base = pathlib.Path(base_dir) if base_dir else pathlib.Path(path).parent
     files = {}
-    with _keys_of(where):
+    with keys_of(where):
         for key in ("handspec", "object"):
-            value = doc[key]
-            if not isinstance(value, str):
-                raise SchemaError(f"{where}: {key!r} must be a path string, "
-                                  f"got {value!r:.40}")
             # an absolute path stays as it is
-            files[key] = base / value
+            files[key] = base / typed(doc[key], str, where, key,
+                                      "a path string")
             if not files[key].is_file():
                 raise InvalidInputError(f"{where}: {key!r} names no file: "
                                         f"{str(files[key])!r:.80}")

@@ -17,9 +17,9 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .contact import ContactBundle
-from .errors import InvalidInputError, SchemaError
+from .documents import document, keys_of, list_of, typed, vector
+from .errors import InvalidInputError
 from .geometry import bbox_diagonal
-from .hands.schema import _keys_of, _vector
 
 DSC_SCHEMA = "dsc/1"
 LATTICE_K = 8
@@ -447,13 +447,18 @@ def save_keypoints(path, keypoints):
 
 
 def load_keypoints(path):
+    """keypoints/1: one ``name x y z`` line per keypoint, with finite
+    coordinates; else a SchemaError naming the line."""
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for k, line in enumerate(fh, 1):
             parts = line.split()
-            if len(parts) != 4:
-                raise SchemaError(f"bad keypoints line: {line!r}")
-            out[parts[0]] = np.array([float(v) for v in parts[1:]])
+            try:
+                xyz = [float(v) for v in parts[1:]]
+            except ValueError:
+                xyz = parts[1:]  # words, which vector refuses
+            out[parts[0]] = vector(xyz, 3, str(path), f"line {k}",
+                                   "a name and 3 numbers")
     return out
 
 
@@ -480,31 +485,22 @@ def dsc_to_dict(field, cmap=None, report=None):
 
 
 def dsc_from_dict(doc):
-    """A ``DeformationField`` from a dsc/1 document. A field of the wrong
-    type or length is a SchemaError and a spacing that is not positive
-    an InvalidInputError, each naming the key."""
-    if doc.get("schema") != DSC_SCHEMA:
-        raise SchemaError(f"expected {DSC_SCHEMA}, got {doc.get('schema')!r}")
-    where = f"{DSC_SCHEMA} document"
-    template_id = doc.get("template_id", "")
-    if not isinstance(template_id, str):
-        raise SchemaError(f"{where}: 'template_id' must be a string, "
-                          f"got {template_id!r:.40}")
-    with _keys_of(where):
-        lat = doc["lattice"]
-        if not isinstance(lat, dict):
-            raise SchemaError(f"{where}: 'lattice' must be an object, "
-                              f"got {lat!r:.40}")
-        origin = _vector(lat["origin"], 3, where, "lattice.origin")
-        spacing = _vector(lat["spacing"], 3, where, "lattice.spacing")
-        dims = lat["dims"]
-        if not (isinstance(dims, list) and len(dims) == 3
-                and all(isinstance(k, int) and not isinstance(k, bool)
-                        and k >= 2 for k in dims)):
-            raise SchemaError(f"{where}: 'lattice.dims' must be 3 integers "
-                              f"of at least 2, got {dims!r:.40}")
-        displacements = _vector(lat["displacements"], 3 * math.prod(dims),
-                                where, "lattice.displacements")
+    """A ``DeformationField`` from a dsc/1 document; a spacing that is not
+    positive or a dimension below 2 is an InvalidInputError."""
+    where = document(doc, DSC_SCHEMA)
+    template_id = typed(doc.get("template_id", ""), str, where, "template_id",
+                        "a string")
+    with keys_of(where):
+        lat = typed(doc["lattice"], dict, where, "lattice", "an object")
+        origin = vector(lat["origin"], 3, where, "lattice.origin")
+        spacing = vector(lat["spacing"], 3, where, "lattice.spacing")
+        dims = list_of(lat["dims"], int, 3, where, "lattice.dims",
+                       "3 integers of at least 2")
+        if min(dims) < 2:
+            raise InvalidInputError(f"{where}: 'lattice.dims' must be at "
+                                    f"least 2, got {dims}")
+        displacements = vector(lat["displacements"], 3 * math.prod(dims),
+                               where, "lattice.displacements")
     if not np.all(spacing > 0):
         raise InvalidInputError(f"{where}: 'lattice.spacing' must be "
                                 f"positive, got {spacing.tolist()}")

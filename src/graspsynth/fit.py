@@ -14,7 +14,6 @@ ICP with Umeyama scale estimation provides the initial state.
 """
 
 import json
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,9 +21,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import transforms as tf
-from .errors import InvalidInputError, SchemaError, UnrecognizedObjectError
+from .documents import document, keys_of, number, read_json, typed, vector
+from .errors import InvalidInputError, UnrecognizedObjectError
 from .geometry import TriMesh, sample_surface, sdf_grid_from_mesh
-from .hands.schema import _is_number, _keys_of, _read_json, _vector
 
 OSE_WEIGHTS = (5.0, 1.0, 10.0)   # sdf, normal, chamfer
 GRID_SPACING_CM = 0.25           # physical detail resolved by template grids
@@ -417,42 +416,30 @@ def state_to_dict(state):
 
 
 def state_from_dict(doc):
-    """An ``ObjectState`` from an objstate/1 document. A field of the
-    wrong type is a SchemaError and a non-positive scale or a rotation
-    that is not a unit quaternion an InvalidInputError, each naming the
-    key."""
-    if doc.get("schema") != OBJSTATE_SCHEMA:
-        raise SchemaError(f"expected {OBJSTATE_SCHEMA}, got {doc.get('schema')!r}")
-    where = f"{OBJSTATE_SCHEMA} document"
-    with _keys_of(where):
-        template_id, s = doc["template_id"], doc["s"]
-        rotation = _vector(doc["rotation"], 4, where, "rotation",
-                           "a quaternion [w, x, y, z]")
-        translation = _vector(doc["translation"], 3, where, "translation")
-    if not isinstance(template_id, str):
-        raise SchemaError(f"{where}: 'template_id' must be a string, "
-                          f"got {template_id!r:.40}")
-    # written so that a NaN, and an int past any float, fails it too
-    if not (_is_number(s) and abs(s) <= sys.float_info.max):
-        raise SchemaError(f"{where}: 's' must be a finite number, "
-                          f"got {s!r:.40}")
+    """An ``ObjectState`` from an objstate/1 document; a scale that is not
+    positive or a rotation that is not a unit quaternion is an
+    InvalidInputError."""
+    where = document(doc, OBJSTATE_SCHEMA)
+    with keys_of(where):
+        template_id = typed(doc["template_id"], str, where, "template_id",
+                            "a string")
+        s = number(doc["s"], where, "s", "a finite number")
+        rotation = vector(doc["rotation"], 4, where, "rotation",
+                          "a quaternion [w, x, y, z]")
+        translation = vector(doc["translation"], 3, where, "translation")
     if s <= 0:
         raise InvalidInputError(f"{where}: 's' must be positive, got {s!r}")
     norm = float(np.linalg.norm(rotation))
     if abs(norm - 1.0) > QUAT_UNIT_TOL:
         raise InvalidInputError(f"{where}: 'rotation' must be a unit "
                                 f"quaternion, got norm {norm:.6g}")
-    losses = doc.get("losses", {})
-    if not (isinstance(losses, dict)
-            and all(_is_number(v) and abs(v) <= sys.float_info.max
-                    for v in losses.values())):
-        raise SchemaError(f"{where}: 'losses' must be an object of finite "
-                          f"numbers, got {losses!r:.40}")
+    losses = typed(doc.get("losses", {}), dict, where, "losses",
+                   "an object of finite numbers")
+    vector(list(losses.values()), None, where, "losses",
+           "an object of finite numbers")
     res = doc.get("icp_residual")
-    if not (res is None or (_is_number(res)
-                            and abs(res) <= sys.float_info.max)):
-        raise SchemaError(f"{where}: 'icp_residual' must be a finite number "
-                          f"or null, got {res!r:.40}")
+    if res is not None:
+        number(res, where, "icp_residual", "a finite number or null")
     return ObjectState(template_id, float(s), rotation, translation,
                        losses={k: float(v) for k, v in losses.items()},
                        icp_residual=np.nan if res is None else float(res))
@@ -464,4 +451,4 @@ def save_state(path, state):
 
 
 def load_state(path):
-    return state_from_dict(_read_json(path))
+    return state_from_dict(read_json(path))

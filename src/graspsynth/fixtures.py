@@ -14,10 +14,11 @@ from . import transforms as tf
 from .closure import close_until_contact
 from .contact import demonstration_from_hand
 from .correspondence import save_keypoints
+from .documents import document, list_of, read_json, require, typed
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, TriMesh, save_obj
 from .hands.model import Grasp
-from .hands.schema import _read_json, builtin_hand
+from .hands.schema import builtin_hand
 
 
 def cylinder_mesh(radius=2.8, height=12.0):
@@ -297,26 +298,18 @@ def write_category(directory, name, n=4):
 
 
 def load_category(path):
-    """(category/1 document, its directory). ``name`` and ``template``
-    are strings, ``instances`` a non-empty list of strings and
-    ``keypoints``, when present, a string; else a SchemaError naming the
-    key."""
+    """(category/1 document, its directory): ``name`` and ``template``
+    strings, ``instances`` a non-empty list of strings and ``keypoints``,
+    when present, a string."""
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / "category.json"
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or doc.get("schema") != "category/1":
-        raise InvalidInputError(f"{path}: not a category/1 manifest")
-    for key in ("name", "template", "instances"):
-        if key not in doc:
-            raise SchemaError(f"{path}: category/1 document has no {key!r}")
+    doc = read_json(path)
+    where = f"{path}: {document(doc, 'category/1')}"
+    require(doc, where, ("name", "template", "instances"))
     for key in ("name", "template", "keypoints"):
-        if not isinstance(doc.get(key, ""), str):
-            raise SchemaError(f"{path}: {key!r} must be a string, "
-                              f"got {doc[key]!r:.40}")
-    instances = doc["instances"]
-    if not (isinstance(instances, list) and instances
-            and all(isinstance(name, str) for name in instances)):
-        raise SchemaError(f"{path}: 'instances' must be a non-empty list of "
-                          f"strings, got {instances!r:.40}")
+        typed(doc.get(key, ""), str, where, key, "a string")
+    nonempty = "a non-empty list of strings"
+    if not list_of(doc["instances"], str, None, where, "instances", nonempty):
+        raise SchemaError(f"{where}: 'instances' must be {nonempty}, got []")
     return doc, path.parent

@@ -1,71 +1,19 @@
 """handspec/1 and grasp/1 document IO (JSON)."""
 
 import json
-import sys
-from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
 
 from .. import transforms as tf
+from ..documents import (document, keys_of, list_of, number, read_json,
+                         require, typed, vector)
 from ..errors import InvalidInputError, SchemaError
 from ..geometry import Primitive
 from .model import Anchor, FingertipFrame, Grasp, HandSpec, Link
 
 HANDSPEC_SCHEMA = "handspec/1"
 GRASP_SCHEMA = "grasp/1"
-
-
-def _read_json(path):
-    """The JSON document in the file ``path``; a file that is not JSON is
-    a SchemaError naming the path."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: not a JSON document ({exc})") from exc
-
-
-@contextmanager
-def _keys_of(where):
-    """Turn a key missing inside ``where`` into a SchemaError naming both."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SchemaError(f"{where}: missing key {exc}") from None
-
-
-def _objects(value, where, noun="objects"):
-    """``value`` if it is a list of JSON objects, else a SchemaError."""
-    if not (isinstance(value, list)
-            and all(isinstance(item, dict) for item in value)):
-        raise SchemaError(f"{where} must be a list of {noun}, "
-                          f"got {value!r:.40}")
-    return value
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _vector(value, n, where, key, form=None):
-    """``value`` as a float array if it is a list of ``n`` finite numbers
-    (of any length for ``n`` None), else a SchemaError naming ``where`` and
-    ``key`` (``json`` reads ``NaN`` and ``Infinity`` as numbers)."""
-    if not (isinstance(value, list) and n in (None, len(value))
-            and all(_is_number(v) for v in value)):
-        raise SchemaError(f"{where}: {key!r} must be "
-                          f"{form or f'{n} numbers'}, got {value!r:.40}")
-    # written so that a NaN, and an int past any float, fails it too
-    if not all(abs(v) <= sys.float_info.max for v in value):
-        raise SchemaError(f"{where}: {key!r} must be finite, "
-                          f"got {value!r:.40}")
-    return np.asarray(value, float)
-
-
-def _limits(value, where):
-    """``(lower, upper)`` from a two-number list, else a SchemaError."""
-    return tuple(_vector(value, 2, where, "limits", "[lower, upper]").tolist())
 
 
 def _quat_of(rotation_matrix):
@@ -124,106 +72,96 @@ def handspec_to_dict(spec):
     return doc
 
 
-def _link_from_dict(entry, parent):
+def _link_from_dict(entry, name_to_index):
     where = f"link {entry.get('name')}"
-    joint, origin = entry["joint"], entry["origin"]
-    samples = entry.get("samples", 0)
-    if not isinstance(samples, int) or isinstance(samples, bool):
-        raise SchemaError(f"{where}: 'samples' must be an integer, "
-                          f"got {samples!r:.40}")
+    parent = typed(entry.get("parent"), (str, type(None)), where, "parent",
+                   "a link name or null")
+    if parent not in name_to_index:
+        raise SchemaError(f"{where}: unknown parent {parent}")
+    joint = typed(entry["joint"], dict, where, "joint", "an object")
+    origin = typed(entry["origin"], dict, where, "origin", "an object")
+    primitives = list_of(entry.get("primitives", []), dict, None, where,
+                         "primitives", "a list of objects")
     link = Link(
-        name=entry["name"],
-        parent=parent,
+        name=typed(entry["name"], str, where, "name", "a string"),
+        parent=name_to_index[parent],
         origin_rotation=tf.quat_to_matrix(
-            _vector(origin["rotation"], 4, where, "origin.rotation")),
-        origin_translation=_vector(origin["translation"], 3, where,
-                                   "origin.translation"),
+            vector(origin["rotation"], 4, where, "origin.rotation")),
+        origin_translation=vector(origin["translation"], 3, where,
+                                  "origin.translation"),
         joint_type=joint["type"],
         primitives=[
-            Primitive(p["kind"], tuple(_vector(
+            Primitive(p["kind"], tuple(vector(
                           p["params"], None, where, f"primitives[{k}].params",
                           "a list of numbers").tolist()),
-                      rotation=tf.quat_to_matrix(_vector(
+                      rotation=tf.quat_to_matrix(vector(
                           p["rotation"], 4, where, f"primitives[{k}].rotation")),
-                      translation=_vector(p["translation"], 3, where,
-                                          f"primitives[{k}].translation"))
-            for k, p in enumerate(_objects(entry.get("primitives", []),
-                                           f"{where}: 'primitives'"))
+                      translation=vector(p["translation"], 3, where,
+                                         f"primitives[{k}].translation"))
+            for k, p in enumerate(primitives)
         ],
-        sample_count=samples,
+        sample_count=typed(entry.get("samples", 0), int, where, "samples",
+                           "an integer"),
     )
     if joint["type"] == "revolute":
-        link.axis = _vector(joint["axis"], 3, where, "axis")
-        link.limits = _limits(joint["limits"], where)
-        sign = joint.get("flexion_sign", 1.0)
-        if not _is_number(sign):
-            raise SchemaError(f"{where}: 'flexion_sign' must be a number, "
-                              f"got {sign!r:.40}")
-        link.flexion_sign = float(sign)
+        link.axis = vector(joint["axis"], 3, where, "axis")
+        link.limits = tuple(vector(joint["limits"], 2, where, "limits",
+                                   "[lower, upper]").tolist())
+        link.flexion_sign = float(number(joint.get("flexion_sign", 1.0),
+                                         where, "flexion_sign", "a number"))
     return link
 
 
 def handspec_from_dict(doc):
-    if doc.get("schema") != HANDSPEC_SCHEMA:
-        raise SchemaError(f"expected {HANDSPEC_SCHEMA}, got {doc.get('schema')!r}")
-    for key in ("name", "links"):
-        if key not in doc:
-            raise SchemaError(f"{HANDSPEC_SCHEMA} document has no {key!r}")
-    name_to_index = {}
+    where = document(doc, HANDSPEC_SCHEMA)
+    require(doc, where, ("name", "links"))
+    name_to_index = {None: -1}  # a root link's parent is null
     links = []
-    for entry in _objects(doc["links"], f"{HANDSPEC_SCHEMA} 'links'",
-                          "link objects"):
-        name = entry.get("name")
-        parent_name = entry.get("parent")
-        if parent_name is None:
-            parent = -1
-        elif parent_name in name_to_index:
-            parent = name_to_index[parent_name]
-        else:
-            raise SchemaError(f"link {name}: unknown parent {parent_name}")
-        with _keys_of(f"link {name}"):
-            link = _link_from_dict(entry, parent)
+    for entry in list_of(doc["links"], dict, None,
+                         f"{HANDSPEC_SCHEMA} 'links'", None,
+                         "a list of link objects"):
+        with keys_of(f"link {entry.get('name')}"):
+            link = _link_from_dict(entry, name_to_index)
         # closure and penetration see a link only through its samples
         if link.primitives and link.sample_count <= 0:
-            raise SchemaError(f"link {name}: has primitives, so needs samples > 0")
-        name_to_index[name] = len(links)
+            raise SchemaError(f"link {link.name}: has primitives, so needs "
+                              f"samples > 0")
+        name_to_index[link.name] = len(links)
         links.append(link)
 
     def attached(key, cls):
         items = []
-        for a in _objects(doc.get(key, []), f"{HANDSPEC_SCHEMA} {key!r}"):
-            with _keys_of(f"{key[:-1]} {a.get('name')}"):
-                if a["link"] not in name_to_index:
-                    raise SchemaError(f"{key[:-1]} {a['name']}: "
-                                      f"unknown link {a['link']!r}")
-                items.append(cls(a["name"], name_to_index[a["link"]],
-                                 _vector(a["local"], 3,
-                                         f"{key[:-1]} {a['name']}", "local")))
+        for a in list_of(doc.get(key, []), dict, None,
+                         f"{HANDSPEC_SCHEMA} {key!r}", None, "a list of objects"):
+            label = f"{key[:-1]} {a.get('name')}"
+            with keys_of(label):
+                link = typed(a["link"], str, label, "link", "a link name")
+                if link not in name_to_index:
+                    raise SchemaError(f"{label}: unknown link {link!r}")
+                items.append(cls(a["name"], name_to_index[link],
+                                 vector(a["local"], 3, label, "local")))
         return items
 
     coupling = actuated_names = actuated_limits = None
     if "coupling" in doc:
-        c = doc["coupling"]
-        if not isinstance(c, dict):
-            raise SchemaError(f"coupling must be an object, got {c!r:.40}")
-        with _keys_of("coupling"):
-            actuated = _objects(c["actuated"], "coupling 'actuated'")
+        c = typed(doc["coupling"], dict, "coupling", None, "an object")
+        with keys_of("coupling"):
+            actuated = list_of(c["actuated"], dict, None,
+                               "coupling 'actuated'", None, "a list of objects")
             actuated_names = [a["name"] for a in actuated]
-            actuated_limits = [_limits(a["limits"], f"actuated {a['name']}")
-                               for a in actuated]
-            rows = c["rows"]
-            if not isinstance(rows, list):
-                raise SchemaError(f"coupling: 'rows' must be a list, "
-                                  f"got {rows!r:.40}")
+            actuated_limits = [tuple(vector(
+                a["limits"], 2, f"actuated {a['name']}", "limits",
+                "[lower, upper]").tolist()) for a in actuated]
+            rows = list_of(c["rows"], list, None, "coupling", "rows",
+                           "a list of rows")
             coupling = np.array(
-                [_vector(row, len(actuated), "coupling", f"rows[{k}]")
+                [vector(row, len(actuated), "coupling", f"rows[{k}]")
                  for k, row in enumerate(rows)])
 
-    joint_map = doc.get("human_joint_map", {})
-    if not (isinstance(joint_map, dict)
-            and all(isinstance(v, str) for v in joint_map.values())):
-        raise SchemaError(f"{HANDSPEC_SCHEMA} 'human_joint_map' must be an "
-                          f"object of joint names, got {joint_map!r:.40}")
+    where, form = (f"{HANDSPEC_SCHEMA} 'human_joint_map'",
+                   "an object of joint names")
+    joint_map = typed(doc.get("human_joint_map", {}), dict, where, None, form)
+    list_of(list(joint_map.values()), str, None, where, None, form)
     return HandSpec(doc["name"], links, attached("anchors", Anchor),
                     attached("fingertips", FingertipFrame),
                     coupling=coupling, actuated_names=actuated_names,
@@ -257,7 +195,7 @@ def save_handspec(path, spec):
 
 
 def load_handspec(path):
-    return handspec_from_dict(_read_json(path))
+    return handspec_from_dict(read_json(path))
 
 
 def grasp_to_dict(grasp, hand=None, provenance=None):
@@ -278,33 +216,23 @@ def grasp_to_dict(grasp, hand=None, provenance=None):
 
 
 def grasp_fields(doc, where):
-    """The ``Grasp`` of a document's ``q`` and ``wrist`` (grasp/1 and
-    demo/1 hold them alike), else a SchemaError naming ``where`` and the
-    key."""
-    with _keys_of(where):
-        wrist = doc["wrist"]
-        if not isinstance(wrist, dict):
-            raise SchemaError(f"{where}: 'wrist' must be an object, "
-                              f"got {wrist!r:.40}")
-        return Grasp(_vector(doc["q"], None, where, "q", "a list of numbers"),
-                     _vector(wrist["rotation"], 4, where, "wrist.rotation"),
-                     _vector(wrist["translation"], 3, where,
-                             "wrist.translation"))
+    """The ``Grasp`` of a document's ``q`` and ``wrist``, which grasp/1 and
+    demo/1 hold alike."""
+    with keys_of(where):
+        wrist = typed(doc["wrist"], dict, where, "wrist", "an object")
+        return Grasp(vector(doc["q"], None, where, "q", "a list of numbers"),
+                     vector(wrist["rotation"], 4, where, "wrist.rotation"),
+                     vector(wrist["translation"], 3, where,
+                            "wrist.translation"))
 
 
 def grasp_from_dict(doc):
-    if doc.get("schema") != GRASP_SCHEMA:
-        raise SchemaError(f"expected {GRASP_SCHEMA}, got {doc.get('schema')!r}")
-    where = f"{GRASP_SCHEMA} document"
-    flags = doc.get("flags", [])
-    if not (isinstance(flags, list)
-            and all(isinstance(f, str) for f in flags)):
-        raise SchemaError(f"{where}: 'flags' must be a list of strings, "
-                          f"got {flags!r:.40}")
+    where = document(doc, GRASP_SCHEMA)
     grasp = grasp_fields(doc, where)
-    grasp.flags = list(flags)
+    grasp.flags = list(list_of(doc.get("flags", []), str, None, where,
+                               "flags", "a list of strings"))
     return grasp
 
 
 def load_grasp(path):
-    return grasp_from_dict(_read_json(path))
+    return grasp_from_dict(read_json(path))

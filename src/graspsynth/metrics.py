@@ -20,7 +20,8 @@ from scipy.spatial import ConvexHull, QhullError
 from . import transforms as tf
 from .closure import march_closure
 from .contact import digitize
-from .errors import InvalidInputError, SchemaError
+from .documents import document, list_of, number, typed
+from .errors import InvalidInputError
 from .geometry import MeshSDF, bbox_diagonal, iou, sample_surface
 from .geometry.grid import OccupancyGrid, cell_centers, padded_layout
 from .hands.model import Grasp, forward_kinematics
@@ -350,16 +351,18 @@ def report_to_dict(report, object_name="", grasp_name=""):
 
 
 def report_from_dict(doc):
-    if doc.get("schema") != METRICS_SCHEMA:
-        raise SchemaError(f"expected {METRICS_SCHEMA}, got {doc.get('schema')!r}")
+    """A ``MetricsReport`` from a metrics/1 document: each metric a finite
+    number or null, ``closure_success`` a bool, ``flags`` strings."""
+    where = document(doc, METRICS_SCHEMA)
     report = MetricsReport()
-    for key in CSV_COLUMNS[2:-1]:
+    for key in CSV_COLUMNS[2:-2]:
         value = doc.get(key)
-        if key == "closure_success":
-            report.closure_success = bool(value)
-        else:
-            setattr(report, key, np.nan if value is None else float(value))
-    report.flags = list(doc.get("flags", []))
+        setattr(report, key, np.nan if value is None else float(number(
+            value, where, key, "a finite number or null")))
+    report.closure_success = typed(doc.get("closure_success", False), bool,
+                                   where, "closure_success", "a bool")
+    report.flags = list(list_of(doc.get("flags", []), str, None, where,
+                                "flags", "a list of strings"))
     return report
 
 

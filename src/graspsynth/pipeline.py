@@ -11,19 +11,17 @@ outputs with content hashes (the golden-file regression surface).
 import hashlib
 import json
 import pathlib
-import sys
 import traceback
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .contact import TAU_CONTACT, bundle_to_dict, extract_bundle
 from .correspondence import (correspond, diffuse_contacts, dsc_to_dict,
                              fit_deformation)
+from .documents import document, number, read_json, typed
 from .errors import InvalidInputError, SchemaError
 from .geometry import MeshSDF, load_mesh, sample_surface
 from .grasp_opt import LossWeights, optimize, refine_physical
-from .hands.schema import _read_json, grasp_to_dict
+from .hands.schema import grasp_to_dict
 from .metrics import evaluate_grasp, report_to_dict
 from .retarget import problem_from_demo, retarget
 
@@ -46,11 +44,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise SchemaError(f"config must be an object, got {doc!r:.40}")
-        schema = doc.get("schema", CONFIG_SCHEMA)
-        if schema != CONFIG_SCHEMA:
-            raise SchemaError(f"expected {CONFIG_SCHEMA}, got {schema!r:.40}")
+        # the schema tag is optional in a config
+        if "schema" in typed(doc, dict, "config", None, "an object"):
+            document(doc, CONFIG_SCHEMA)
         cfg = _typed(cls, {k: v for k, v in doc.items() if k != "schema"},
                      "config")
         _validate_config(cfg)
@@ -58,7 +54,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        return cls.from_dict(_read_json(path))
+        return cls.from_dict(read_json(path))
 
     def to_dict(self):
         doc = asdict(self)
@@ -71,9 +67,8 @@ def _typed(cls, doc, where):
     and each value of the field's type (an int is a float, a bool is
     neither, a number is finite, a dataclass takes an object), else a
     SchemaError naming it."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where} must be an object, got {doc!r:.40}")
     fields = cls.__dataclass_fields__
+    typed(doc, dict, where, None, "an object")
     unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise SchemaError(f"unknown {where} keys: {unknown}")
@@ -82,14 +77,10 @@ def _typed(cls, doc, where):
         kind = fields[key].type
         if hasattr(kind, "__dataclass_fields__"):
             value = _typed(kind, value, f"{where} {key!r}")
-        elif isinstance(value, bool) or not isinstance(
-                value, (int, float) if kind is float else kind):
-            raise SchemaError(f"{where}: {key!r} must be {kind.__name__}, "
-                              f"got {value!r:.40}")
-        # written so that a NaN, and an int past any float, fails it too
-        elif kind is float and not abs(value) <= sys.float_info.max:
-            raise SchemaError(f"{where}: {key!r} must be finite, "
-                              f"got {value!r:.40}")
+        elif kind is float:
+            number(value, where, key, "float")
+        else:
+            typed(value, kind, where, key, kind.__name__)
         values[key] = value
     return cls(**values)
 

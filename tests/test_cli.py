@@ -208,6 +208,19 @@ def test_eval_bad_grasp_exit_2(workspace, tmp_path, capsys, damage, message):
     assert f"error: grasp/1 document: {message}" in capsys.readouterr().err
 
 
+def test_eval_grasp_not_an_object_exit_2(workspace, tmp_path, capsys):
+    # used to end in an AttributeError traceback with exit code 1
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    code = main(["eval", "--grasp", str(bad), "--hand", "pinch1",
+                 "--object", str(workspace / "data" / "wand" / "wand_0.obj"),
+                 "--out", str(tmp_path / "m.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: grasp/1 document must be an object, got [1, 2]" in err
+    assert "Traceback" not in err
+
+
 def test_eval_without_truth_leaves_columns_empty(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"
@@ -332,6 +345,18 @@ def test_contacts_bad_demo_exit_2(workspace, tmp_path, capsys, damage,
                  "--out", str(tmp_path / "c.json")])
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_contacts_demo_not_an_object_exit_2(tmp_path, capsys):
+    # used to end in an AttributeError traceback with exit code 1
+    bad = tmp_path / "demo.json"
+    bad.write_text('"x"')
+    code = main(["contacts", "--demo", str(bad),
+                 "--out", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: demo/1 document must be an object, got 'x'" in err
+    assert "Traceback" not in err
 
 
 def _negative_contact(doc):

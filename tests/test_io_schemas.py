@@ -6,7 +6,7 @@ import pytest
 
 from graspsynth.contact import (bundle_from_dict, load_bundle, load_demo,
                                 save_demo)
-from graspsynth.correspondence import dsc_from_dict
+from graspsynth.correspondence import dsc_from_dict, load_keypoints
 from graspsynth.errors import InvalidInputError, SchemaError
 from graspsynth.fit import load_state, state_from_dict
 from graspsynth.fixtures import cylinder_mesh, load_category
@@ -15,7 +15,7 @@ from graspsynth.grasp_opt import LossWeights
 from graspsynth.hands import (builtin_hand, grasp_from_dict,
                               handspec_from_dict, handspec_to_dict, load_grasp,
                               load_handspec, make_grasp, save_handspec)
-from graspsynth.metrics import report_from_dict
+from graspsynth.metrics import MetricsReport, report_from_dict, report_to_dict
 from graspsynth.pipeline import RunConfig
 
 
@@ -293,3 +293,83 @@ def test_grasp_flags_roundtrip():
     back = grasp_from_dict(doc)
     assert back.flags == ["infeasible"]
     assert doc["provenance"] == {"source": "test"}
+
+
+def _from_json_file(loader):
+    return lambda path: loader(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("value", [[1, 2], "x", 3, None],
+                         ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("loader,schema", [
+    (load_handspec, "handspec/1"), (load_grasp, "grasp/1"),
+    (load_demo, "demo/1"), (load_bundle, "contacts/1"),
+    (load_state, "objstate/1"), (_from_json_file(dsc_from_dict), "dsc/1"),
+    (_from_json_file(report_from_dict), "metrics/1"),
+    (load_category, "category/1"), (RunConfig.from_file, "config"),
+], ids=["handspec", "grasp", "demo", "contacts", "objstate", "dsc",
+        "metrics", "category", "config"])
+def test_loaders_refuse_a_document_that_is_not_an_object(tmp_path, loader,
+                                                        schema, value):
+    # every loader but config's read the tag with ``doc.get`` and ended in
+    # an AttributeError; category/1 raised an InvalidInputError
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(value))
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{schema} document must be an object, got {value!r}"
+            if schema != "config" else "config must be an object")):
+        loader(path)
+
+
+def _metrics_doc():
+    report = MetricsReport(epsilon=0.125, hrd=0.5, closure_success=True,
+                           flags=["infeasible"])
+    return report_to_dict(report, "obj", "grasp0")
+
+
+def test_metrics_loader_reads_what_the_writer_writes():
+    doc = json.loads(json.dumps(_metrics_doc()))
+    back = report_from_dict(doc)
+    assert back.epsilon == 0.125 and back.hrd == 0.5
+    assert np.isnan(back.iou) and back.closure_success is True
+    assert back.flags == ["infeasible"]
+    assert report_to_dict(back, "obj", "grasp0") == doc
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("epsilon", "abc", "'epsilon' must be a finite number or null, got 'abc'"),
+    ("hrd", float("nan"), "'hrd' must be a finite number or null, got nan"),
+    ("iou", 10 ** 400, "'iou' must be a finite number or null"),
+    ("ncd", True, "'ncd' must be a finite number or null, got True"),
+    ("closure_success", 1, "'closure_success' must be a bool, got 1"),
+    ("flags", "x", "'flags' must be a list of strings, got 'x'"),
+    ("flags", [3], "'flags' must be a list of strings, got [3]"),
+], ids=["epsilon-a-string", "hrd-nan", "iou-past-any-float", "ncd-a-bool",
+        "closure-success-a-number", "flags-a-string", "flags-numbers"])
+def test_metrics_loader_names_the_bad_key(key, value, message):
+    # these raised ValueError, or loaded as NaN, True or a list of letters
+    doc = _metrics_doc()
+    doc[key] = value
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"metrics/1 document: {message}")):
+        report_from_dict(doc)
+
+
+def test_keypoints_loader_names_a_line_that_is_not_numbers(tmp_path):
+    # used to raise float()'s ValueError
+    path = tmp_path / "kp.txt"
+    path.write_text("tip 1 2 3\na b c d\n")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}: 'line 2' must be a name and 3 numbers, "
+            f"got ['b', 'c', 'd']")):
+        load_keypoints(path)
+
+
+@pytest.mark.parametrize("word", ["nan", "inf", "-Infinity", "1e400"])
+def test_keypoints_loader_refuses_nan_and_infinity(tmp_path, word):
+    # these loaded as keypoints at NaN or infinity
+    path = tmp_path / "kp.txt"
+    path.write_text(f"tip 1 2 3\nbase 0 {word} 0\n")
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"{path}: 'line 2' must be finite")):
+        load_keypoints(path)

@@ -1,11 +1,11 @@
-"""Property tests over the demo/1, contacts/1, category/1, objstate/1 and
-dsc/1 loaders.
+"""Property tests over the demo/1, contacts/1, category/1, objstate/1,
+dsc/1, handspec/1, grasp/1 and config/1 loaders.
 
-Each replaces one key of a valid document, at any depth, with an
-arbitrary JSON value. The loader must then load the document or raise a
-``GraspSynthError`` subtype (which the CLI turns into exit code 2):
-never another exception and never a RuntimeWarning. Every case these
-properties found has a named test of its own below.
+Each replaces the whole of a valid document, or one key of it at any
+depth, with an arbitrary JSON value. The loader must then load the
+document or raise a ``GraspSynthError`` subtype (which the CLI turns
+into exit code 2): never another exception and never a RuntimeWarning.
+Every case these properties found has a named test of its own below.
 """
 
 import copy
@@ -23,7 +23,10 @@ from graspsynth.errors import GraspSynthError, InvalidInputError, SchemaError
 from graspsynth.fit import state_from_dict
 from graspsynth.fixtures import cylinder_mesh, load_category
 from graspsynth.geometry import save_obj
-from graspsynth.hands import builtin_hand, make_grasp, save_handspec
+from graspsynth.hands import (builtin_hand, grasp_from_dict, grasp_to_dict,
+                              handspec_from_dict, handspec_to_dict,
+                              make_grasp, save_handspec)
+from graspsynth.pipeline import RunConfig
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -43,8 +46,10 @@ JSON = st.recursive(
 
 
 def _paths(doc, prefix=()):
-    """Every key of a JSON document at any depth, as a path of keys and
-    list positions (only the first item of a list)."""
+    """The root and every key of a JSON document at any depth, as a path
+    of keys and list positions (only the first item of a list)."""
+    if not prefix:
+        yield prefix
     items = (doc.items() if isinstance(doc, dict)
              else [(0, doc[0])] if isinstance(doc, list) and doc else [])
     for key, value in items:
@@ -53,6 +58,8 @@ def _paths(doc, prefix=()):
 
 
 def _replaced(doc, path, value):
+    if not path:
+        return value
     out = copy.deepcopy(doc)
     parent = out
     for key in path[:-1]:
@@ -422,3 +429,98 @@ def test_dsc_loader_names_the_bad_key(path, value, error, message):
            else _replaced(_dsc_doc(), path, value))
     with pytest.raises(error, match=re.escape(f"dsc/1 document: {message}")):
         dsc_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# handspec/1
+
+
+@pytest.fixture(scope="module")
+def coupled9_doc():
+    return handspec_to_dict(builtin_hand("coupled9"))
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_handspec_loader_takes_any_value_at_any_key(coupled9_doc, data,
+                                                    value):
+    doc = coupled9_doc
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    spec = _loads_or_typed_error(
+        lambda: handspec_from_dict(_replaced(doc, path, value)))
+    if spec is not None:
+        for link in spec.links:
+            assert np.all(np.isfinite(link.origin_rotation))
+            assert np.all(np.isfinite(link.origin_translation))
+            assert isinstance(link.name, str)
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("links", 1, "parent"), ["palm"],
+     "link index_knuckle: 'parent' must be a link name or null, "
+     "got ['palm']"),
+    (("anchors", 0, "link"), ["index_distal"],
+     "anchor index_tip: 'link' must be a link name, got ['index_distal']"),
+    (("links", 0, "name"), ["palm"],
+     "link ['palm']: 'name' must be a string, got ['palm']"),
+    (("links", 0, "joint"), [], "link palm: 'joint' must be an object, "
+     "got []"),
+    (("links", 0, "origin"), "x", "link palm: 'origin' must be an object, "
+     "got 'x'"),
+], ids=["parent-a-list", "anchor-link-a-list", "name-a-list", "joint-a-list",
+        "origin-a-string"])
+def test_handspec_loader_names_the_bad_key(coupled9_doc, path, value,
+                                           message):
+    # each of these ended in a TypeError: a list is no dict key, and a
+    # list or string is no object to index by name
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        handspec_from_dict(_replaced(coupled9_doc, path, value))
+
+
+# ---------------------------------------------------------------------------
+# grasp/1
+
+
+def _grasp_doc():
+    spec = builtin_hand("pinch1")
+    grasp = make_grasp(spec, q=[0.2, 0.3],
+                       translation=np.array([0.0, 6.0, 0.0]))
+    grasp.flags.append("infeasible")
+    return grasp_to_dict(grasp, hand="pinch1",
+                         provenance={"source": "test", "seed": 3})
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_grasp_loader_takes_any_value_at_any_key(data, value):
+    doc = _grasp_doc()
+    assert grasp_from_dict(doc).flags == ["infeasible"]
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    grasp = _loads_or_typed_error(
+        lambda: grasp_from_dict(_replaced(doc, path, value)))
+    if grasp is not None:
+        assert grasp.rotation.shape == (4,) and grasp.translation.shape == (3,)
+        assert all(np.all(np.isfinite(v))
+                   for v in (grasp.q, grasp.rotation, grasp.translation))
+        assert all(isinstance(flag, str) for flag in grasp.flags)
+
+
+# ---------------------------------------------------------------------------
+# config/1
+
+
+@SETTINGS
+@given(data=st.data(), value=JSON)
+def test_config_loader_takes_any_value_at_any_key(data, value):
+    doc = RunConfig(seed=3, restarts=2).to_dict()
+    assert RunConfig.from_dict(doc).restarts == 2
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    config = _loads_or_typed_error(
+        lambda: RunConfig.from_dict(_replaced(doc, path, value)))
+    if config is not None:
+        # a config that loads has every field of its declared type
+        for obj in (config, config.weights):
+            for name, spec in type(obj).__dataclass_fields__.items():
+                kind = (int, float) if spec.type is float else spec.type
+                got = getattr(obj, name)
+                assert isinstance(got, kind) and not isinstance(got, bool)

@@ -23,6 +23,26 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_module_imports_a_private_field_reader():
+    # the rules for a document's fields live behind graspsynth.documents'
+    # public readers, and no module reaches into a loader's helpers
+    guarded = {"graspsynth.documents", "graspsynth.hands.schema",
+               "graspsynth.contact"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        package = path.relative_to(SRC).with_suffix("").parts[:-1]
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[:len(package) - node.level + 1] if node.level else ()
+            module = ".".join([*base, *filter(None, [node.module])])
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {alias.name}"
+                      for alias in node.names if module in guarded
+                      and alias.name.startswith("_")]
+    assert found == []
+
+
 def _calls_by_name():
     """Every call in src/, tests/, benchmark/ and the README's python
     blocks, by the called name (a bare name or an attribute)."""
