@@ -10,12 +10,16 @@ must be, is quoted in the error. A reader returns the value it checked.
 """
 
 import json
+import math
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
+
+# how far from 1 a stored rotation quaternion's norm may read
+QUAT_UNIT_TOL = 1e-6
 
 
 def read_json(path):
@@ -100,6 +104,18 @@ def vector(value, n, where, key, form=None):
         raise _refused(value, where, key,
                        form if form and "finite" in form else "finite")
     return np.asarray(value, float)
+
+
+def quaternion(value, where, key, form):
+    """``value`` as a float array if it is a list of 4 finite numbers
+    (refused as not ``form`` otherwise) whose norm is within
+    ``QUAT_UNIT_TOL`` of 1; another norm is an InvalidInputError."""
+    q = vector(value, 4, where, key, form)
+    norm = math.hypot(*q)   # no overflow, however large a component
+    if abs(norm - 1.0) > QUAT_UNIT_TOL:
+        raise InvalidInputError(f"{where}: {key!r} must be a unit "
+                                f"quaternion, got norm {norm:.6g}")
+    return q
 
 
 def rows(value, n, where, key):

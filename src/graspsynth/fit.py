@@ -21,7 +21,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import transforms as tf
-from .documents import document, keys_of, number, read_json, typed, vector
+from .documents import (document, keys_of, number, quaternion, read_json,
+                        typed, vector)
 from .errors import InvalidInputError, UnrecognizedObjectError
 from .geometry import TriMesh, sample_surface, sdf_grid_from_mesh
 
@@ -34,8 +35,6 @@ DEFAULT_LOSS_CEILING = 5.0
 # cloud that needs more is not that object, and the loss overflows
 SCALE_LIMIT = 1e3
 OBJSTATE_SCHEMA = "objstate/1"
-# how far from 1 a stored rotation quaternion's norm may read
-QUAT_UNIT_TOL = 1e-6
 
 
 def canonicalize(mesh):
@@ -424,15 +423,11 @@ def state_from_dict(doc):
         template_id = typed(doc["template_id"], str, where, "template_id",
                             "a string")
         s = number(doc["s"], where, "s", "a finite number")
-        rotation = vector(doc["rotation"], 4, where, "rotation",
-                          "a quaternion [w, x, y, z]")
+        rotation = quaternion(doc["rotation"], where, "rotation",
+                              "a quaternion [w, x, y, z]")
         translation = vector(doc["translation"], 3, where, "translation")
     if s <= 0:
         raise InvalidInputError(f"{where}: 's' must be positive, got {s!r}")
-    norm = float(np.linalg.norm(rotation))
-    if abs(norm - 1.0) > QUAT_UNIT_TOL:
-        raise InvalidInputError(f"{where}: 'rotation' must be a unit "
-                                f"quaternion, got norm {norm:.6g}")
     losses = typed(doc.get("losses", {}), dict, where, "losses",
                    "an object of finite numbers")
     vector(list(losses.values()), None, where, "losses",

@@ -15,6 +15,7 @@ Each array step does the same float operations, in the same order, as
 the joint-by-joint formulas, so the results are the same bits.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -297,8 +298,9 @@ class Grasp:
         self.q = np.asarray(self.q, dtype=float)
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
-        # written so that a NaN fails it too
-        if not abs(np.linalg.norm(self.rotation) - 1.0) <= 1e-8:
+        # written so that a NaN fails it too, and a huge component does
+        # not overflow
+        if not abs(math.hypot(*self.rotation) - 1.0) <= 1e-8:
             raise InvalidInputError("grasp rotation must be a unit quaternion")
         for name in ("q", "translation"):
             if not np.isfinite(getattr(self, name)).all():

@@ -6,8 +6,8 @@ from importlib import resources
 import numpy as np
 
 from .. import transforms as tf
-from ..documents import (document, keys_of, list_of, number, read_json,
-                         require, typed, vector)
+from ..documents import (document, keys_of, list_of, number, quaternion,
+                         read_json, require, typed, vector)
 from ..errors import InvalidInputError, SchemaError
 from ..geometry import Primitive
 from .model import Anchor, FingertipFrame, Grasp, HandSpec, Link
@@ -85,8 +85,8 @@ def _link_from_dict(entry, name_to_index):
     link = Link(
         name=typed(entry["name"], str, where, "name", "a string"),
         parent=name_to_index[parent],
-        origin_rotation=tf.quat_to_matrix(
-            vector(origin["rotation"], 4, where, "origin.rotation")),
+        origin_rotation=tf.quat_to_matrix(quaternion(
+            origin["rotation"], where, "origin.rotation", "4 numbers")),
         origin_translation=vector(origin["translation"], 3, where,
                                   "origin.translation"),
         joint_type=joint["type"],
@@ -94,8 +94,9 @@ def _link_from_dict(entry, name_to_index):
             Primitive(p["kind"], tuple(vector(
                           p["params"], None, where, f"primitives[{k}].params",
                           "a list of numbers").tolist()),
-                      rotation=tf.quat_to_matrix(vector(
-                          p["rotation"], 4, where, f"primitives[{k}].rotation")),
+                      rotation=tf.quat_to_matrix(quaternion(
+                          p["rotation"], where, f"primitives[{k}].rotation",
+                          "4 numbers")),
                       translation=vector(p["translation"], 3, where,
                                          f"primitives[{k}].translation"))
             for k, p in enumerate(primitives)

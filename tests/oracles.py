@@ -429,6 +429,63 @@ def penetration_volume_full_grid(posed, mesh, spacing=0.25):
     return float(np.count_nonzero(grid.occupancy & in_hand)) * spacing ** 3
 
 
+def ray_parity_voxels(mesh, spacing):
+    """``voxelize`` occupancy as it was built before near-set signs:
+    ``MeshSDF.inside`` (ray parity) at every cell center."""
+    from graspsynth.geometry import MeshSDF
+    from graspsynth.geometry.grid import cell_centers, padded_layout
+
+    origin, dims = padded_layout(*mesh.bounds(), spacing)
+    return MeshSDF(mesh).inside(cell_centers(origin, spacing,
+                                             dims)).reshape(dims)
+
+
+def sdf_grid_nodes(mesh, spacing):
+    """Origin, dims and C-order nodes of ``sdf_grid_from_mesh``'s grid."""
+    from graspsynth.geometry.grid import SDF_PAD_CELLS, _lattice
+
+    lo, hi = mesh.bounds()
+    origin = lo - SDF_PAD_CELLS * spacing
+    dims = tuple(
+        int(np.ceil((h - l + 2 * SDF_PAD_CELLS * spacing) / spacing)) + 1
+        for l, h in zip(lo, hi))
+    return origin, dims, origin + _lattice(dims) * spacing
+
+
+def ray_parity_sdf_grid(mesh, spacing):
+    """``sdf_grid_from_mesh`` values as they were built before near-set
+    signs: ``MeshSDF.inside`` (ray parity) at every node, exact distances
+    in the band around the sign change, the EDT fill beyond it."""
+    from scipy import ndimage
+
+    from graspsynth.geometry import MeshSDF
+    from graspsynth.geometry.grid import SDF_BAND_CELLS
+
+    _, dims, nodes = sdf_grid_nodes(mesh, spacing)
+    sdf = MeshSDF(mesh)
+    inside = sdf.inside(nodes).reshape(dims)
+    boundary = np.zeros(dims, dtype=bool)
+    for axis in range(3):
+        sl_a = [slice(None)] * 3
+        sl_b = [slice(None)] * 3
+        sl_a[axis] = slice(0, -1)
+        sl_b[axis] = slice(1, None)
+        diff = inside[tuple(sl_a)] != inside[tuple(sl_b)]
+        boundary[tuple(sl_a)] |= diff
+        boundary[tuple(sl_b)] |= diff
+    band = ndimage.binary_dilation(boundary, iterations=SDF_BAND_CELLS)
+    values = np.full(dims, np.nan)
+    values[band] = sdf.bvh.min_distance(nodes[band.ravel()])[0]
+    far = ~band
+    if np.any(far):
+        edt, indices = ndimage.distance_transform_edt(
+            far, sampling=spacing, return_indices=True)
+        src = (indices[0][far], indices[1][far], indices[2][far])
+        values[far] = edt[far] + values[src]
+    values[inside] *= -1.0
+    return values
+
+
 def _evaluate_per_link_queries(scene, grasp, g_init, weights, accumulate,
                                gesture_reference=None):
     """The optimizer loss as one whole pass, gradient included on request.

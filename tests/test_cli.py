@@ -95,6 +95,22 @@ def test_synthesize_bad_handspec_exit_2(workspace, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_synthesize_handspec_zero_rotation_exit_2(workspace, tmp_path,
+                                                  capsys):
+    # a [0, 0, 0, 0] rotation used to load as the identity
+    cat = workspace / "data" / "wand"
+    doc = json.loads((cat / "demonstrator.handspec.json").read_text())
+    doc["links"][1]["origin"]["rotation"] = [0, 0, 0, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", str(bad),
+                 *FAST, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"error: link {doc['links'][1]['name']}: 'origin.rotation' must "
+            f"be a unit quaternion, got norm 0" in capsys.readouterr().err)
+
+
 def test_synthesize_handspec_links_not_a_list_exit_2(workspace, tmp_path,
                                                       capsys):
     # "links" as a string used to end in an AttributeError traceback

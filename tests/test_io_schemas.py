@@ -135,6 +135,38 @@ def test_handspec_loader_names_what_is_wrong(hand, damage, message):
         handspec_from_dict(doc)
 
 
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: d["links"][0]["origin"].update(rotation=[0, 0, 0, 0]),
+     "link palm: 'origin.rotation' must be a unit quaternion, got norm 0"),
+    (lambda d: d["links"][0]["origin"].update(rotation=[0, 1e200, 0, 0]),
+     "link palm: 'origin.rotation' must be a unit quaternion, "
+     "got norm 1e+200"),
+    (lambda d: d["links"][1]["primitives"][0].update(rotation=[0, 0, 0, 0]),
+     "link thumb_distal: 'primitives[0].rotation' must be a unit "
+     "quaternion, got norm 0"),
+    (lambda d: d["links"][1]["primitives"][0].update(
+        rotation=[0, 1e200, 0, 0]),
+     "link thumb_distal: 'primitives[0].rotation' must be a unit "
+     "quaternion, got norm 1e+200"),
+], ids=["origin-zero", "origin-huge", "primitive-zero", "primitive-huge"])
+def test_handspec_rotation_must_be_a_unit_quaternion(damage, message):
+    # [0, 0, 0, 0] used to load as the identity, and a huge component
+    # ended in an overflow RuntimeWarning
+    doc = handspec_to_dict(builtin_hand("pinch1"))
+    damage(doc)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        handspec_from_dict(doc)
+
+
+def test_grasp_rotation_with_a_huge_component_is_refused():
+    # the unit check used to overflow (a RuntimeWarning) before refusing it
+    doc = {"schema": "grasp/1", "q": [0.1, 0.2],
+           "wrist": {"rotation": [0, 1e200, 0, 0],
+                     "translation": [0.0, 0.0, 0.0]}}
+    with pytest.raises(InvalidInputError, match="unit quaternion"):
+        grasp_from_dict(doc)
+
+
 @pytest.mark.parametrize("key", ["q", "wrist"])
 def test_grasp_loader_names_the_missing_key(key):
     doc = {"schema": "grasp/1", "q": [0.1, 0.2],

@@ -355,6 +355,9 @@ def test_objstate_loader_takes_any_value_at_any_key(data, value):
      "'rotation' must be a quaternion [w, x, y, z], got [1.0, 0.0]"),
     (("rotation",), [1.0, 0.0, 1.0, 0.0], InvalidInputError,
      "'rotation' must be a unit quaternion, got norm 1.41421"),
+    # its norm used to overflow, a RuntimeWarning
+    (("rotation",), [0.0, 1e200, 0.0, 0.0], InvalidInputError,
+     "'rotation' must be a unit quaternion, got norm 1e+200"),
     (("s",), 0, InvalidInputError, "'s' must be positive, got 0"),
     (("translation", 2), float("inf"), SchemaError,
      "'translation' must be finite"),
@@ -364,7 +367,8 @@ def test_objstate_loader_takes_any_value_at_any_key(data, value):
     (("losses", "sdf"), 10 ** 400, SchemaError,
      "'losses' must be an object of finite numbers"),
 ], ids=["s-missing", "s-a-string", "losses-a-list", "s-nan",
-        "rotation-two-numbers", "rotation-not-unit", "s-zero",
+        "rotation-two-numbers", "rotation-not-unit", "rotation-huge",
+        "s-zero",
         "translation-infinite", "template-id-a-number",
         "icp-residual-a-string", "loss-past-any-float"])
 def test_objstate_loader_names_the_bad_key(path, value, error, message):
