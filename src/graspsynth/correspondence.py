@@ -112,7 +112,11 @@ class FitReport:
 
 
 def _row_norms(v):
-    return np.sqrt((v ** 2).sum(axis=1))
+    """Euclidean norm of each (N, 3) row, summed by components: the same
+    bits as ``(v ** 2).sum(axis=1)`` and cKDTree's distances, without a
+    reduction over a 3-wide axis."""
+    v0, v1, v2 = v.T
+    return np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
 
 class _NearestPairs:
@@ -287,6 +291,9 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
     if len(i_pts) < MIN_INSTANCE_SAMPLES:
         raise InvalidInputError(
             f"instance has {len(i_pts)} samples; need >= {MIN_INSTANCE_SAMPLES}")
+    for name, pts in (("template", t_pts), ("instance", i_pts)):
+        if not np.all(np.isfinite(pts)):
+            raise InvalidInputError(f"{name} samples must be finite")
 
     lo, hi = t_pts.min(axis=0), t_pts.max(axis=0)
     inst_tree = cKDTree(i_pts)

@@ -141,6 +141,11 @@ def _umeyama(source, target):
     return s, R, t
 
 
+def _finite(values, name):
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError(f"{name} must be finite")
+
+
 def icp_init(observed, template):
     """Point-to-point ICP with scale onto a Template's dense canonical
     samples, for at most 50 iterations. Divergence over 5 consecutive
@@ -149,6 +154,7 @@ def icp_init(observed, template):
     observed = np.asarray(observed, float)
     if len(observed) < 64:
         raise InvalidInputError("ICP needs >= 64 observed points")
+    _finite(observed, "observed points")
     canon = template.dense_points
 
     # initial similarity from centroids and RMS radii
@@ -335,7 +341,10 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
     Raises UnrecognizedObjectError when no template beats ``loss_ceiling``.
     """
     observed = np.asarray(observed, float)
+    _finite(observed, "observed points")
     normals = None if normals is None else np.asarray(normals, float)
+    if normals is not None:
+        _finite(normals, "observed normals")
 
     obs = _observation(observed, normals)
 

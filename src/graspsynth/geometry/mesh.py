@@ -147,6 +147,9 @@ def load_mesh(path):
 def load_point_cloud(path):
     """Load a PLY point cloud; returns (points, normals-or-None)."""
     v, _, n = _load_ply(str(path))
+    for name, values in (("point coordinates", v), ("normals", n)):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise InvalidInputError(f"{path}: {name} must be finite")
     return v, n
 
 

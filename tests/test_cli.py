@@ -325,6 +325,25 @@ def test_fit_cloud_short_vertex_row_exit_2(tmp_path, workspace, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_cloud_non_finite_coordinate_exit_2(tmp_path, workspace, capsys,
+                                                value):
+    # a NaN or inf coordinate used to end in a ValueError traceback from
+    # cKDTree in estimate_normals, with exit 1
+    from graspsynth.fixtures import wand_mesh
+    from graspsynth.geometry import sample_surface, save_ply
+    points = sample_surface(wand_mesh(), n=256, seed=1).points.copy()
+    points[7, 2] = float(value)
+    cloud = tmp_path / "bad.ply"
+    save_ply(cloud, points)
+    lib_dir = workspace / "data" / "wand"
+    assert main(["fit", "--cloud", str(cloud), "--library", str(lib_dir),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cloud}: point coordinates must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "graspsynth.cli", "--help"],
                           capture_output=True, text=True)

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from graspsynth import correspondence
-from graspsynth.correspondence import (_laplacian, _NearestPairs, correspond,
+from graspsynth.correspondence import (_laplacian, _NearestPairs, _row_norms,
+                                       correspond,
                                        diffuse_contacts,
                                        dsc_from_dict, dsc_to_dict,
                                        fit_deformation, lattice_for_bounds,
@@ -75,6 +76,25 @@ def _pair_clouds(bottle_pair, kind):
     base = t_samples.points[:300]
     return (np.concatenate([base[:200], base[100:250]]),
             np.concatenate([base, base[:50]]))
+
+
+@pytest.mark.parametrize("kind", ["bottle", "duplicated"])
+def test_row_norms_equal_kdtree_distances(bottle_pair, kind):
+    # the certificates compare _row_norms with cKDTree's distances, so the
+    # two must be the same bits: on coincident rows (distance 0), on
+    # duplicated rows and on rows moved by tiny and large amounts
+    t_pts, i_pts = _pair_clouds(bottle_pair, kind)
+    rng = np.random.default_rng(9)
+    cases = [(i_pts, i_pts)]
+    for scale in (0.0, 1e-9, 1e-4, 0.3, 40.0):
+        warped = t_pts + rng.normal(size=t_pts.shape) * scale
+        cases += [(warped, i_pts), (i_pts, warped)]
+    for points, other in cases:
+        dist, idx = cKDTree(other).query(points)
+        v = points - other[idx]
+        got = _row_norms(v)
+        assert got.tobytes() == dist.tobytes()
+        assert got.tobytes() == np.sqrt((v ** 2).sum(axis=1)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["bottle", "duplicated"])
@@ -155,6 +175,20 @@ def test_degenerate_instance_rejected(bottle_pair):
     _, t_samples, *_ = bottle_pair
     with pytest.raises(InvalidInputError):
         fit_deformation(t_samples, t_samples.points[:8])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["template", "instance"])
+def test_fit_deformation_non_finite_sample_is_invalid_input(bottle_pair,
+                                                            side, value):
+    # a NaN or inf used to end in cKDTree's untyped ValueError
+    _, t_samples, _, i_samples, _ = bottle_pair
+    clouds = {"template": t_samples.points.copy(),
+              "instance": i_samples.points.copy()}
+    clouds[side][3, 0] = value
+    with pytest.raises(InvalidInputError,
+                       match=f"{side} samples must be finite"):
+        fit_deformation(clouds["template"], clouds["instance"])
 
 
 def test_correspond_identity(bottle_pair):

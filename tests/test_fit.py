@@ -81,6 +81,23 @@ def test_icp_needs_points(library):
         icp_init(np.zeros((10, 3)), library.get("bottle"))
 
 
+def _with_non_finite(points, value):
+    points = np.array(points)
+    points[5, 1] = value
+    return points
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_icp_non_finite_point_is_invalid_input(library, value):
+    # a NaN used to end in cKDTree's untyped ValueError, an inf in an
+    # "invalid value encountered in subtract" RuntimeWarning
+    tpl = library.get("bottle")
+    observed = _with_non_finite(tpl.dense_points * tpl.diagonal_cm, value)
+    with pytest.raises(InvalidInputError,
+                       match="observed points must be finite"):
+        icp_init(observed, tpl)
+
+
 # -- gradient fit -------------------------------------------------------------
 
 
@@ -162,6 +179,23 @@ def test_degenerate_normals_guarded(library):
                       icp_init(observed, tpl), normals=zeros[:256],
                       refit_all_templates=False)
     assert np.isfinite(state.losses["normal"])  # eps guard, no NaN
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("field", ["points", "normals"])
+def test_fit_state_non_finite_observation_is_invalid_input(library, field,
+                                                           value):
+    tpl = library.get("bottle")
+    points = tpl.samples.points * tpl.diagonal_cm
+    normals = tpl.samples.normals
+    init = icp_init(points, tpl)
+    if field == "points":
+        points = _with_non_finite(points, value)
+    else:
+        normals = _with_non_finite(normals, value)
+    with pytest.raises(InvalidInputError,
+                       match=f"observed {field} must be finite"):
+        fit_state(points, library, init, normals=normals)
 
 
 def test_objstate_roundtrip(tmp_path, library):

@@ -109,10 +109,10 @@ _PLY_BINARY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
                b"end_header\n")
 
 
-def _binary_triangle(n_vertices, face=True):
+def _binary_triangle(n_vertices, face=True, corner=(0, 1, 0)):
     import struct
     body = b"".join(struct.pack("<fff", *p)
-                    for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0)][:n_vertices])
+                    for p in [(0, 0, 0), (1, 0, 0), corner][:n_vertices])
     return _PLY_BINARY + body + (struct.pack("<Bii", 3, 0, 1) if face else b"")
 
 
@@ -130,9 +130,24 @@ def _binary_triangle(n_vertices, face=True):
      "binary PLY ends inside element 'vertex' (24 of 36 bytes)"),
     ("truncated.ply", _binary_triangle(3),
      "binary PLY ends inside element 'face'"),
+    # a NaN or inf used to load unchecked and end in cKDTree's untyped
+    # "data must be finite" further on
+    ("nan.ply", _PLY_XYZ + b"0 0 0\n1 nan 0\n0 1 0\n",
+     "point coordinates must be finite"),
+    ("inf.ply", _PLY_XYZ + b"0 0 0\n1 0 -inf\n0 1 0\n",
+     "point coordinates must be finite"),
+    ("inf.ply", _binary_triangle(3, face=False, corner=(0, float("inf"), 0))
+     .replace(b"element face 1\nproperty list uchar int vertex_indices\n",
+              b""), "point coordinates must be finite"),
+    ("nan.ply", _PLY_XYZ.replace(b"end_header", b"property float nx\n"
+                                 b"property float ny\nproperty float nz\n"
+                                 b"end_header")
+     + b"0 0 0 0 0 1\n1 0 0 0 nan 1\n0 1 0 0 0 1\n",
+     "normals must be finite"),
 ], ids=["obj-not-a-number", "obj-short-vertex", "obj-bad-face",
         "ply-fewer-vertex-lines", "ply-no-y", "ply-binary-truncated-vertices",
-        "ply-binary-truncated-face"])
+        "ply-binary-truncated-face", "ply-nan-point", "ply-inf-point",
+        "ply-binary-inf-point", "ply-nan-normal"])
 def test_mesh_readers_name_what_is_wrong(tmp_path, name, content, message):
     path = tmp_path / name
     path.write_bytes(content)

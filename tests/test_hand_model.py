@@ -165,6 +165,51 @@ def test_fk_matches_per_link_oracle_on_random_chains():
         _assert_fk_is_per_link_oracle(spec, rng, poses=8)
 
 
+def random_tree(rng, n_links):
+    """Random branching tree whose siblings mix revolute and fixed joints
+    and sample counts, with one link that has no geometry and so no
+    samples, and anchors and fingertip frames on random links."""
+    bare = int(rng.integers(1, n_links))
+    links = [Link("root", -1, np.eye(3), np.zeros(3), "fixed",
+                  primitives=[Primitive("sphere", (0.3,))], sample_count=6)]
+    for k in range(1, n_links):
+        axis = rng.normal(size=3)
+        links.append(Link(
+            f"l{k}", int(rng.integers(0, k)),
+            rot_about(rng.normal(size=3), rng.uniform(-np.pi, np.pi)),
+            rng.uniform(-2, 2, 3),
+            "revolute" if rng.random() < 0.6 else "fixed",
+            axis / np.linalg.norm(axis), (-2.0, 2.0),
+            primitives=[] if k == bare else [Primitive("sphere", (0.2,))],
+            sample_count=0 if k == bare else int(rng.integers(2, 6))))
+
+    def frames(kind):
+        return [kind(f"{kind.__name__}{k}", int(rng.integers(0, n_links)),
+                     rng.uniform(-2, 2, 3)) for k in range(4)]
+
+    return HandSpec(f"tree{n_links}", links, anchors=frames(Anchor),
+                    fingertip_frames=frames(FingertipFrame))
+
+
+def test_fk_matches_per_link_oracle_on_branching_trees():
+    # forward kinematics poses a tree depth at a time and the samples a
+    # sample count at a time; on these trees a depth mixes revolute and
+    # fixed links and a sample group mixes depths
+    rng = np.random.default_rng(63)
+    mixed_depths = 0
+    for _ in range(10):
+        spec = random_tree(rng, n_links=int(rng.integers(8, 14)))
+        depth = []
+        for l in spec.links:
+            depth.append(0 if l.parent < 0 else depth[l.parent] + 1)
+        for d in set(depth):
+            level = [l for l, k in zip(spec.links, depth) if k == d]
+            mixed_depths += (len({l.joint_type for l in level}) == 2
+                             and len({l.sample_count for l in level}) > 1)
+        _assert_fk_is_per_link_oracle(spec, rng, poses=8)
+    assert mixed_depths >= 10
+
+
 def test_fk_equivariance_under_rigid_transform():
     spec = builtin_hand("human")
     rng = np.random.default_rng(3)
