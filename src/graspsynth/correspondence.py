@@ -284,6 +284,12 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
     cannot lower the loss. Every result is that of a full query at
     every evaluation, bit for bit.
     """
+    if k < 2:
+        raise InvalidInputError(f"k must be >= 2 lattice nodes, got {k!r}")
+    for name, beta in (("beta_smooth", beta_smooth), ("beta_mag", beta_mag)):
+        if not 0.0 <= beta < math.inf:
+            raise InvalidInputError(
+                f"{name} must be >= 0 and finite, got {beta!r}")
     t_pts = np.asarray(template.points if hasattr(template, "points")
                        else template, float)
     i_pts = np.asarray(instance.points if hasattr(instance, "points")

@@ -9,12 +9,12 @@ a normal-agreement term, and a two-sided chamfer term:
     L = 5 * L_sdf + 1 * L_normal + 10 * L_pc
 
 optimized for 300 iterations of backtracking gradient descent over
-(log s, R, T), with rotation updates composed as axis-angle increments.
+(log s, R, T), with rotation updates composed as axis-angle increments;
+the step halves on each rejected candidate and an accepted step keeps it.
 ICP with Umeyama scale estimation provides the initial state.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,8 +148,8 @@ def _finite(values, name):
 
 def icp_init(observed, template):
     """Point-to-point ICP with scale onto a Template's dense canonical
-    samples, for at most 50 iterations. Divergence over 5 consecutive
-    iterations returns the best state so far with a warning.
+    samples, for at most 50 iterations. Neither an iteration's matching
+    nor its similarity raises the residual, so the last state is kept.
     """
     observed = np.asarray(observed, float)
     if len(observed) < 64:
@@ -170,8 +170,6 @@ def icp_init(observed, template):
     # nearest to p is the canonical point nearest to R^T (p - t) / sigma:
     # one tree over the canonical points serves every iteration
     tree = cKDTree(canon)
-    best = (np.inf, sigma, R, t)
-    grew = 0
     prev = np.inf
     for _ in range(50):
         _, idx = tree.query(((observed - t) @ R) / sigma)
@@ -179,19 +177,9 @@ def icp_init(observed, template):
         transformed = (canon[idx] @ R.T) * sigma + t
         residual = float(np.sqrt(((observed - transformed) ** 2)
                                  .sum(axis=1).mean()))
-        if residual < best[0]:
-            best = (residual, sigma, R, t)
-        if residual > prev + 1e-12:
-            grew += 1
-            if grew >= 5:
-                warnings.warn("ICP diverging; returning best state so far")
-                break
-        else:
-            grew = 0
         if abs(prev - residual) < 1e-8:
             break
         prev = residual
-    residual, sigma, R, t = best
     return ObjectState(template.template_id, sigma / template.diagonal_cm,
                        tf.matrix_to_quat(R), t, icp_residual=residual)
 
@@ -396,7 +384,6 @@ def _fit_one(obs, template, init, max_iters):
         base_R = cand_aux["R"]
         x = np.concatenate([xc[:4], np.zeros(3)])
         value, terms, aux = cand_value, cand_terms, cand_aux
-        step = min(step * 1.7, 0.2)
 
     sigma = float(np.exp(x[0]))
     quat = tf.matrix_to_quat(base_R)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transforms as tf
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidInputError
 from .hands.model import (Grasp, _ancestor_dofs, actuated_from_q,
                           apply_coupling, forward_kinematics)
 
@@ -41,8 +41,17 @@ class RetargetProblem:
     alpha_joint: float = ALPHA_JOINT
 
     def __post_init__(self):
-        if self.alpha_task < 0 or self.alpha_joint < 0:
-            raise ConfigurationError("alpha weights must be >= 0")
+        if not (0 <= self.alpha_task < np.inf
+                and 0 <= self.alpha_joint < np.inf):
+            raise ConfigurationError("alpha weights must be >= 0 and finite")
+        for name, point in self.task_points.items():
+            if not np.all(np.isfinite(point)):
+                raise InvalidInputError(
+                    f"task point of fingertip {name!r} must be finite")
+        for name, value in self.human_q.items():
+            if not np.isfinite(value):
+                raise InvalidInputError(
+                    f"human joint {name!r} must be finite, got {value!r}")
         missing = [f.name for f in self.robot.fingertip_frames
                    if f.name not in self.task_points]
         if missing:

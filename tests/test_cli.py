@@ -188,6 +188,23 @@ def test_synthesize_config_weight_nan_exit_2(workspace, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_synthesize_config_lattice_k_below_two_exit_2(workspace, tmp_path,
+                                                      capsys, k):
+    # the demonstration's lattice fit used to end in a traceback
+    # (ValueError: negative axis 1 index), outside the per-instance
+    # isolation
+    cat = workspace / "data" / "wand"
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps({"schema": "config/1", "lattice_k": k}))
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", "pinch1",
+                 *FAST, "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"error: k must be >= 2 lattice nodes, got {k}"
+            in capsys.readouterr().err)
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

@@ -191,6 +191,26 @@ def test_fit_deformation_non_finite_sample_is_invalid_input(bottle_pair,
         fit_deformation(clouds["template"], clouds["instance"])
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_fit_deformation_lattice_k_below_two_is_invalid_input(bottle_pair, k):
+    # k = 0 and 1 used to end in a divide by zero or numpy's "negative
+    # axis" ValueError inside the lattice
+    _, t_samples, _, i_samples, _ = bottle_pair
+    with pytest.raises(InvalidInputError, match=f"k must be >= 2 .*got {k}"):
+        fit_deformation(t_samples, i_samples, k=k)
+
+
+@pytest.mark.parametrize("name", ["beta_smooth", "beta_mag"])
+@pytest.mark.parametrize("value", [-1.0, -5.0, np.inf, np.nan])
+def test_fit_deformation_bad_beta_is_invalid_input(bottle_pair, name, value):
+    # a negative weight used to run silently or overflow, and a non-finite
+    # one to spread NaN through the lattice
+    _, t_samples, _, i_samples, _ = bottle_pair
+    with pytest.raises(InvalidInputError,
+                       match=f"{name} must be >= 0 and finite"):
+        fit_deformation(t_samples, i_samples, **{name: value})
+
+
 def test_correspond_identity(bottle_pair):
     _, t_samples, *_ = bottle_pair
     field = lattice_for_bounds(t_samples.points.min(axis=0),

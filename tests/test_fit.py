@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from graspsynth import fit
 from graspsynth import transforms as tf
 from graspsynth.errors import InvalidInputError, UnrecognizedObjectError
 from graspsynth.fit import (TemplateLibrary, canonicalize, fit_state,
@@ -169,6 +172,28 @@ def test_unrecognized_object(library):
     with pytest.raises(UnrecognizedObjectError):
         fit_state(pts, library, icp_init(pts, library.get("bottle")),
                   normals=nrm, loss_ceiling=1.0)
+
+
+def test_unrecognized_object_evaluation_counts(library, monkeypatch):
+    # test_unrecognized_object's blob: an accepted step keeps its step, so
+    # each fit is its start, 300 accepted steps and few rejected
+    # candidates
+    rng = np.random.default_rng(0)
+    pts = rng.normal(scale=30.0, size=(512, 3))
+    nrm = rng.normal(size=(512, 3))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    calls = Counter()
+    losses = fit._ose_losses
+
+    def counting(template, *args):
+        calls[template.template_id] += 1
+        return losses(template, *args)
+
+    monkeypatch.setattr(fit, "_ose_losses", counting)
+    with pytest.raises(UnrecognizedObjectError):
+        fit_state(pts, library, icp_init(pts, library.get("bottle")),
+                  normals=nrm, loss_ceiling=1.0)
+    assert calls == {"bottle": 306, "wand": 301}
 
 
 def test_degenerate_normals_guarded(library):

@@ -82,3 +82,33 @@ def test_icp_on_bare_array_matches_world_frame_oracle(monkeypatch, library):
     template = fit.Template("", None, None, 1.0, _dense=canon)
     observed = _half_view("tumbler", 5)
     _check_against_oracle(monkeypatch, observed, template, canon, 1.0)
+
+
+def _blob():
+    rng = np.random.default_rng(0)
+    return rng.normal(scale=5.0, size=(1024, 3))
+
+
+@pytest.mark.parametrize("view", ["bottle", "tumbler", "wand", "blob"])
+@pytest.mark.parametrize("category", ["bottle", "tumbler", "wand"])
+def test_icp_residual_never_rises(monkeypatch, library, category, view):
+    # each iteration matches every point to its nearest template point,
+    # which cannot raise the residual of the current similarity, and then
+    # takes the least-squares similarity of those pairs, which cannot
+    # either: so icp_init keeps its last state and needs no guard
+    residuals = []
+    umeyama = fit._umeyama
+
+    def recording(source, target):
+        s, R, t = umeyama(source, target)
+        moved = (source @ R.T) * s + t
+        residuals.append(float(np.sqrt(((target - moved) ** 2)
+                                       .sum(axis=1).mean())))
+        return s, R, t
+
+    monkeypatch.setattr(fit, "_umeyama", recording)
+    observed = _blob() if view == "blob" else _half_view(view, 3)
+    state = fit.icp_init(observed, library.get(category))
+    assert len(residuals) >= 2
+    assert np.all(np.diff(residuals) <= 1e-12)
+    assert state.icp_residual == residuals[-1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graspsynth import transforms as tf
-from graspsynth.errors import ConfigurationError
+from graspsynth.errors import ConfigurationError, InvalidInputError
 from graspsynth.geometry import Primitive
 from graspsynth.hands import (FingertipFrame, HandSpec, Link, builtin_hand,
                               forward_kinematics, make_grasp)
@@ -108,6 +108,37 @@ def test_unmapped_fingertip_is_configuration_error(cylinder_scene):
     with pytest.raises(ConfigurationError):
         RetargetProblem(robot, dict(demo.q), task_points,
                         demo.wrist_rotation, demo.wrist_translation)
+
+
+def _one_joint_problem(human_q=None, task_points=None, **alphas):
+    return RetargetProblem(one_joint_hand(), human_q or {"human_j": 1.2},
+                           task_points or {"index": np.array([2.0, 0, 0])},
+                           tf.IDENTITY_QUAT, np.zeros(3), **alphas)
+
+
+def test_infinite_alpha_joint_is_configuration_error():
+    # used to reach the solver and raise "invalid value in multiply"
+    with pytest.raises(ConfigurationError, match="alpha weights"):
+        _one_joint_problem(alpha_joint=np.inf)
+
+
+def test_nan_alpha_task_is_configuration_error():
+    # NaN compares False with 0, so the negative-weight check let it by
+    # and the solver failed on "grasp q must be finite"
+    with pytest.raises(ConfigurationError, match="alpha weights"):
+        _one_joint_problem(alpha_task=np.nan)
+
+
+def test_nan_task_point_is_invalid_input():
+    with pytest.raises(InvalidInputError,
+                       match="task point of fingertip 'index' must be finite"):
+        _one_joint_problem(task_points={"index": np.array([2.0, np.nan, 0])})
+
+
+def test_nan_mapped_human_joint_is_invalid_input():
+    with pytest.raises(InvalidInputError,
+                       match="human joint 'human_j' must be finite"):
+        _one_joint_problem(human_q={"human_j": np.nan})
 
 
 def test_coupled_hand_reduces_task_error(cylinder_scene):

@@ -43,6 +43,34 @@ def test_no_module_imports_a_private_field_reader():
     assert found == []
 
 
+def _exported(tree):
+    """The names a module lists in ``__all__``."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+
+
+def test_no_unused_module_import_in_src():
+    # a module-level import is read in its module or re-exported through
+    # __all__; one that is neither is dead
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)} | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                      for name in bound if name not in read]
+    assert found == []
+
+
 def _calls_by_name():
     """Every call in src/, tests/, benchmark/ and the README's python
     blocks, by the called name (a bare name or an attribute)."""
