@@ -10,6 +10,7 @@ from a demonstrated object to any instance of the same category
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .geometry import bbox_diagonal
 
 DSC_SCHEMA = "dsc/1"
 LATTICE_K = 8
+# a lattice level stops once an accepted step gains less than this share
+# of the loss it reaches
+FIT_REL_TOL = 1e-6
 BETA_SMOOTH = 10.0
 BETA_MAG = 0.1
 MIN_INSTANCE_SAMPLES = 32
@@ -103,12 +107,23 @@ def _laplacian(dims):
     return (sparse.identity(index.size) - mean).tocsr()
 
 
+@dataclass(frozen=True)
+class FitLevel:
+    """One lattice resolution of a fit: its K, its accepted steps, and why
+    it stopped: "tolerance", "no_descent" or "max_iters"."""
+
+    k: int
+    steps: int
+    stop: str
+
+
 @dataclass
 class FitReport:
     final_loss: float
     final_chamfer: float
-    trace: list
-    iterations: int
+    trace: list                  # the final level's losses
+    iterations: int              # the final level's accepted steps
+    levels: list                 # a FitLevel per resolution, coarse first
 
 
 def _row_norms(v):
@@ -181,7 +196,8 @@ class _NearestPairs:
 
 def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
                    max_iters):
-    """Monotone preconditioned descent on one lattice resolution."""
+    """Monotone preconditioned descent on one lattice resolution; returns
+    its final loss and chamfer, its trace and why it stopped."""
     W = field.weights(t_pts)
     WT = W.T.tocsr()
     n_t, n_i = len(t_pts), len(i_pts)
@@ -223,6 +239,7 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
     step = 1.0
     momentum = np.zeros_like(disp)
     mu = 0.9
+    stop = "max_iters"
     for _ in range(max_iters):
         warped, idx_ti, idx_it, lap, nodes = aux
         # chamfer gradient with the nearest-neighbor pairs frozen
@@ -253,15 +270,17 @@ def _descend_level(field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag,
                     break
                 step *= 0.5
         if not accepted:
+            stop = "no_descent"
             break
         improvement = value - cand_value
         disp, value, cham, aux = cand, cand_value, cand_cham, cand_aux
         trace.append(value)
         step = min(step * 1.1, 1.0)
-        if improvement < 1e-12 * max(value, 1.0):
+        if improvement < FIT_REL_TOL * value:
+            stop = "tolerance"
             break
     field.displacements = disp.reshape(*field.dims, 3)
-    return value, cham, trace
+    return value, cham, trace, stop
 
 
 def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
@@ -274,6 +293,13 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
     the surface. Returns (field, report); the reported trace (final
     level) is non-increasing.
 
+    Each level is a monotone descent: a step is accepted only if it
+    lowers the loss. A level stops when an accepted step gains less than
+    ``FIT_REL_TOL`` (1e-6) times the loss it reaches ("tolerance"), when
+    no step lowers the loss ("no_descent"), or after ``max_iters``
+    accepted steps ("max_iters"); ``report.levels`` records each level's
+    K, steps and stop.
+
     Each loss evaluation pairs every point with its nearest neighbour
     on the other side, as ``cKDTree.query`` does, but a point keeps the
     neighbour it had at a reference evaluation while a distance bound
@@ -284,6 +310,11 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
     cannot lower the loss. Every result is that of a full query at
     every evaluation, bit for bit.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidInputError(
+            f"k must be an integer number of lattice nodes, got {k!r}") from None
     if k < 2:
         raise InvalidInputError(f"k must be >= 2 lattice nodes, got {k!r}")
     for name, beta in (("beta_smooth", beta_smooth), ("beta_mag", beta_mag)):
@@ -306,6 +337,7 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
     levels = sorted({min(2 ** (i + 1), k) for i in range(max(k.bit_length(), 1))})
     levels = [lv for lv in levels if lv <= k] or [k]
     field = None
+    records = []
     for lv in levels:
         nxt = lattice_for_bounds(lo, hi, k=lv)
         nxt.template_id = template_id
@@ -313,9 +345,10 @@ def fit_deformation(template, instance, k=LATTICE_K, beta_smooth=BETA_SMOOTH,
             nodes = nxt.node_positions().reshape(-1, 3)
             nxt.displacements = (field.warp(nodes) - nodes).reshape(*nxt.dims, 3)
         field = nxt
-        value, cham, trace = _descend_level(field, t_pts, i_pts, inst_tree,
-                                            beta_smooth, beta_mag, max_iters)
-    return field, FitReport(value, cham, trace, len(trace) - 1)
+        value, cham, trace, stop = _descend_level(
+            field, t_pts, i_pts, inst_tree, beta_smooth, beta_mag, max_iters)
+        records.append(FitLevel(lv, len(trace) - 1, stop))
+    return field, FitReport(value, cham, trace, len(trace) - 1, records)
 
 
 # ---------------------------------------------------------------------------

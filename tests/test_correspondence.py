@@ -200,6 +200,32 @@ def test_fit_deformation_lattice_k_below_two_is_invalid_input(bottle_pair, k):
         fit_deformation(t_samples, i_samples, k=k)
 
 
+def test_fit_deformation_numpy_integer_k(bottle_pair):
+    # numpy integers have no bit_length: k=np.int64(4) used to end in an
+    # AttributeError
+    _, t_samples, _, i_samples, _ = bottle_pair
+    field, report = fit_deformation(t_samples, i_samples, k=np.int64(4),
+                                    max_iters=20)
+    want, want_report = fit_deformation(t_samples, i_samples, k=4,
+                                        max_iters=20)
+    assert field.dims == (4, 4, 4)
+    assert field.displacements.tobytes() == want.displacements.tobytes()
+    assert report.final_loss == want_report.final_loss
+
+
+@pytest.mark.parametrize("k", [2.5, 8.0, "8", None])
+def test_fit_deformation_non_integer_k_is_invalid_input(bottle_pair,
+                                                        monkeypatch, k):
+    # a float used to end in "'float' object has no attribute
+    # 'bit_length'" after the instance tree was built
+    _, t_samples, _, i_samples, _ = bottle_pair
+    counts = Counter()
+    monkeypatch.setattr(correspondence, "cKDTree", _counting_tree(counts))
+    with pytest.raises(InvalidInputError, match="k must be an integer"):
+        fit_deformation(t_samples, i_samples, k=k)
+    assert counts["builds"] == 0
+
+
 @pytest.mark.parametrize("name", ["beta_smooth", "beta_mag"])
 @pytest.mark.parametrize("value", [-1.0, -5.0, np.inf, np.nan])
 def test_fit_deformation_bad_beta_is_invalid_input(bottle_pair, name, value):
@@ -355,3 +381,45 @@ def test_keypoints_roundtrip(tmp_path):
     assert set(back) == set(kps)
     for k in kps:
         assert np.allclose(back[k], kps[k], atol=1e-7)
+
+
+def test_fit_level_stops_once_steps_stop_paying(bottle_pair):
+    # each level stops at the first accepted step that gains less than
+    # FIT_REL_TOL of the loss it reaches, and records why it stopped
+    _, t_samples, _, i_samples, _ = bottle_pair
+    _, report = fit_deformation(t_samples, i_samples)
+    assert [level.k for level in report.levels] == [2, 4, 8]
+    for level in report.levels:
+        assert level.stop in ("tolerance", "no_descent", "max_iters")
+    final = report.levels[-1]
+    assert final.stop == "tolerance"
+    assert final.steps == report.iterations == len(report.trace) - 1
+    trace = np.asarray(report.trace)
+    gains = trace[:-1] - trace[1:]
+    floors = correspondence.FIT_REL_TOL * trace[1:]
+    assert np.all(gains[:-1] >= floors[:-1])
+    assert gains[-1] < floors[-1]
+
+
+def test_relative_stop_costs_little_accuracy(monkeypatch):
+    # against fits run until no step lowers the loss (or max_iters), on the
+    # four bottle instances sampled as the pipeline's default config does:
+    # the relative stop ends at most 1e-5 (relative) above the converged
+    # loss, and leaves at least 99% of the instance rows matched to the
+    # same template sample. Instance 0 is the template, whose fit takes
+    # no step either way, so its rows are left out of that share.
+    template, meshes, _ = category_instances("bottle", n=4)
+    t_samples = sample_surface(template, n=2048, seed=0)
+    clouds = [sample_surface(mesh, n=2048, seed=0) for mesh in meshes]
+    stopped = [fit_deformation(t_samples, cloud) for cloud in clouds]
+    monkeypatch.setattr(correspondence, "FIT_REL_TOL", 0.0)
+    same = []
+    for cloud, (field, report) in zip(clouds, stopped):
+        full_field, full = fit_deformation(t_samples, cloud)
+        for level in full.levels:
+            assert level.stop in ("no_descent", "max_iters")
+        assert report.iterations <= full.iterations
+        assert report.final_loss <= full.final_loss * (1.0 + 1e-5)
+        same.append(correspond(t_samples, cloud, field).indices
+                    == correspond(t_samples, cloud, full_field).indices)
+    assert np.mean(np.concatenate(same[1:])) >= 0.99
