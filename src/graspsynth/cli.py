@@ -86,11 +86,12 @@ def cmd_fit(args):
     points, normals = load_point_cloud(args.cloud)
     if len(points) == 0:
         raise InvalidInputError("empty point cloud")
-    if normals is None:
-        normals = estimate_normals(points)
     library = _library_from_dir(args.library)
     first = next(iter(library))
+    # ICP checks the point count before normals are estimated from it
     init = icp_init(points, first)
+    if normals is None:
+        normals = estimate_normals(points)
     state = fit_state(points, library, init, normals=normals)
     save_state(args.out, state)
     print(f"wrote {args.out}: template={state.template_id} "

@@ -8,10 +8,13 @@ a normal-agreement term, and a two-sided chamfer term:
 
     L = 5 * L_sdf + 1 * L_normal + 10 * L_pc
 
-optimized for 300 iterations of backtracking gradient descent over
-(log s, R, T), with rotation updates composed as axis-angle increments;
-the step halves on each rejected candidate and an accepted step keeps it.
-ICP with Umeyama scale estimation provides the initial state.
+optimized by backtracking gradient descent over (log s, R, T), with
+rotation updates composed as axis-angle increments; the step halves on
+each rejected candidate and an accepted step keeps it. The descent stops
+once an accepted step gains less than ``STATE_REL_TOL`` (1e-6) of the
+loss it reaches, when no step lowers the loss, or after ``max_iters``
+(300) accepted steps. ICP with Umeyama scale estimation provides the
+initial state.
 """
 
 import json
@@ -34,6 +37,9 @@ DEFAULT_LOSS_CEILING = 5.0
 # fitted scale stays within this factor of the template's own size; a
 # cloud that needs more is not that object, and the loss overflows
 SCALE_LIMIT = 1e3
+# the descent stops once an accepted step gains less than this share of
+# the loss it reaches
+STATE_REL_TOL = 1e-6
 OBJSTATE_SCHEMA = "objstate/1"
 
 
@@ -104,6 +110,11 @@ class ObjectState:
 
     world = (s * diagonal_cm) * R @ x_canonical + T. ``s`` is the scale
     relative to the template's source size (1.0 = as modeled).
+
+    A state from ``fit_state`` also records its descent: the accepted
+    ``steps`` and why it stopped, ``stop``: "tolerance", "no_descent" or
+    "max_iters" (None for a state no descent made). ``state_to_dict``
+    writes neither, so they stay out of every hash.
     """
 
     template_id: str
@@ -112,6 +123,8 @@ class ObjectState:
     translation: np.ndarray     # cm
     losses: dict = field(default_factory=dict)
     icp_residual: float = np.nan
+    steps: int = 0
+    stop: object = None
 
     def __post_init__(self):
         if self.s <= 0:
@@ -141,9 +154,15 @@ def _umeyama(source, target):
     return s, R, t
 
 
-def _finite(values, name):
+def _cloud(values, name):
+    """``values`` as a finite float (N, 3) array."""
+    values = np.asarray(values, float)
+    if values.ndim != 2 or values.shape[1] != 3:
+        raise InvalidInputError(
+            f"{name} must be an (N, 3) array, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError(f"{name} must be finite")
+    return values
 
 
 def icp_init(observed, template):
@@ -151,10 +170,9 @@ def icp_init(observed, template):
     samples, for at most 50 iterations. Neither an iteration's matching
     nor its similarity raises the residual, so the last state is kept.
     """
-    observed = np.asarray(observed, float)
+    observed = _cloud(observed, "observed points")
     if len(observed) < 64:
         raise InvalidInputError("ICP needs >= 64 observed points")
-    _finite(observed, "observed points")
     canon = template.dense_points
 
     # initial similarity from centroids and RMS radii
@@ -327,12 +345,23 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
     ``init`` seeds the optimization; every library template is refit and
     the lowest final loss wins unless ``refit_all_templates`` is False.
     Raises UnrecognizedObjectError when no template beats ``loss_ceiling``.
+
+    Each template's descent accepts a step only if it lowers the loss.
+    It stops when an accepted step gains less than ``STATE_REL_TOL``
+    (1e-6) times the loss it reaches ("tolerance"), when 25 halvings of
+    the step find no lower loss ("no_descent"), or after ``max_iters``
+    accepted steps ("max_iters"); the returned state's ``steps`` and
+    ``stop`` record the winning template's descent.
     """
-    observed = np.asarray(observed, float)
-    _finite(observed, "observed points")
-    normals = None if normals is None else np.asarray(normals, float)
+    if len(library) == 0:
+        raise InvalidInputError("the template library is empty")
+    observed = _cloud(observed, "observed points")
     if normals is not None:
-        _finite(normals, "observed normals")
+        normals = _cloud(normals, "observed normals")
+        if len(normals) != len(observed):
+            raise InvalidInputError(
+                f"observed normals must be one per point: {len(normals)} "
+                f"for {len(observed)} points")
 
     obs = _observation(observed, normals)
 
@@ -361,6 +390,7 @@ def _fit_one(obs, template, init, max_iters):
 
     value, terms, aux = _ose_losses(template, x, base_R, obs)
     step = 0.01
+    steps, stop = 0, "max_iters"
     for _ in range(max_iters):
         grad = _ose_gradient(aux, obs)
         accepted = False
@@ -377,20 +407,26 @@ def _fit_one(obs, template, init, max_iters):
                     break
             step *= 0.5
         if not accepted:
+            stop = "no_descent"
             break
+        gain = value - cand_value
         # fold the accepted rotation increment into the base: the same
         # state with a fresh zero increment, so the candidate's evaluation
         # (its R is this base_R) stands
         base_R = cand_aux["R"]
         x = np.concatenate([xc[:4], np.zeros(3)])
         value, terms, aux = cand_value, cand_terms, cand_aux
+        steps += 1
+        if gain < STATE_REL_TOL * value:
+            stop = "tolerance"
+            break
 
     sigma = float(np.exp(x[0]))
     quat = tf.matrix_to_quat(base_R)
     losses = {"total": value, **terms}
     return ObjectState(template.template_id, sigma / template.diagonal_cm,
                        quat, x[1:4], losses=losses,
-                       icp_residual=init.icp_residual)
+                       icp_residual=init.icp_residual, steps=steps, stop=stop)
 
 
 # ---------------------------------------------------------------------------

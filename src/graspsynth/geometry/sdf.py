@@ -491,16 +491,3 @@ class MeshSDF:
         grads = grads / np.maximum(norms, 1e-12)
         return values[0], grads
 
-
-def mesh_sdf(mesh, queries, detail=False):
-    """Signed distances from query points to the mesh surface (cm).
-
-    Negative inside, positive outside. For non-watertight meshes a
-    warning is raised and unsigned positive distances are returned; the
-    ``detail`` form also exposes the watertight flag.
-    """
-    evaluator = MeshSDF(mesh)
-    values = evaluator.query(queries)
-    if detail:
-        return values, {"watertight": evaluator.watertight}
-    return values

@@ -535,22 +535,7 @@ def evaluate(scene, grasp, g_init, weights=None, accumulate=False,
 
 
 # ---------------------------------------------------------------------------
-# spec-level loss entry points (used directly by tests and reports)
-
-
-def _term(posed, bundle, weights, name):
-    """One term of the loss of a posed hand against a bundle."""
-    scene = GraspScene(posed.spec, bundle)
-    return evaluate(scene, posed.grasp, posed.grasp, weights=weights)[1][name]
-
-
-def loss_contact(posed, bundle, weights=None):
-    """Contact-consistency loss for one posed hand against a bundle."""
-    return _term(posed, bundle, weights, "contact")
-
-
-def loss_anchor(posed, bundle):
-    return _term(posed, bundle, None, "anchor")
+# the gesture term on its own (the forward pass calls it)
 
 
 def loss_gesture(grasp, g_init, weights=None):
@@ -561,17 +546,6 @@ def loss_gesture(grasp, g_init, weights=None):
             + w.lam4 * float(np.abs(dt).sum())
             + w.lam5 * tf.quat_rotation_distance(grasp.rotation,
                                                  g_init.rotation))
-
-
-def loss_interpenetration(posed, object_samples):
-    pts = getattr(object_samples, "points", np.asarray(object_samples))
-    sdf = posed.sdf(pts)
-    return LossWeights().lam6 * float(np.maximum(-sdf, 0.0).sum())
-
-
-def loss_self_penetration(posed):
-    return LossWeights().lam7 * float(
-        np.maximum(-posed.self_distances(), 0.0).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1049,3 +1049,51 @@ def descend_full_passes(scene, g_start, g_init, steps, weights,
         if stop_depth is not None and fwd.cloud_depth() < stop_depth:
             break
     return fwd.grasp, rows, counts
+
+
+# ---------------------------------------------------------------------------
+# entry points only tests call: one call per query, one term per loss
+
+
+def mesh_sdf(mesh, queries, detail=False):
+    """Signed distances from query points to the mesh surface (cm).
+
+    Negative inside, positive outside. For non-watertight meshes a
+    warning is raised and unsigned positive distances are returned; the
+    ``detail`` form also exposes the watertight flag.
+    """
+    from graspsynth.geometry import MeshSDF
+    evaluator = MeshSDF(mesh)
+    values = evaluator.query(queries)
+    if detail:
+        return values, {"watertight": evaluator.watertight}
+    return values
+
+
+def _term(posed, bundle, weights, name):
+    """One term of the loss of a posed hand against a bundle."""
+    from graspsynth.grasp_opt import GraspScene, evaluate
+    scene = GraspScene(posed.spec, bundle)
+    return evaluate(scene, posed.grasp, posed.grasp, weights=weights)[1][name]
+
+
+def loss_contact(posed, bundle, weights=None):
+    """Contact-consistency loss for one posed hand against a bundle."""
+    return _term(posed, bundle, weights, "contact")
+
+
+def loss_anchor(posed, bundle):
+    return _term(posed, bundle, None, "anchor")
+
+
+def loss_interpenetration(posed, object_samples):
+    from graspsynth.grasp_opt import LossWeights
+    pts = getattr(object_samples, "points", np.asarray(object_samples))
+    sdf = posed.sdf(pts)
+    return LossWeights().lam6 * float(np.maximum(-sdf, 0.0).sum())
+
+
+def loss_self_penetration(posed):
+    from graspsynth.grasp_opt import LossWeights
+    return LossWeights().lam7 * float(
+        np.maximum(-posed.self_distances(), 0.0).sum())

@@ -18,10 +18,10 @@ from graspsynth.correspondence import (correspond, diffuse_contacts,
 from graspsynth.fit import TemplateLibrary, fit_state, icp_init
 from graspsynth.fixtures import (bottle_mesh, category_instances,
                                  category_keypoints, wand_mesh)
-from graspsynth.geometry import (MeshSDF, Primitive, chamfer, mesh_sdf,
-                                 primitive_sdf, sample_surface, voxelize)
+from graspsynth.geometry import (MeshSDF, Primitive, chamfer, primitive_sdf,
+                                 sample_surface, voxelize)
 from graspsynth.geometry.grid import iou as grid_iou
-from graspsynth.grasp_opt import LossWeights, loss_anchor, optimize
+from graspsynth.grasp_opt import LossWeights, optimize
 from graspsynth.hands.model import Grasp, forward_kinematics
 from graspsynth.hands import builtin_hand, point_jacobian
 from graspsynth.metrics import (ContactSet, epsilon_quality, hrd, ncd,
@@ -30,8 +30,8 @@ from graspsynth.retarget import RetargetProblem, retarget
 
 from conftest import make_unit_cube
 from oracles import (chamfer_bruteforce, finite_difference_jacobian,
-                     fk_matrix_chain, mesh_signed_distance,
-                     support_function_radius)
+                     fk_matrix_chain, loss_anchor, mesh_sdf,
+                     mesh_signed_distance, support_function_radius)
 
 
 def ok(n, message):

@@ -342,6 +342,21 @@ def test_fit_cloud_short_vertex_row_exit_2(tmp_path, workspace, capsys):
     assert "Traceback" not in err
 
 
+def test_fit_cloud_single_point_exit_2(tmp_path, workspace, capsys):
+    # one point and no normals used to end in a LinAlgError traceback from
+    # estimate_normals, with exit 1; 2 to 63 points already exited 2
+    cloud = tmp_path / "one.ply"
+    cloud.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                     "property float x\nproperty float y\n"
+                     "property float z\nend_header\n0 0 0\n")
+    lib_dir = workspace / "data" / "wand"
+    assert main(["fit", "--cloud", str(cloud), "--library", str(lib_dir),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: ICP needs >= 64 observed points" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_fit_cloud_non_finite_coordinate_exit_2(tmp_path, workspace, capsys,
                                                 value):

@@ -7,15 +7,15 @@ from graspsynth.errors import InvalidInputError
 from graspsynth.fit import GRID_SPACING_CM, canonicalize
 from graspsynth.fixtures import (CATEGORY_TEMPLATES, category_instances,
                                  cylinder_mesh, lathe_mesh, wrap_grasp_pose)
-from graspsynth.geometry import (MeshSDF, SdfGrid, TriMesh, mesh_sdf,
+from graspsynth.geometry import (MeshSDF, SdfGrid, TriMesh,
                                  sdf_grid_from_mesh, winding_numbers)
 from graspsynth.geometry.sdf import closest_point_on_triangles
 from graspsynth.hands import builtin_hand, forward_kinematics
 from graspsynth.hands.model import Grasp
 
 from conftest import make_sphere, make_unit_cube
-from oracles import (bvh_min_distance_recursive, mesh_signed_distance,
-                     ray_parity_query, trilinear_point)
+from oracles import (bvh_min_distance_recursive, mesh_sdf,
+                     mesh_signed_distance, ray_parity_query, trilinear_point)
 
 
 def test_sphere_center_and_outside(sphere):

@@ -12,10 +12,7 @@ from graspsynth.errors import InvalidInputError
 from graspsynth.geometry import MeshSDF, Primitive
 from graspsynth.geometry.primitives import PrimitiveStack
 from graspsynth.grasp_opt import (GraspScene, LossWeights, evaluate,
-                                  loss_anchor, loss_contact, loss_gesture,
-                                  loss_interpenetration,
-                                  loss_self_penetration, optimize,
-                                  refine_physical)
+                                  loss_gesture, optimize, refine_physical)
 from graspsynth.hands import builtin_hand
 from graspsynth.hands.model import (Grasp, HandSpec, Link, actuated_from_q,
                                     apply_coupling, forward_kinematics,
@@ -25,7 +22,9 @@ from graspsynth.pipeline import opt_report_to_dict
 
 from oracles import (descend_full_passes, descend_reevaluate,
                      forward_pass_pairs_per_segment,
-                     link_sample_points, link_sdf, link_targets, rot_about,
+                     link_sample_points, link_sdf, link_targets, loss_anchor,
+                     loss_contact, loss_interpenetration,
+                     loss_self_penetration, rot_about,
                      self_penetration_bruteforce)
 
 
