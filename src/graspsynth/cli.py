@@ -16,7 +16,8 @@ from .contact import extract_bundle, load_bundle, load_demo, save_bundle
 from .errors import GraspSynthError, InvalidInputError, SchemaError
 from .fit import TemplateLibrary, fit_state, icp_init, save_state
 from .fixtures import CATEGORY_TEMPLATES, load_category, template_demo, write_category
-from .geometry import load_mesh, load_point_cloud, merge_meshes, save_ply
+from .geometry import (MeshSDF, load_mesh, load_point_cloud, merge_meshes,
+                       save_ply)
 from .hands.model import forward_kinematics
 from .hands.schema import (builtin_hand, builtin_hand_names, load_grasp,
                            load_handspec, save_handspec)
@@ -120,11 +121,15 @@ def estimate_normals(points):
 def cmd_eval(args):
     robot = _resolve_hand(args.hand)
     mesh = load_mesh(args.object)
+    if not mesh.is_watertight():
+        raise InvalidInputError(
+            f"{args.object}: object mesh is not watertight")
     truth = load_bundle(args.truth) if args.truth else None
+    grasps = [load_grasp(gpath) for gpath in args.grasp]
+    object_sdf = MeshSDF(mesh)
     rows = []
-    for gpath in args.grasp:
-        grasp = load_grasp(gpath)
-        report = evaluate_grasp(robot, grasp, mesh, truth_bundle=truth)
+    for gpath, grasp in zip(args.grasp, grasps):
+        report = evaluate_grasp(robot, grasp, object_sdf, truth_bundle=truth)
         rows.append((pathlib.Path(args.object).name,
                      pathlib.Path(gpath).stem, report))
     write_csv(args.out, rows)

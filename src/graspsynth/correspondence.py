@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from .contact import ContactBundle
 from .documents import document, keys_of, list_of, typed, vector
 from .errors import InvalidInputError
-from .geometry import bbox_diagonal
+from .geometry import bbox_diagonal, row_norms
 
 DSC_SCHEMA = "dsc/1"
 LATTICE_K = 8
@@ -126,14 +126,6 @@ class FitReport:
     levels: list                 # a FitLevel per resolution, coarse first
 
 
-def _row_norms(v):
-    """Euclidean norm of each (N, 3) row, summed by components: the same
-    bits as ``(v ** 2).sum(axis=1)`` and cKDTree's distances, without a
-    reduction over a 3-wide axis."""
-    v0, v1, v2 = v.T
-    return np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-
-
 class _NearestPairs:
     """Nearest-neighbour pairs of a moving cloud and the fixed instance
     cloud, both ways: calling it with the warped template gives
@@ -171,17 +163,17 @@ class _NearestPairs:
             self.ref = (warped, idx_ti[:, 0], d_ti[:, 1], idx_it[:, 0],
                         d_it[:, 1])
         w_ref, p_ti, bound_ti, q_it, bound_it = self.ref
-        moved = _row_norms(warped - w_ref)
+        moved = row_norms(warped - w_ref)
 
         idx_ti = p_ti.copy()
-        d_ti = _row_norms(warped - self.i_pts[p_ti])
+        d_ti = row_norms(warped - self.i_pts[p_ti])
         open_ti = ~(d_ti + PAIR_MARGIN < bound_ti - moved - PAIR_MARGIN)
         if open_ti.any():
             d_ti[open_ti], idx_ti[open_ti] = self.inst_tree.query(
                 warped[open_ti])
 
         idx_it = q_it.copy()
-        d_it = _row_norms(self.i_pts - warped[q_it])
+        d_it = row_norms(self.i_pts - warped[q_it])
         open_it = ~(d_it + PAIR_MARGIN < bound_it - moved.max() - PAIR_MARGIN)
         if open_it.any():
             if tree is None:
@@ -407,25 +399,25 @@ def diffuse_contacts(bundle_a, map_a, map_b):
     if len(map_a) != len(bundle_a.object_points):
         raise InvalidInputError("map_a does not cover bundle A's samples")
 
-    # invert A's matches: template sample -> A samples, best residual first
-    inverted = {}
-    for i, t in enumerate(map_a.indices):
-        inverted.setdefault(int(t), []).append(i)
-    for t, lst in inverted.items():
-        lst.sort(key=lambda i: (map_a.residuals[i], i))
+    # invert A's matches: per template sample, the A sample with the lowest
+    # residual, then the lowest row
+    rows = np.arange(len(map_a))
+    order = np.lexsort((rows, map_a.residuals, map_a.indices))
+    t_sorted = map_a.indices[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = t_sorted[1:] != t_sorted[:-1]
+    best = np.full(max(len(map_a.template_points),
+                       len(map_b.template_points)), -1, dtype=np.int64)
+    best[t_sorted[first]] = order[first]
 
-    tp_a = map_a.template_points[map_a.indices]
-    tree_a = cKDTree(tp_a)
-    n_b = len(map_b)
-    source = np.empty(n_b, dtype=np.int64)
-    for j in range(n_b):
-        t = int(map_b.indices[j])
-        hit = inverted.get(t)
-        if hit:
-            source[j] = hit[0]
-        else:
-            _, i = tree_a.query(map_b.template_points[t])
-            source[j] = i
+    # a template sample no A sample matched takes the A sample whose
+    # matched template point is nearest to it
+    source = best[map_b.indices]
+    unmatched = np.nonzero(source < 0)[0]
+    if len(unmatched):
+        tree_a = cKDTree(map_a.template_points[map_a.indices])
+        _, source[unmatched] = tree_a.query(
+            map_b.template_points[map_b.indices[unmatched]])
 
     seg, seg_names, anc, anc_names, delta = _label_arrays(bundle_a)
     in_contact = np.zeros(len(bundle_a.object_points), dtype=bool)

@@ -180,6 +180,9 @@ def icp_init(observed, template):
     mu_o = observed.mean(axis=0)
     rms_c = np.sqrt(((canon - mu_c) ** 2).sum(axis=1).mean())
     rms_o = np.sqrt(((observed - mu_o) ** 2).sum(axis=1).mean())
+    if rms_o == 0.0:
+        raise InvalidInputError("ICP needs observed points that do not all "
+                                "coincide")
     sigma = rms_o / max(rms_c, 1e-12)
     R = np.eye(3)
     t = mu_o - sigma * (R @ mu_c)
@@ -339,12 +342,12 @@ def _ose_gradient(aux, obs):
 
 
 def fit_state(observed, library, init, normals=None, max_iters=300,
-              loss_ceiling=DEFAULT_LOSS_CEILING, refit_all_templates=True):
+              loss_ceiling=DEFAULT_LOSS_CEILING):
     """Refine [s, R, T] (and pick the template) for an observed cloud.
 
-    ``init`` seeds the optimization; every library template is refit and
-    the lowest final loss wins unless ``refit_all_templates`` is False.
-    Raises UnrecognizedObjectError when no template beats ``loss_ceiling``.
+    ``init`` seeds its template's optimization and ICP seeds every other
+    library template's; the lowest final loss wins. Raises
+    UnrecognizedObjectError when no template beats ``loss_ceiling``.
 
     Each template's descent accepts a step only if it lowers the loss.
     It stops when an accepted step gains less than ``STATE_REL_TOL``
@@ -356,6 +359,8 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
     if len(library) == 0:
         raise InvalidInputError("the template library is empty")
     observed = _cloud(observed, "observed points")
+    if len(observed) == 0:
+        raise InvalidInputError("observed points must not be empty")
     if normals is not None:
         normals = _cloud(normals, "observed normals")
         if len(normals) != len(observed):
@@ -365,10 +370,8 @@ def fit_state(observed, library, init, normals=None, max_iters=300,
 
     obs = _observation(observed, normals)
 
-    candidates = list(library) if refit_all_templates else [
-        library.get(init.template_id)]
     best = None
-    for template in candidates:
+    for template in library:
         state = init
         if init.template_id != template.template_id:
             state = icp_init(observed, template)

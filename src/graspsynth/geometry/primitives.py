@@ -62,7 +62,7 @@ def union_sdf(prims, points, with_gradient=True):
 
 
 def _sphere_sdf(p, params, with_gradient):
-    n = _norm(p)
+    n = row_norms(p)
     # center: any direction works
     return n - params[..., 0], (_unit(p, n, (0.0, 0.0, 1.0))
                                 if with_gradient else None)
@@ -72,7 +72,7 @@ def _capsule_sdf(p, params, with_gradient):
     h = params[..., 1]
     q = p.copy()
     q[..., 2] -= np.minimum(np.maximum(p[..., 2], -h), h)
-    n = _norm(q)
+    n = row_norms(q)
     # on the axis: push out along +x
     return n - params[..., 0], (_unit(q, n, (1.0, 0.0, 0.0))
                                 if with_gradient else None)
@@ -81,7 +81,7 @@ def _capsule_sdf(p, params, with_gradient):
 def _box_sdf(p, params, with_gradient):
     q = np.abs(p) - params
     outside = np.maximum(q, 0.0)
-    out_norm = _norm(outside)
+    out_norm = row_norms(outside)
     # the max over the last axis written out: numpy's reduction over a
     # length-3 axis is many times slower, and max is exact either way
     d = out_norm + np.minimum(
@@ -96,9 +96,10 @@ def _box_sdf(p, params, with_gradient):
     return d, np.where((out_norm > 0)[..., None], toward, face) * sign
 
 
-def _norm(v):
-    """Euclidean norm over the last axis; the same arithmetic as
-    ``np.linalg.norm(v, axis=-1)`` without its slow length-3 reduction."""
+def row_norms(v):
+    """Euclidean norm over the last axis of length 3, summed by
+    components: the same bits as ``np.sqrt((v ** 2).sum(axis=-1))`` and
+    cKDTree's distances, without numpy's slow length-3 reduction."""
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
                    + v[..., 2] * v[..., 2])
 

@@ -691,7 +691,7 @@ def penetration_depth_cloud(scene, grasp):
     return _max_depth(signed)
 
 
-def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
+def refine_physical(spec, grasp, bundle, object_sdf, weights=None,
                     max_steps=100):
     """Push a grasp out of penetration while staying close to it.
 
@@ -699,9 +699,8 @@ def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
     with the penetration weights scaled 10x, until the maximum
     penetration depth against the oriented object cloud drops below
     0.1 cm or the step budget runs out. Grasps that stay above 0.5 cm
-    depth are returned flagged infeasible; that final depth is measured
-    with ``object_sdf`` (a ``MeshSDF``), or against the cloud when it is
-    not given.
+    depth under ``object_sdf`` (the object's ``MeshSDF``) are returned
+    flagged infeasible.
     """
     base = weights or LossWeights()
     weights = replace(base, lam6=base.lam6 * 10.0, lam7=base.lam7 * 10.0)
@@ -713,11 +712,8 @@ def refine_physical(spec, grasp, bundle, object_sdf=None, weights=None,
     refined, _, _ = _descend(scene, grasp, grasp, max_steps, weights,
                           gesture_reference=grasp,
                           stop_depth=REFINE_PENETRATION_GOAL)
-    if object_sdf is None:
-        final_depth = penetration_depth_cloud(scene, refined)
-    else:
-        pts = forward_kinematics(spec, refined).sample_points
-        final_depth = _max_depth(object_sdf.query(pts))
+    pts = forward_kinematics(spec, refined).sample_points
+    final_depth = _max_depth(object_sdf.query(pts))
     out = refined.copy()
     if final_depth >= REFINE_PENETRATION_FAIL:
         out.flags = sorted(set(out.flags) | {"infeasible"})

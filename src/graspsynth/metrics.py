@@ -22,8 +22,8 @@ from .closure import march_closure
 from .contact import digitize
 from .documents import document, list_of, number, typed
 from .errors import InvalidInputError
-from .geometry import MeshSDF, bbox_diagonal, iou, sample_surface
-from .geometry.grid import OccupancyGrid, cell_centers, padded_layout
+from .geometry import bbox_diagonal, sample_surface
+from .geometry.grid import cell_centers, padded_layout
 from .hands.model import Grasp, forward_kinematics
 
 METRICS_SCHEMA = "metrics/1"
@@ -109,22 +109,20 @@ def epsilon_quality(contacts, torque_scale, origin=(0.0, 0.0, 0.0)):
     return float(-offsets.max())
 
 
-def penetration(posed, object_mesh, object_sdf=None):
+def penetration(posed, object_sdf):
     """(max depth cm, overlap volume cm^3) of a posed hand into an object.
 
-    Depth is the deepest hand sample under the object SDF. Volume counts
-    the cells of the object's padded voxel grid (``voxelize`` layout)
-    whose centers are inside both the hand and the object; only the
-    cells inside the hand ask ``object_sdf.inside``.
+    Depth is the deepest hand sample under the object's ``MeshSDF``.
+    Volume counts the cells of the object's padded voxel grid
+    (``voxelize`` layout) whose centers are inside both the hand and the
+    object; only the cells inside the hand ask ``object_sdf.inside``.
     """
-    if not object_mesh.is_watertight():
+    if not object_sdf.watertight:
         raise InvalidInputError("penetration requires a watertight mesh")
-    if object_sdf is None:
-        object_sdf = MeshSDF(object_mesh)
     pts = posed.sample_points
     depth = float(np.maximum(-object_sdf.query(pts), 0.0).max(initial=0.0))
 
-    origin, dims = padded_layout(*object_mesh.bounds(), VOXEL_SPACING)
+    origin, dims = padded_layout(*object_sdf.mesh.bounds(), VOXEL_SPACING)
     centers = cell_centers(origin, VOXEL_SPACING, dims)
     in_hand = centers[posed.sdf(centers) < 0]
     volume = (float(np.count_nonzero(object_sdf.inside(in_hand)))
@@ -151,14 +149,14 @@ def self_penetration(posed):
 
 
 def functionality_pr(generated, truth):
-    """Precision/recall of contact maps binarized at 0.5 on a shared
-    sample set.
+    """Precision/recall of two object contact maps (omega arrays on a
+    shared sample set) binarized at 0.5.
 
     Returns (precision, recall, flags). Empty prediction gives precision
     0; empty truth gives recall 1 (flagged).
     """
-    om_g = np.asarray(generated.omega_object, float)
-    om_t = np.asarray(truth.omega_object, float)
+    om_g = np.asarray(generated, float)
+    om_t = np.asarray(truth, float)
     if om_g.shape != om_t.shape:
         raise InvalidInputError(
             f"contact map sample sets differ: {om_g.shape} vs {om_t.shape}")
@@ -210,15 +208,13 @@ class ClosureOutcome:
 CONTACT_BAND = 0.25  # cm; compliance stand-in for contact patch extraction
 
 
-def closure_contacts(spec, grasp, object_mesh, object_sdf=None):
+def closure_contacts(spec, grasp, object_sdf):
     """Flex joints +10 degrees toward the palm and collect the contacts.
 
     Joints stop marching at ``STOP_SDF``; samples within ``CONTACT_BAND``
     of the surface then count as contacts (a rigid-body proxy for the
     finite contact patches a compliant closure would produce).
     """
-    if object_sdf is None:
-        object_sdf = MeshSDF(object_mesh)
     q = march_closure(spec, grasp, object_sdf.query, delta=np.deg2rad(10.0))
     closed = Grasp(q, grasp.rotation.copy(), grasp.translation.copy())
     pts = forward_kinematics(spec, closed).sample_points
@@ -233,25 +229,24 @@ def closure_contacts(spec, grasp, object_mesh, object_sdf=None):
     return contacts, links, q
 
 
-def closure_success(spec, grasp, object_mesh, object_sdf=None, details=False):
+def closure_success(spec, grasp, object_sdf):
     """Quasi-static success proxy: force closure after +10 degree flexion.
 
     Success iff the post-closure contact set has positive wrench-space
-    quality and spans at least two distinct links.
+    quality and spans at least two distinct links. Returns the
+    ``ClosureOutcome``.
     """
-    contacts, links, q = closure_contacts(spec, grasp, object_mesh,
-                                          object_sdf=object_sdf)
-    lo, hi = object_mesh.bounds()
+    contacts, links, q = closure_contacts(spec, grasp, object_sdf)
+    mesh = object_sdf.mesh
+    lo, hi = mesh.bounds()
     center = (lo + hi) / 2.0
-    torque_scale = bbox_diagonal(object_mesh) / 2.0
+    torque_scale = bbox_diagonal(mesh) / 2.0
     if contacts is None or len(links) < 2:
-        outcome = ClosureOutcome(False, 0.0, len(links),
-                                 0 if contacts is None else len(contacts), q)
-        return outcome if details else False
+        return ClosureOutcome(False, 0.0, len(links),
+                              0 if contacts is None else len(contacts), q)
     eps = epsilon_quality(contacts, torque_scale, origin=center)
-    outcome = ClosureOutcome(eps > 0.0 and len(links) >= 2, eps, len(links),
-                             len(contacts), q)
-    return outcome if details else outcome.success
+    return ClosureOutcome(eps > 0.0 and len(links) >= 2, eps, len(links),
+                          len(contacts), q)
 
 
 # ---------------------------------------------------------------------------
@@ -294,46 +289,35 @@ CSV_COLUMNS = [
 ]
 
 
-def evaluate_grasp(spec, grasp, object_mesh, truth_bundle=None,
-                   hrd_reference=None, object_sdf=None):
-    """Full metric suite for one grasp on one object."""
-    if not object_mesh.is_watertight():
+def evaluate_grasp(spec, grasp, object_sdf, truth_bundle=None,
+                   hrd_reference=None):
+    """Full metric suite for one grasp on one object (its ``MeshSDF``)."""
+    if not object_sdf.watertight:
         raise InvalidInputError("evaluate_grasp requires a watertight mesh")
-    if object_sdf is None:
-        object_sdf = MeshSDF(object_mesh)
     posed = forward_kinematics(spec, grasp)
     report = MetricsReport()
     report.flags = list(grasp.flags)
 
-    depth, volume = penetration(posed, object_mesh, object_sdf=object_sdf)
+    depth, volume = penetration(posed, object_sdf)
     report.penetration_depth = depth
     report.penetration_volume = volume
     sp_depth, sp_volume = self_penetration(posed)
     report.self_penetration_depth = sp_depth
     report.self_penetration_volume = sp_volume
 
-    outcome = closure_success(spec, grasp, object_mesh, object_sdf=object_sdf,
-                              details=True)
+    outcome = closure_success(spec, grasp, object_sdf)
     report.closure_success = outcome.success
     report.epsilon = outcome.epsilon
 
     if truth_bundle is not None:
-        sdf_vals = posed.sdf(truth_bundle.object_points)
-        generated = _pseudo_bundle(truth_bundle, digitize(sdf_vals))
-        p, r, fl = functionality_pr(generated, truth_bundle)
+        generated = digitize(posed.sdf(truth_bundle.object_points))
+        p, r, fl = functionality_pr(generated, truth_bundle.omega_object)
         report.functionality_precision = p
         report.functionality_recall = r
         report.flags += fl
     if hrd_reference is not None:
         report.hrd = hrd(grasp.rotation, np.asarray(hrd_reference, float))
     return report.validate()
-
-
-def _pseudo_bundle(like, omega):
-    from .contact import ContactBundle
-    return ContactBundle(like.object_points, like.object_normals,
-                         np.asarray(omega, float),
-                         np.array([], np.int64), [], {}, {}, {}, {})
 
 
 def report_to_dict(report, object_name="", grasp_name=""):
@@ -378,10 +362,3 @@ def write_csv(path, rows):
                 *["" if doc[k] is None else doc[k] for k in CSV_COLUMNS[2:-1]],
                 ";".join(doc["flags"]),
             ])
-
-
-def grids_iou(a, b):
-    """IoU of two occupancy grids (resampling b when layouts differ)."""
-    if not isinstance(a, OccupancyGrid) or not isinstance(b, OccupancyGrid):
-        raise InvalidInputError("grids_iou expects OccupancyGrid inputs")
-    return iou(a, b)

@@ -126,14 +126,12 @@ def synthesize_instance(robot, init, bundle_demo, map_demo, template_samples,
                       restarts=config.restarts, steps=config.steps,
                       seed=config.seed)
     object_sdf = MeshSDF(instance_mesh)
-    refined = refine_physical(robot, report.grasp, bundle_i,
+    refined = refine_physical(robot, report.grasp, bundle_i, object_sdf,
                               weights=config.weights,
-                              max_steps=config.refine_steps,
-                              object_sdf=object_sdf)
-    metrics = evaluate_grasp(robot, refined, instance_mesh,
+                              max_steps=config.refine_steps)
+    metrics = evaluate_grasp(robot, refined, object_sdf,
                              truth_bundle=bundle_i,
-                             hrd_reference=hrd_reference,
-                             object_sdf=object_sdf)
+                             hrd_reference=hrd_reference)
     return {
         "grasp": refined,
         "opt_report": report,

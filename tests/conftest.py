@@ -65,3 +65,18 @@ def cylinder_scene():
 def cylinder_bundle(cylinder_scene):
     from graspsynth.contact import extract_bundle
     return extract_bundle(cylinder_scene["demo"], n_samples=2048, seed=0)
+
+
+@pytest.fixture
+def mesh_sdf_builds(monkeypatch):
+    """The mesh of every ``MeshSDF`` built while the test runs, in order."""
+    from graspsynth.geometry import MeshSDF
+    built = []
+    init = MeshSDF.__init__
+
+    def counting(self, mesh):
+        built.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(MeshSDF, "__init__", counting)
+    return built

@@ -161,6 +161,28 @@ def nearest_pairs_kdtree(warped, instance):
     return d_ti, idx_ti, d_it, idx_it
 
 
+def diffuse_sources_loop(map_a, map_b):
+    """The A sample ``diffuse_contacts`` transports to each B sample, one
+    B sample at a time: its template sample's A match with the lowest
+    (residual, row), else the A sample whose matched template point is
+    nearest to that template sample."""
+    inverted = {}
+    for i, t in enumerate(map_a.indices):
+        inverted.setdefault(int(t), []).append(i)
+    for lst in inverted.values():
+        lst.sort(key=lambda i: (map_a.residuals[i], i))
+    tree_a = cKDTree(map_a.template_points[map_a.indices])
+    source = np.empty(len(map_b), dtype=np.int64)
+    for j in range(len(map_b)):
+        t = int(map_b.indices[j])
+        hit = inverted.get(t)
+        if hit:
+            source[j] = hit[0]
+        else:
+            _, source[j] = tree_a.query(map_b.template_points[t])
+    return source
+
+
 def chamfer_bruteforce(p, q):
     _, d_pq = nearest_neighbor_matrix(np.asarray(p, float), np.asarray(q, float))
     _, d_qp = nearest_neighbor_matrix(np.asarray(q, float), np.asarray(p, float))

@@ -222,6 +222,37 @@ def test_eval_command(workspace):
     assert lines[0].split(",")[0] == "object"
 
 
+def test_eval_builds_one_object_sdf(workspace, tmp_path, mesh_sdf_builds):
+    # every grasp is scored against the same MeshSDF of the object
+    run1 = workspace / "run1"
+    assert main(["eval",
+                 "--grasp", str(run1 / "wand_0.grasp.json"),
+                 str(run1 / "wand_1.grasp.json"),
+                 "--hand", "pinch1",
+                 "--object", str(workspace / "data" / "wand" / "wand_0.obj"),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert len(mesh_sdf_builds) == 1
+
+
+def test_eval_open_mesh_exit_2(workspace, tmp_path, capsys):
+    # refused at the input, before an object SDF would warn about it
+    import warnings
+    from graspsynth.geometry import TriMesh, load_mesh, save_obj
+    mesh = load_mesh(workspace / "data" / "wand" / "wand_0.obj")
+    open_mesh = tmp_path / "open.obj"
+    save_obj(open_mesh, TriMesh(mesh.vertices, mesh.faces[:-1]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--grasp",
+                     str(workspace / "run1" / "wand_0.grasp.json"),
+                     "--hand", "pinch1", "--object", str(open_mesh),
+                     "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert (f"error: {open_mesh}: object mesh is not watertight"
+            in capsys.readouterr().err)
+    assert not any("watertight" in str(w.message) for w in caught)
+
+
 @pytest.mark.parametrize("damage,message", [
     (lambda d: d.update(q="x"), "'q' must be a list of numbers"),
     (lambda d: d.update(wrist="x"), "'wrist' must be an object"),
@@ -354,6 +385,20 @@ def test_fit_cloud_single_point_exit_2(tmp_path, workspace, capsys):
                  "--out", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert "error: ICP needs >= 64 observed points" in err
+    assert "Traceback" not in err
+
+
+def test_fit_cloud_coincident_points_exit_2(tmp_path, workspace, capsys):
+    # 100 copies of one point used to end in an "invalid value encountered
+    # in divide" RuntimeWarning from ICP's initial scale
+    from graspsynth.geometry import save_ply
+    cloud = tmp_path / "coincident.ply"
+    save_ply(cloud, np.ones((100, 3)))
+    lib_dir = workspace / "data" / "wand"
+    assert main(["fit", "--cloud", str(cloud), "--library", str(lib_dir),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: ICP needs observed points that do not all coincide" in err
     assert "Traceback" not in err
 
 

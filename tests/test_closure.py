@@ -70,8 +70,7 @@ def test_march_closure_matches_per_link(hand, cylinder_sdf):
         frozen_early += not np.array_equal(closed[0], free)
         self_stopped += not np.array_equal(closed[0], closed[1])
 
-        contacts, links, q = closure_contacts(spec, grasp, mesh,
-                                              object_sdf=sdf)
+        contacts, links, q = closure_contacts(spec, grasp, sdf)
         want_q = march_closure_per_link(spec, grasp, sdf.query,
                                         np.deg2rad(10.0), STOP_SDF, 20, False)
         assert np.array_equal(q, want_q)

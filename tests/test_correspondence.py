@@ -5,8 +5,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from graspsynth import correspondence
-from graspsynth.correspondence import (_laplacian, _NearestPairs, _row_norms,
-                                       correspond,
+from graspsynth.contact import ContactBundle
+from graspsynth.correspondence import (CorrespondenceMap, _laplacian,
+                                       _NearestPairs, correspond,
                                        diffuse_contacts,
                                        dsc_from_dict, dsc_to_dict,
                                        fit_deformation, lattice_for_bounds,
@@ -14,9 +15,10 @@ from graspsynth.correspondence import (_laplacian, _NearestPairs, _row_norms,
                                        transfer_keypoints)
 from graspsynth.errors import InvalidInputError
 from graspsynth.fixtures import category_instances, category_keypoints
-from graspsynth.geometry import bbox_diagonal, sample_surface
+from graspsynth.geometry import bbox_diagonal, row_norms, sample_surface
 
-from oracles import nearest_neighbor_matrix, nearest_pairs_kdtree
+from oracles import (diffuse_sources_loop, nearest_neighbor_matrix,
+                     nearest_pairs_kdtree)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +82,7 @@ def _pair_clouds(bottle_pair, kind):
 
 @pytest.mark.parametrize("kind", ["bottle", "duplicated"])
 def test_row_norms_equal_kdtree_distances(bottle_pair, kind):
-    # the certificates compare _row_norms with cKDTree's distances, so the
+    # the certificates compare row_norms with cKDTree's distances, so the
     # two must be the same bits: on coincident rows (distance 0), on
     # duplicated rows and on rows moved by tiny and large amounts
     t_pts, i_pts = _pair_clouds(bottle_pair, kind)
@@ -92,7 +94,7 @@ def test_row_norms_equal_kdtree_distances(bottle_pair, kind):
     for points, other in cases:
         dist, idx = cKDTree(other).query(points)
         v = points - other[idx]
-        got = _row_norms(v)
+        got = row_norms(v)
         assert got.tobytes() == dist.tobytes()
         assert got.tobytes() == np.sqrt((v ** 2).sum(axis=1)).tobytes()
 
@@ -330,8 +332,34 @@ def test_diffusion_identity(bottle_pair, cylinder_scene):
                               bundle.anchor_assignment[name][0])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_diffusion_sources_match_the_loop(seed):
+    # A matches only the first 40 of 60 template samples, with residuals
+    # from three values (ties broken by row); each B sample on one of the
+    # other 20 falls back to the nearest A-matched template point. Every
+    # A row carries its own omega and normal, so B's pin its source.
+    rng = np.random.default_rng(seed)
+    template = rng.normal(size=(60, 3))
+    n_a = 80
+    map_a = CorrespondenceMap("t", rng.integers(0, 40, n_a),
+                              rng.choice([0.0, 0.5, 1.0], n_a),
+                              rng.normal(size=(n_a, 3)), template)
+    map_b = CorrespondenceMap("t", rng.integers(0, 60, 100),
+                              rng.random(100), rng.normal(size=(100, 3)),
+                              template)
+    normals = rng.normal(size=(n_a, 3))
+    bundle = ContactBundle(map_a.instance_points, normals,
+                           np.arange(n_a) / n_a, np.array([], np.int64), [],
+                           {}, {}, {}, {}, template_id="t")
+    pairs = Counter(zip(map_a.indices.tolist(), map_a.residuals.tolist()))
+    assert max(pairs.values()) > 1 and np.any(map_b.indices >= 40)
+    want = diffuse_sources_loop(map_a, map_b)
+    out = diffuse_contacts(bundle, map_a, map_b)
+    assert out.omega_object.tobytes() == bundle.omega_object[want].tobytes()
+    assert np.array_equal(out.object_normals, normals[want])
+
+
 def test_diffusion_empty_contacts(bottle_pair):
-    from graspsynth.contact import ContactBundle
     _, t_samples, _, i_samples, _ = bottle_pair
     n = len(t_samples)
     empty = ContactBundle(t_samples.points, t_samples.normals,
@@ -346,7 +374,6 @@ def test_diffusion_empty_contacts(bottle_pair):
 
 
 def test_diffusion_category_mismatch(bottle_pair):
-    from graspsynth.contact import ContactBundle
     _, t_samples, *_ = bottle_pair
     n = len(t_samples)
     b = ContactBundle(t_samples.points, t_samples.normals, np.zeros(n),

@@ -86,6 +86,13 @@ def test_icp_needs_points(library):
         icp_init(np.zeros((10, 3)), library.get("bottle"))
 
 
+def test_icp_coincident_points_is_invalid_input(library):
+    # a zero RMS radius used to end in an "invalid value encountered in
+    # divide" RuntimeWarning
+    with pytest.raises(InvalidInputError, match="do not all coincide"):
+        icp_init(np.ones((100, 3)), library.get("bottle"))
+
+
 @pytest.mark.parametrize("columns", [2, 4])
 def test_icp_points_not_n_by_3_is_invalid_input(library, columns):
     # used to end in a numpy broadcasting ValueError
@@ -158,13 +165,13 @@ def test_fit_equivariance_under_rotation(library):
     rho = tf.axis_angle_to_matrix([1, 0, 0], np.deg2rad(20))
     world = world_instance(bottle_mesh(), 1.0, np.eye(3), np.zeros(3))
     pts, nrm = camera_view(world, [1, 0, 0], seed=5)
-    base = fit_state(pts, library, icp_init(pts, library.get("bottle")),
-                     normals=nrm, refit_all_templates=False)
+    bottle = TemplateLibrary({"bottle": library.get("bottle")})
+    base = fit_state(pts, bottle, icp_init(pts, library.get("bottle")),
+                     normals=nrm)
     pts2 = pts @ rho.T
     nrm2 = nrm @ rho.T
     init2 = icp_init(pts2, library.get("bottle"))
-    rotated = fit_state(pts2, library, init2, normals=nrm2,
-                        refit_all_templates=False)
+    rotated = fit_state(pts2, bottle, init2, normals=nrm2)
     R_base = tf.quat_to_matrix(base.rotation)
     R_rot = tf.quat_to_matrix(rotated.rotation)
     relative = R_rot @ R_base.T
@@ -211,9 +218,8 @@ def test_degenerate_normals_guarded(library):
     tpl = library.get("bottle")
     observed = tpl.samples.points * tpl.diagonal_cm
     zeros = np.zeros_like(observed)
-    state = fit_state(observed[:256], library,
-                      icp_init(observed, tpl), normals=zeros[:256],
-                      refit_all_templates=False)
+    state = fit_state(observed[:256], TemplateLibrary({"bottle": tpl}),
+                      icp_init(observed, tpl), normals=zeros[:256])
     assert np.isfinite(state.losses["normal"])  # eps guard, no NaN
 
 
@@ -241,6 +247,38 @@ def test_fit_state_empty_library_is_invalid_input(library):
     points = tpl.samples.points * tpl.diagonal_cm
     with pytest.raises(InvalidInputError, match="template library is empty"):
         fit_state(points, TemplateLibrary({}), icp_init(points, tpl))
+
+
+def test_fit_state_empty_cloud_is_invalid_input(library):
+    # used to end in a "Mean of empty slice" RuntimeWarning
+    tpl = library.get("bottle")
+    points = tpl.samples.points * tpl.diagonal_cm
+    init = icp_init(points, tpl)
+    with pytest.raises(InvalidInputError,
+                       match="observed points must not be empty"):
+        fit_state(points[:0], library, init)
+
+
+def test_fit_state_init_outside_the_library_icp_starts_every_template(
+        library, view_library, monkeypatch):
+    # an init naming a template the library lacks seeds no descent: every
+    # template starts from its own ICP, as for any other template
+    tpl = library.get("bottle")
+    points = tpl.samples.points * tpl.diagonal_cm
+    init = icp_init(points, tpl)
+    others = TemplateLibrary({t.template_id: t for t in view_library
+                              if t.template_id != "bottle"})
+    started = []
+    icp = fit.icp_init
+
+    def recording(observed, template):
+        started.append(template.template_id)
+        return icp(observed, template)
+
+    monkeypatch.setattr(fit, "icp_init", recording)
+    state = fit_state(points, others, init, max_iters=5, loss_ceiling=np.inf)
+    assert started == ["tumbler", "wand"]
+    assert state.template_id in started
 
 
 def test_fit_state_points_not_n_by_3_is_invalid_input(library):
@@ -327,9 +365,9 @@ def test_fit_stops_once_steps_stop_paying(view_library, monkeypatch):
     monkeypatch.setattr(fit, "_ose_losses", recording)
     for template in view_library:
         evaluated.clear()
-        state = fit_state(points, view_library, icp_init(points, template),
-                          normals=normals, loss_ceiling=np.inf,
-                          refit_all_templates=False)
+        alone = TemplateLibrary({template.template_id: template})
+        state = fit_state(points, alone, icp_init(points, template),
+                          normals=normals, loss_ceiling=np.inf)
         accepted = _accepted_losses(evaluated)
         gains = accepted[:-1] - accepted[1:]
         assert state.steps == len(gains)

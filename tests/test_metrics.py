@@ -1,14 +1,11 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from graspsynth import transforms as tf
-from graspsynth.contact import ContactBundle
 from graspsynth.errors import InvalidInputError
 from graspsynth.fixtures import (category_instances, cylinder_mesh,
                                  wrap_grasp_pose)
-from graspsynth.geometry import (MeshSDF, Primitive, TriMesh, tessellate,
+from graspsynth.geometry import (MeshSDF, Primitive, TriMesh, iou, tessellate,
                                  voxelize)
 from graspsynth.hands import builtin_hand
 from graspsynth.hands.model import (Grasp, HandSpec, Link, apply_coupling,
@@ -104,7 +101,7 @@ def box_hand(he=(0.5, 0.5, 0.5), center=(0.0, 0.0, 0.0), samples=256):
 def test_penetration_disjoint():
     spec = box_hand(center=(10.0, 0.0, 0.0))
     posed = forward_kinematics(spec, make_grasp(spec))
-    depth, volume = penetration(posed, make_unit_cube())
+    depth, volume = penetration(posed, MeshSDF(make_unit_cube()))
     assert depth == 0.0
     assert volume == 0.0
 
@@ -113,7 +110,7 @@ def test_penetration_half_overlap_volume():
     # unit cube object; 1 cm cube hand shifted so half of it overlaps
     spec = box_hand(center=(1.0, 0.5, 0.5))
     posed = forward_kinematics(spec, make_grasp(spec))
-    depth, volume = penetration(posed, make_unit_cube())
+    depth, volume = penetration(posed, MeshSDF(make_unit_cube()))
     assert volume == pytest.approx(0.5, abs=0.15)  # one boundary cell layer
     assert depth == pytest.approx(0.5, abs=0.1)    # sample-density limited
 
@@ -126,32 +123,28 @@ def test_penetration_sphere_halfspace_depth():
     posed = forward_kinematics(spec, make_grasp(spec))
     slab = tessellate(Primitive("box", (20.0, 20.0, 5.0),
                                 translation=np.array([0.0, 0.0, -5.0])))
-    depth, _ = penetration(posed, slab)
+    depth, _ = penetration(posed, MeshSDF(slab))
     assert depth == pytest.approx(1.5, abs=0.05)
 
 
-def test_penetration_rejects_open_mesh():
-    # refused before any object SDF is built (which would warn)
+def _open_cube_sdf():
+    # the open mesh's own SDF warns; the metrics refuse it after that
     cube = make_unit_cube()
+    with pytest.warns(UserWarning, match="not watertight"):
+        return MeshSDF(TriMesh(cube.vertices, cube.faces[:-1]))
+
+
+def test_penetration_rejects_open_mesh():
     spec = box_hand(center=(0.5, 0.5, 0.5))
     posed = forward_kinematics(spec, make_grasp(spec))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidInputError):
-            penetration(posed, TriMesh(cube.vertices, cube.faces[:-1]))
+    with pytest.raises(InvalidInputError):
+        penetration(posed, _open_cube_sdf())
 
 
 def test_evaluate_grasp_rejects_open_mesh():
-    # the typed refusal comes before the object SDF is built, so no
-    # "not watertight" warning and no BVH for a grasp that cannot be scored
-    cube = make_unit_cube()
     spec = builtin_hand("pinch1")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(InvalidInputError):
-            evaluate_grasp(spec, make_grasp(spec),
-                           TriMesh(cube.vertices, cube.faces[:-1]))
-    assert [str(w.message) for w in caught] == []
+    with pytest.raises(InvalidInputError):
+        evaluate_grasp(spec, make_grasp(spec), _open_cube_sdf())
 
 
 @pytest.mark.parametrize("hand", ["human", "coupled9", "quad16", "pinch1"])
@@ -173,7 +166,7 @@ def test_penetration_volume_matches_full_grid(hand):
             deepest = float(sdf.query(posed.all_sample_points()[0]).min())
             t[1] -= rng.uniform(0.2, 1.0) + deepest
             posed = forward_kinematics(spec, Grasp(q, rotation, t))
-            _, volume = penetration(posed, mesh, object_sdf=sdf)
+            _, volume = penetration(posed, sdf)
             assert volume == penetration_volume_full_grid(posed, mesh)
             volumes.append(volume)
     assert max(volumes) > 0
@@ -207,34 +200,22 @@ def test_self_penetration_overlap():
 # -- map similarity, rotation distance, reconstruction ------------------------
 
 
-def _bundle_with_omega(points, omega):
-    n = len(points)
-    return ContactBundle(np.asarray(points, float), np.zeros((n, 3)),
-                         np.asarray(omega, float), np.array([], np.int64),
-                         [], {}, {}, {}, {})
-
-
 def test_functionality_identity():
-    pts = np.random.default_rng(0).normal(size=(50, 3))
     omega = np.random.default_rng(1).random(50)
-    b = _bundle_with_omega(pts, omega)
-    p, r, flags = functionality_pr(b, b)
+    p, r, flags = functionality_pr(omega, omega)
     assert p == 1.0 and r == 1.0
 
 
 def test_functionality_half_precision():
-    pts = np.zeros((40, 3))
     truth = np.concatenate([np.ones(10), np.zeros(30)])
     pred = np.concatenate([np.ones(20), np.zeros(20)])
-    p, r, _ = functionality_pr(_bundle_with_omega(pts, pred),
-                               _bundle_with_omega(pts, truth))
+    p, r, _ = functionality_pr(pred, truth)
     assert p == 0.5 and r == 1.0
 
 
 def test_functionality_empty_conventions():
-    pts = np.zeros((10, 3))
-    zero = _bundle_with_omega(pts, np.zeros(10))
-    some = _bundle_with_omega(pts, np.ones(10))
+    zero = np.zeros(10)
+    some = np.ones(10)
     p, r, flags = functionality_pr(zero, some)
     assert p == 0.0 and "empty_prediction" in flags
     p, r, flags = functionality_pr(some, zero)
@@ -242,10 +223,8 @@ def test_functionality_empty_conventions():
 
 
 def test_functionality_mismatch_error():
-    a = _bundle_with_omega(np.zeros((5, 3)), np.zeros(5))
-    b = _bundle_with_omega(np.zeros((6, 3)), np.zeros(6))
     with pytest.raises(InvalidInputError):
-        functionality_pr(a, b)
+        functionality_pr(np.zeros(5), np.zeros(6))
 
 
 def test_hrd_identities():
@@ -270,10 +249,9 @@ def test_ncd_self_and_monotone():
     assert values[0] < values[1] < values[2]
 
 
-def test_iou_wrapper(unit_cube):
+def test_iou_of_a_voxelized_mesh_with_itself(unit_cube):
     a = voxelize(unit_cube, spacing=0.25)
-    assert pytest.approx(1.0) == __import__(
-        "graspsynth.metrics", fromlist=["grids_iou"]).grids_iou(a, a)
+    assert pytest.approx(1.0) == iou(a, a)
 
 
 # -- closure success -----------------------------------------------------------
@@ -281,9 +259,9 @@ def test_iou_wrapper(unit_cube):
 
 def test_closure_success_on_wrap_grasp(cylinder_scene):
     spec = cylinder_scene["spec"]
-    ok = closure_success(spec, cylinder_scene["grasp"],
-                         cylinder_scene["mesh"])
-    assert ok is True
+    outcome = closure_success(spec, cylinder_scene["grasp"],
+                              MeshSDF(cylinder_scene["mesh"]))
+    assert outcome.success is True
 
 
 def test_closure_fails_far_away(cylinder_scene):
@@ -292,7 +270,8 @@ def test_closure_fails_far_away(cylinder_scene):
     far = make_grasp(spec, q=g.q,
                      rotation=g.rotation,
                      translation=g.translation + np.array([0.0, 5.0, 0.0]))
-    assert closure_success(spec, far, cylinder_scene["mesh"]) is False
+    assert closure_success(spec, far,
+                           MeshSDF(cylinder_scene["mesh"])).success is False
 
 
 def test_closure_single_link_contact_fails():
@@ -300,7 +279,7 @@ def test_closure_single_link_contact_fails():
     spec = box_hand(center=(0.0, 0.0, 1.6), samples=128)
     mesh = make_sphere(radius=1.0)
     g = make_grasp(spec)
-    assert closure_success(spec, g, mesh) is False
+    assert closure_success(spec, g, MeshSDF(mesh)).success is False
 
 
 # -- aggregated report ----------------------------------------------------------
@@ -309,7 +288,7 @@ def test_closure_single_link_contact_fails():
 def test_evaluate_grasp_report(cylinder_scene, cylinder_bundle):
     spec = cylinder_scene["spec"]
     report = evaluate_grasp(spec, cylinder_scene["grasp"],
-                            cylinder_scene["mesh"],
+                            MeshSDF(cylinder_scene["mesh"]),
                             truth_bundle=cylinder_bundle,
                             hrd_reference=cylinder_scene["grasp"].rotation)
     assert report.functionality_precision == pytest.approx(1.0, abs=1e-9)

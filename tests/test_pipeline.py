@@ -98,6 +98,22 @@ def test_open_instance_is_refused_before_its_sdf(tmp_path):
     assert not any("watertight" in str(w.message) for w in caught)
 
 
+def test_one_object_sdf_per_instance(tmp_path, mesh_sdf_builds):
+    # refine and every metric of an instance share its one MeshSDF
+    write_category(tmp_path / "wand", "wand", n=2)
+    doc, cat_dir = load_category(tmp_path / "wand")
+    demo, _, _, _ = template_demo("wand")
+    config = RunConfig(seed=2, object_samples=256, restarts=1, steps=2,
+                       refine_steps=2)
+    bundle = extract_bundle(demo, n_samples=config.object_samples,
+                            seed=config.seed, tau_c=config.tau_c)
+    before = len(mesh_sdf_builds)
+    manifest = run_category(doc, cat_dir, demo, builtin_hand("pinch1"),
+                            config, tmp_path / "out", demo_bundle=bundle)
+    assert manifest["failures"] == []
+    assert len(mesh_sdf_builds) - before == len(doc["instances"])
+
+
 def test_segment_mean_hand_map_path():
     # pinch1's layout never matches the 17-segment demonstration, so the
     # hand-map term must run through the segment-mean fallback
