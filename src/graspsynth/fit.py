@@ -62,6 +62,7 @@ class Template:
     diagonal_cm: float         # source bbox diagonal
     _grid: object = field(default=None, repr=False)
     _dense: object = field(default=None, repr=False)
+    _tree: object = field(default=None, repr=False)
 
     @property
     def sdf_grid(self):
@@ -76,6 +77,13 @@ class Template:
         if self._dense is None:
             self._dense = sample_surface(self.mesh, 8192, seed=101).points
         return self._dense
+
+    @property
+    def dense_tree(self):
+        """KD tree over ``dense_points``, built on first use."""
+        if self._tree is None:
+            self._tree = cKDTree(self.dense_points)
+        return self._tree
 
 
 class TemplateLibrary:
@@ -189,8 +197,9 @@ def icp_init(observed, template):
 
     # a similarity scales every distance by sigma, so the template point
     # nearest to p is the canonical point nearest to R^T (p - t) / sigma:
-    # one tree over the canonical points serves every iteration
-    tree = cKDTree(canon)
+    # the template's one tree over its canonical points serves every
+    # iteration and every call
+    tree = template.dense_tree
     prev = np.inf
     for _ in range(50):
         _, idx = tree.query(((observed - t) @ R) / sigma)

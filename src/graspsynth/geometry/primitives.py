@@ -32,12 +32,14 @@ class Primitive:
             raise InvalidInputError(f"{self.kind} expects {expected} parameters")
         if any(p <= 0 for p in self.params):
             raise InvalidInputError("primitive size parameters must be > 0")
-        R = np.asarray(self.rotation, dtype=float)
+        # read-only copies: a primitive shares no array it can write
+        R = np.array(self.rotation, dtype=float)
         if np.abs(R @ R.T - np.eye(3)).max() > 1e-8:
             raise InvalidInputError("primitive rotation must be orthonormal")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float))
+        t = np.array(self.translation, dtype=float)
+        for name, array in (("rotation", R), ("translation", t)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def primitive_sdf(prim, points, with_gradient=True):
@@ -170,6 +172,11 @@ class PrimitiveStack:
         self._by_owner = np.argsort(group, kind="stable")
         self._owner_starts = np.searchsorted(group[self._by_owner],
                                              np.arange(len(owners)))
+        # a hand's one stack serves every caller of its spec
+        self.blocks = tuple(self.blocks)
+        for array in (self.owner, self.rotation, self.offset, self._by_owner,
+                      self._owner_starts, *(p for _, _, p in self.blocks)):
+            array.setflags(write=False)
 
     def _rotations(self, rotations):
         """World rotation (P, 3, 3) of each row."""

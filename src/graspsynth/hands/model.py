@@ -19,8 +19,9 @@ single one), so the results are the same bits.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,33 +32,65 @@ from ..geometry.mesh import merge_meshes
 from ..geometry.primitives import PrimitiveStack
 
 
-@dataclass
+def _readonly(values, dtype):
+    """A read-only ``dtype`` copy of ``values``, so that no caller can
+    write an array a spec holds."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
 class Link:
+    """One link and the joint that turns it (frozen: its arrays are
+    read-only float copies and its primitives a tuple)."""
+
     name: str
     parent: int
     origin_rotation: np.ndarray
     origin_translation: np.ndarray
     joint_type: str = "revolute"          # or "fixed"
-    axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
+    axis: np.ndarray = (0.0, 1.0, 0.0)
     limits: tuple = (0.0, 0.0)
     flexion_sign: float = 1.0             # +q direction that closes toward the palm
-    primitives: list = field(default_factory=list)
+    primitives: tuple = ()
     sample_count: int = 0
-    dof_index: int = -1                   # filled by HandSpec
+    dof_index: int = -1                   # set on the HandSpec's copy
+
+    def __post_init__(self):
+        for name in ("origin_rotation", "origin_translation", "axis"):
+            object.__setattr__(self, name,
+                               _readonly(getattr(self, name), float))
+        object.__setattr__(self, "limits", tuple(self.limits))
+        object.__setattr__(self, "primitives", tuple(self.primitives))
 
 
-@dataclass
+def _own_local(frame):
+    object.__setattr__(frame, "local", _readonly(frame.local, float))
+
+
+@dataclass(frozen=True)
 class Anchor:
+    """A named point fixed in one link's frame (frozen, ``local``
+    read-only)."""
+
     name: str
     link: int
     local: np.ndarray
 
+    __post_init__ = _own_local
 
-@dataclass
+
+@dataclass(frozen=True)
 class FingertipFrame:
+    """A fingertip point fixed in one link's frame (frozen, ``local``
+    read-only)."""
+
     name: str
     link: int
     local: np.ndarray
+
+    __post_init__ = _own_local
 
 
 @dataclass(frozen=True)
@@ -85,10 +118,16 @@ class _Kinematics:
 class HandSpec:
     """Immutable hand description.
 
-    Nothing may change a spec after it is built: the sample layout, the
-    hand's one primitive stack (every segment link's primitives; there is
-    no per-link stack) and the kinematics arrays are cached on first use
-    and never rebuilt.
+    A spec builds on its own copies of the links, anchors and fingertip
+    frames it is given (each frozen, ``dof_index`` set on the link's
+    copy) and keeps them in tuples; every array it holds is read-only and
+    ``human_joint_map`` is a read-only mapping. So one spec can serve
+    every caller in a process, as ``builtin_hand`` does, and a variant is
+    a new spec: ``handspec_from_dict`` of an edited ``handspec_to_dict``.
+    The sample layout, link meshes, the hand's one primitive stack (every
+    segment link's primitives; there is no per-link stack), the kinematics
+    arrays and the self-contact mask are built on first use and never
+    rebuilt.
 
     coupling maps actuated values (DoA) to the full joint vector (DoF):
     q = coupling @ actuated. actuated_limits bound the actuated values;
@@ -100,26 +139,20 @@ class HandSpec:
                  coupling=None, actuated_names=None, actuated_limits=None,
                  human_joint_map=None):
         self.name = name
-        self.links = list(links)
-        self.anchors = list(anchors)
-        self.fingertip_frames = list(fingertip_frames)
-        self.human_joint_map = dict(human_joint_map or {})
-
+        own = []
         dof = 0
-        for i, link in enumerate(self.links):
+        for i, link in enumerate(links):
             if link.parent >= i:
                 raise InvalidInputError(
                     f"link {link.name}: parent must precede it (topological order)")
-            link.origin_rotation = np.asarray(link.origin_rotation, dtype=float)
-            link.origin_translation = np.asarray(link.origin_translation, dtype=float)
+            dof_index = -1
             if link.joint_type == "revolute":
-                link.axis = np.asarray(link.axis, dtype=float)
                 n = np.linalg.norm(link.axis)
                 if not abs(n - 1.0) <= 1e-8:    # a NaN axis fails too
                     raise InvalidInputError(f"link {link.name}: axis must be unit")
                 if link.limits[0] > link.limits[1]:
                     raise InvalidInputError(f"link {link.name}: limits lo > hi")
-                link.dof_index = dof
+                dof_index = dof
                 dof += 1
             elif link.joint_type != "fixed":
                 raise InvalidInputError(f"link {link.name}: bad joint type")
@@ -127,31 +160,41 @@ class HandSpec:
             if link.primitives and link.sample_count <= 0:
                 raise InvalidInputError(f"link {link.name}: has primitives, "
                                         f"so needs sample_count > 0")
+            own.append(replace(link, dof_index=dof_index))
+        self.links = tuple(own)
+        self.anchors = tuple(replace(a) for a in anchors)
+        self.fingertip_frames = tuple(replace(f) for f in fingertip_frames)
+        self.human_joint_map = MappingProxyType(dict(human_joint_map or {}))
         self.dof = dof
-        self.lower = np.array([l.limits[0] for l in self.links
-                               if l.joint_type == "revolute"])
-        self.upper = np.array([l.limits[1] for l in self.links
-                               if l.joint_type == "revolute"])
+        joints = [l for l in self.links if l.joint_type == "revolute"]
+        self.lower = _readonly([l.limits[0] for l in joints], float)
+        self.upper = _readonly([l.limits[1] for l in joints], float)
 
         if coupling is None:
-            self.coupling = np.eye(dof)
-            self.actuated_names = [l.name for l in self.links
-                                   if l.joint_type == "revolute"]
-            self.actuated_limits = np.column_stack([self.lower, self.upper])
+            self.coupling = _readonly(np.eye(dof), float)
+            self.actuated_names = tuple(l.name for l in joints)
+            self.actuated_limits = _readonly(
+                np.column_stack([self.lower, self.upper]), float)
         else:
-            self.coupling = np.asarray(coupling, dtype=float)
-            if self.coupling.shape[0] != dof:
+            self.coupling = _readonly(coupling, float)
+            if self.coupling.ndim != 2 or self.coupling.shape[0] != dof:
                 raise InvalidInputError("coupling rows must equal DoF")
-            self.actuated_names = list(actuated_names)
-            self.actuated_limits = np.asarray(actuated_limits, dtype=float)
+            if actuated_names is None:
+                raise InvalidInputError("a coupling needs actuated_names")
+            if actuated_limits is None:
+                raise InvalidInputError("a coupling needs actuated_limits")
+            self.actuated_names = tuple(actuated_names)
+            self.actuated_limits = _readonly(actuated_limits, float)
             if self.coupling.shape[1] != len(self.actuated_names):
                 raise InvalidInputError("coupling cols must equal DoA")
+            if self.actuated_limits.shape != (len(self.actuated_names), 2):
+                raise InvalidInputError(
+                    "actuated_limits must hold [lower, upper] per actuated name")
             self._validate_coupling_range()
         self.doa = self.coupling.shape[1]
 
         self._name_to_index = {l.name: i for i, l in enumerate(self.links)}
-        for a in list(self.anchors) + list(self.fingertip_frames):
-            a.local = np.asarray(a.local, dtype=float)
+        for a in self.anchors + self.fingertip_frames:
             if not (0 <= a.link < len(self.links)):
                 raise InvalidInputError(f"{a.name}: link index out of range")
 
@@ -181,11 +224,9 @@ class HandSpec:
     def link_meshes(self):
         """Tessellated union mesh per link, in the link frame (lazy)."""
         if self._link_meshes is None:
-            self._link_meshes = {}
-            for i, link in enumerate(self.links):
-                if link.primitives:
-                    self._link_meshes[i] = merge_meshes(
-                        [tessellate(p) for p in link.primitives])
+            self._link_meshes = MappingProxyType({
+                i: merge_meshes([tessellate(p) for p in link.primitives])
+                for i, link in enumerate(self.links) if link.primitives})
         return self._link_meshes
 
     def _layout(self):
@@ -204,8 +245,8 @@ class HandSpec:
             for array in (points, owners):
                 array.setflags(write=False)
             ends = np.cumsum([0] + counts).tolist()
-            self._sample_layout = (points, owners, {
-                i: slice(ends[k], ends[k + 1]) for k, i in enumerate(links)})
+            self._sample_layout = (points, owners, MappingProxyType({
+                i: slice(ends[k], ends[k + 1]) for k, i in enumerate(links)}))
         return self._sample_layout
 
     def _kinematics(self):
@@ -214,9 +255,7 @@ class HandSpec:
             joints = [l for l in self.links if l.joint_type == "revolute"]
 
             def frozen(values, shape, dtype):
-                out = np.array(values, dtype=dtype).reshape(shape)
-                out.setflags(write=False)
-                return out
+                return _readonly(values, dtype).reshape(shape)
 
             def points(frames):
                 return frozen([f.local for f in frames], (-1, 3, 1), float)
@@ -314,7 +353,8 @@ class HandSpec:
         counts against segment link l."""
         if self._self_contact_mask is None:
             columns = np.searchsorted(self.segment_links(), self.sample_links())
-            self._self_contact_mask = self.self_contact_links()[:, columns]
+            self._self_contact_mask = _readonly(
+                self.self_contact_links()[:, columns], bool)
         return self._self_contact_mask
 
 

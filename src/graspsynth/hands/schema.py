@@ -59,7 +59,7 @@ def handspec_to_dict(spec):
         "fingertips": [{"name": f.name, "link": spec.links[f.link].name,
                         "local": [float(v) for v in f.local]}
                        for f in spec.fingertip_frames],
-        "human_joint_map": spec.human_joint_map,
+        "human_joint_map": dict(spec.human_joint_map),
     }
     if spec.coupling.shape != (spec.dof, spec.dof) or not np.allclose(
             spec.coupling, np.eye(spec.dof)):
@@ -82,7 +82,7 @@ def _link_from_dict(entry, name_to_index):
     origin = typed(entry["origin"], dict, where, "origin", "an object")
     primitives = list_of(entry.get("primitives", []), dict, None, where,
                          "primitives", "a list of objects")
-    link = Link(
+    fields = dict(
         name=typed(entry["name"], str, where, "name", "a string"),
         parent=name_to_index[parent],
         origin_rotation=tf.quat_to_matrix(quaternion(
@@ -102,15 +102,15 @@ def _link_from_dict(entry, name_to_index):
             for k, p in enumerate(primitives)
         ],
         sample_count=typed(entry.get("samples", 0), int, where, "samples",
-                           "an integer"),
-    )
+                           "an integer"))
     if joint["type"] == "revolute":
-        link.axis = vector(joint["axis"], 3, where, "axis")
-        link.limits = tuple(vector(joint["limits"], 2, where, "limits",
-                                   "[lower, upper]").tolist())
-        link.flexion_sign = float(number(joint.get("flexion_sign", 1.0),
-                                         where, "flexion_sign", "a number"))
-    return link
+        fields.update(
+            axis=vector(joint["axis"], 3, where, "axis"),
+            limits=tuple(vector(joint["limits"], 2, where, "limits",
+                                "[lower, upper]").tolist()),
+            flexion_sign=float(number(joint.get("flexion_sign", 1.0),
+                                      where, "flexion_sign", "a number")))
+    return Link(**fields)
 
 
 def handspec_from_dict(doc):
@@ -180,14 +180,29 @@ def builtin_hand_names():
                         if f.name.endswith(".json")))
 
 
+# shipped hand name -> its HandSpec, parsed on the first call for it
+_BUILTIN_HANDS = {}
+
+
 def builtin_hand(name):
-    """Load a shipped hand: ``data/hands/<name>.json`` in the package."""
+    """The shipped hand ``data/hands/<name>.json`` in the package.
+
+    The file is parsed once per process: every call with one name returns
+    the same ``HandSpec``, so its sample layout, link meshes, kinematics
+    arrays and primitive stack are built once. The spec is immutable and
+    shared; for a variant, edit ``handspec_to_dict(builtin_hand(name))``
+    and build a new spec with ``handspec_from_dict``.
+    """
     names = builtin_hand_names()
     if name not in names:
         raise InvalidInputError(f"unknown builtin hand {name!r}; "
                                 f"have {', '.join(names)}")
-    with _builtin_dir().joinpath(f"{name}.json").open() as fh:
-        return handspec_from_dict(json.load(fh))
+    if name not in _BUILTIN_HANDS:
+        with _builtin_dir().joinpath(f"{name}.json").open() as fh:
+            spec = handspec_from_dict(json.load(fh))
+        # two threads may both parse: each caller gets the one kept
+        _BUILTIN_HANDS.setdefault(name, spec)
+    return _BUILTIN_HANDS[name]
 
 
 def save_handspec(path, spec):

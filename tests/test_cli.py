@@ -28,6 +28,18 @@ def test_fixtures_layout(workspace):
     assert (cat / doc["keypoints"]).exists()
 
 
+def test_fixtures_rerun_writes_identical_files(tmp_path):
+    # every demo either run authors poses the one shared human hand
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["fixtures", "--out", str(out), "--instances", "2"]) == 0
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for out in runs]
+    assert files[0] == files[1] and files[0]
+    for f in files[0]:
+        assert (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes(), f
+
+
 def test_contacts_command(workspace, capsys):
     cat = workspace / "data" / "wand"
     out = workspace / "contacts.json"

@@ -7,6 +7,8 @@ indices of every iteration and the final state must be those of the
 world-frame loop in ``oracles.icp_world_frame``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -52,7 +54,7 @@ class _RecordingTree(cKDTree):
 
 def _check_against_oracle(monkeypatch, observed, template, canon, diag):
     _RecordingTree.matches = []
-    monkeypatch.setattr(fit, "cKDTree", _RecordingTree)
+    monkeypatch.setattr(template, "_tree", _RecordingTree(canon))
     state = fit.icp_init(observed, template)
     (s, quat, t, residual), matches = icp_world_frame(observed, canon, diag)
     assert len(_RecordingTree.matches) == len(matches)
@@ -112,3 +114,20 @@ def test_icp_residual_never_rises(monkeypatch, library, category, view):
     assert len(residuals) >= 2
     assert np.all(np.diff(residuals) <= 1e-12)
     assert state.icp_residual == residuals[-1]
+
+
+def test_icp_builds_one_tree_per_template(monkeypatch, library):
+    # counts, times nothing: every call matches against the template's
+    # one tree over its dense points
+    built = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fit, "cKDTree", CountingTree)
+    template = replace(library.get("wand"), _tree=None)
+    for seed in (3, 4):
+        fit.icp_init(_half_view("wand", seed), template)
+    assert built == [len(template.dense_points)]

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -21,8 +21,8 @@ from oracles import (finite_difference_jacobian, fk_matrix_chain,
 HANDS = ["human", "coupled9", "quad16", "pinch1"]
 
 
-def two_link_finger():
-    links = [
+def two_link_finger_links():
+    return [
         Link("base", -1, np.eye(3), np.zeros(3), "fixed",
              primitives=[Primitive("box", (0.5, 0.5, 0.5))], sample_count=16),
         Link("prox", 0, np.eye(3), np.array([0.5, 0.0, 0.0]), "revolute",
@@ -38,7 +38,10 @@ def two_link_finger():
                                    translation=np.array([0.75, 0.0, 0.0]))],
              sample_count=16),
     ]
-    return HandSpec("finger2", links)
+
+
+def two_link_finger():
+    return HandSpec("finger2", two_link_finger_links())
 
 
 def test_zero_configuration_chains_origins():
@@ -408,6 +411,27 @@ def test_coupling_range_validated():
                  actuated_names=["a"], actuated_limits=[(-1.0, 1.0)])
 
 
+def _one_joint_links():
+    return [
+        Link("base", -1, np.eye(3), np.zeros(3), "fixed",
+             primitives=[Primitive("sphere", (0.4,))], sample_count=8),
+        Link("j1", 0, np.eye(3), np.array([0.5, 0, 0]), "revolute",
+             np.array([0.0, 0.0, 1.0]), (-1.0, 1.0)),
+    ]
+
+
+def test_coupling_without_actuated_names_is_invalid_input():
+    with pytest.raises(InvalidInputError, match="needs actuated_names"):
+        HandSpec("c", _one_joint_links(), coupling=[[1.0]],
+                 actuated_limits=[(-1.0, 1.0)])
+
+
+def test_coupling_without_actuated_limits_is_invalid_input():
+    with pytest.raises(InvalidInputError, match="needs actuated_limits"):
+        HandSpec("c", _one_joint_links(), coupling=[[1.0]],
+                 actuated_names=["a"])
+
+
 # -- builtin specs and schema -------------------------------------------------
 
 
@@ -449,6 +473,88 @@ def test_builtin_hand_is_its_json_file(hand):
     # writing it back gives the parsed file, value for value
     ref = resources.files("graspsynth").joinpath(f"data/hands/{hand}.json")
     assert handspec_to_dict(builtin_hand(hand)) == json.loads(ref.read_text())
+
+
+@pytest.mark.parametrize("hand", builtin_hand_names())
+def test_builtin_hand_is_one_shared_spec(hand):
+    assert builtin_hand(hand) is builtin_hand(hand)
+
+
+def _held_arrays(spec):
+    """{name: array} of every array a spec holds, its lazy parts built."""
+    arrays = {"lower": spec.lower, "upper": spec.upper,
+              "coupling": spec.coupling,
+              "actuated_limits": spec.actuated_limits,
+              "self_contact_mask": spec.self_contact_mask(),
+              "layout points": spec._layout()[0],
+              "layout owners": spec._layout()[1]}
+    for link in spec.links:
+        for f in ("origin_rotation", "origin_translation", "axis"):
+            arrays[f"{link.name}.{f}"] = getattr(link, f)
+        for k, p in enumerate(link.primitives):
+            arrays[f"{link.name}.primitives[{k}].rotation"] = p.rotation
+            arrays[f"{link.name}.primitives[{k}].translation"] = p.translation
+    for frame in spec.anchors + spec.fingertip_frames:
+        arrays[f"{frame.name}.local"] = frame.local
+    for i, mesh in spec.link_meshes().items():
+        arrays[f"mesh {i} vertices"] = mesh.vertices
+        arrays[f"mesh {i} faces"] = mesh.faces
+    stack = spec.primitive_stack()
+    for name in ("owner", "rotation", "offset", "_by_owner", "_owner_starts"):
+        arrays[f"stack {name}"] = getattr(stack, name)
+    for k, (_, _, params) in enumerate(stack.blocks):
+        arrays[f"stack block {k} params"] = params
+    kin = spec._kinematics()
+    for f in fields(kin):
+        value = getattr(kin, f.name)
+        if isinstance(value, np.ndarray):
+            arrays[f"kinematics {f.name}"] = value
+    for k, entry in enumerate(kin.levels + kin.sample_groups):
+        for j, value in enumerate(entry):
+            arrays[f"kinematics entry {k}.{j}"] = value
+    return arrays
+
+
+@pytest.mark.parametrize("hand", builtin_hand_names())
+def test_builtin_hand_arrays_are_read_only(hand):
+    spec = builtin_hand(hand)
+    for name, array in _held_arrays(spec).items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    for mapping in (spec.human_joint_map, spec.link_meshes(),
+                    spec.sample_slices()):
+        with pytest.raises(TypeError):
+            mapping[0] = None
+
+
+@pytest.mark.parametrize("hand", builtin_hand_names())
+def test_builtin_hand_parts_are_frozen(hand):
+    spec = builtin_hand(hand)
+    assert isinstance(spec.links, tuple)
+    for part in spec.links + spec.anchors + spec.fingertip_frames:
+        for f in fields(part):
+            with pytest.raises(FrozenInstanceError):
+                setattr(part, f.name, getattr(part, f.name))
+
+
+def test_handspec_owns_what_it_is_given():
+    links = two_link_finger_links()
+    local = np.array([0.1, 0.0, 0.0])
+    anchors = [Anchor("pad", 2, local)]
+    spec = HandSpec("finger2", links, anchors=anchors)
+    before = handspec_to_dict(spec)
+    # a frozen link refuses assignment; even one written past that
+    # leaves the spec's own copy as it was
+    object.__setattr__(links[1], "limits", (0.0, 5.0))
+    object.__setattr__(links[2], "axis", np.array([1.0, 0.0, 0.0]))
+    local[0] = 9.0
+    links.append(links[0])
+    anchors.clear()
+    assert handspec_to_dict(spec) == before
+    assert spec.links[1].limits == (-1.5, 1.5)
+    assert spec.upper.tolist() == [1.5, 1.5]
+    assert len(spec.links) == 3 and len(spec.anchors) == 1
 
 
 def test_unknown_builtin_hand_is_invalid_input():
