@@ -32,15 +32,18 @@ def _resolve_hand(name_or_path):
 
 
 def _load_config(args):
+    """The ``--config`` file (or the defaults) with the flags that override
+    it, built through the same typed check as a file."""
     if getattr(args, "config", None):
         cfg = RunConfig.from_file(args.config)
     else:
         cfg = RunConfig()
+    doc = cfg.to_dict()
     for key in ("seed", "restarts", "steps", "object_samples"):
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+            doc[key] = value
+    return RunConfig.from_dict(doc)
 
 
 def cmd_contacts(args):

@@ -215,6 +215,13 @@ def _load_ply(path):
                 raise InvalidInputError(
                     f"{path}: malformed PLY header line "
                     f"{' '.join(tokens)!r:.60}") from None
+        for name, _, props in elements:
+            for prop, ptype, ltype in props:
+                for type_ in (ptype, ltype):
+                    if type_ is not None and type_ not in _PLY_TYPES:
+                        raise InvalidInputError(
+                            f"{path}: PLY element {name!r} property "
+                            f"{prop!r}: unknown type {type_!r}")
         if fmt == "ascii":
             return _parse_ply_ascii(fh, elements, path)
         if fmt == "binary_little_endian":
@@ -285,11 +292,6 @@ def _parse_ply_ascii(fh, elements, path):
 
 
 def _parse_ply_binary(fh, elements, path):
-    for name, _, props in elements:
-        for prop, ptype, ltype in props:
-            if ptype not in _PLY_TYPES or ltype not in (None, *_PLY_TYPES):
-                raise InvalidInputError(f"{path}: PLY element {name!r} "
-                                        f"property {prop!r}: unknown type")
     points = normals = faces = None
     for name, count, props in elements:
         if name == "vertex" and all(p[2] is None for p in props):

@@ -19,7 +19,7 @@ single one), so the results are the same bits.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -127,13 +127,19 @@ class HandSpec:
     The sample layout, link meshes, the hand's one primitive stack (every
     segment link's primitives; there is no per-link stack), the kinematics
     arrays and the self-contact mask are built on first use and never
-    rebuilt.
+    rebuilt. Those caches are the only attributes that can be set after
+    ``__init__``; rebinding or deleting any other raises
+    ``FrozenInstanceError``.
 
     coupling maps actuated values (DoA) to the full joint vector (DoF):
     q = coupling @ actuated. actuated_limits bound the actuated values;
     the mapped q must stay inside the joint limits for any in-range
     actuated vector (validated here).
     """
+
+    _CACHES = frozenset({"_sample_layout", "_kinematics_arrays",
+                         "_link_meshes", "_primitive_stack",
+                         "_self_contact_mask"})
 
     def __init__(self, name, links, anchors=(), fingertip_frames=(),
                  coupling=None, actuated_names=None, actuated_limits=None,
@@ -203,6 +209,21 @@ class HandSpec:
         self._link_meshes = None
         self._primitive_stack = None
         self._self_contact_mask = None
+        self._bound = True
+
+    def __setattr__(self, name, value):
+        self._check_rebind(name)
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        self._check_rebind(name)
+        object.__delattr__(self, name)
+
+    def _check_rebind(self, name):
+        if "_bound" in self.__dict__ and name not in self._CACHES:
+            raise FrozenInstanceError(
+                f"{self.name}: cannot assign to HandSpec field {name!r}; "
+                f"a variant is a new spec")
 
     def _validate_coupling_range(self):
         lo_a, hi_a = self.actuated_limits[:, 0], self.actuated_limits[:, 1]

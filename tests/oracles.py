@@ -775,13 +775,18 @@ def trilinear_point(grid, p):
     return value, np.array(grad)
 
 
-def icp_world_frame(observed, canon, diag=1.0, max_iters=50, tol=1e-8):
+def icp_world_frame(observed, canon, diag=1.0, stride=1, coarse_iters=0,
+                    max_iters=50, tol=1e-8):
     """``fit.icp_init`` matched in the world frame, as first written.
 
     Each iteration builds a KD tree over the template points moved by the
     current similarity and matches every observed point to its nearest
-    one. Returns ((s, quaternion, t, residual), [matched indices of every
-    iteration]).
+    one. The first ``coarse_iters`` iterations match every ``stride``-th
+    observed point, from offset ``i % stride`` at iteration ``i``, and
+    run to the end; the rest match the whole cloud, with a residual
+    series of their own. With the defaults this is the
+    single-phase ICP of at most 50 iterations. Returns ((s, quaternion,
+    t, residual), [matched indices of every iteration]).
     """
     import warnings
 
@@ -799,16 +804,21 @@ def icp_world_frame(observed, canon, diag=1.0, max_iters=50, tol=1e-8):
     t = mu_o - sigma * (R @ mu_c)
 
     matches = []
-    best = (np.inf, sigma, R, t)
-    grew = 0
-    prev = np.inf
-    for _ in range(max_iters):
+    for i in range(max_iters):
+        coarse = i < coarse_iters
+        points = observed[i % stride::stride] if coarse else observed
+        if i == coarse_iters:
+            best = (np.inf, sigma, R, t)
+            grew = 0
+            prev = np.inf
         transformed = (canon @ R.T) * sigma + t
-        _, idx = cKDTree(transformed).query(observed)
+        _, idx = cKDTree(transformed).query(points)
         matches.append(idx)
-        sigma, R, t = _umeyama(canon[idx], observed)
+        sigma, R, t = _umeyama(canon[idx], points)
+        if coarse:
+            continue
         transformed = (canon[idx] @ R.T) * sigma + t
-        residual = float(np.sqrt(((observed - transformed) ** 2)
+        residual = float(np.sqrt(((points - transformed) ** 2)
                                  .sum(axis=1).mean()))
         if residual < best[0]:
             best = (residual, sigma, R, t)

@@ -217,6 +217,29 @@ def test_synthesize_config_lattice_k_below_two_exit_2(workspace, tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed >= 0"),
+    ("--restarts", "0", "restarts/steps must be positive"),
+    ("--steps", "0", "restarts/steps must be positive"),
+], ids=["seed-negative", "restarts-zero", "steps-zero"])
+def test_synthesize_override_checked_like_config_exit_2(workspace, tmp_path,
+                                                        capsys, flag, value,
+                                                        message):
+    # the flags used to be set after the config check: --seed -1 ended in
+    # numpy's ValueError traceback, --restarts 0 failed every instance
+    # with a TypeError (exit 1), and --steps 0 ran and exited 0, though a
+    # config file with "steps": 0 is refused
+    cat = workspace / "data" / "wand"
+    code = main(["synthesize", "--category", str(cat),
+                 "--demo", str(cat / "demo.json"), "--hand", "pinch1",
+                 *FAST, flag, value, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: config: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_command(workspace):
     run1 = workspace / "run1"
     cat = workspace / "data" / "wand"

@@ -4,9 +4,13 @@ A similarity scales every distance by sigma, so ``icp_init`` matches
 R^T (p - t) / sigma against one KD tree over the canonical points instead
 of building a tree over the moved template each iteration. The matched
 indices of every iteration and the final state must be those of the
-world-frame loop in ``oracles.icp_world_frame``.
+world-frame loop in ``oracles.icp_world_frame`` run on the same schedule:
+every ``ICP_STRIDE``-th observed point, from offset ``k % ICP_STRIDE`` at
+iteration ``k``, for the first ``ICP_COARSE_ITERS`` iterations, then the
+whole cloud up to ``ICP_MAX_ITERS``.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +60,9 @@ def _check_against_oracle(monkeypatch, observed, template, canon, diag):
     _RecordingTree.matches = []
     monkeypatch.setattr(template, "_tree", _RecordingTree(canon))
     state = fit.icp_init(observed, template)
-    (s, quat, t, residual), matches = icp_world_frame(observed, canon, diag)
+    (s, quat, t, residual), matches = icp_world_frame(
+        observed, canon, diag, stride=fit.ICP_STRIDE,
+        coarse_iters=fit.ICP_COARSE_ITERS, max_iters=fit.ICP_MAX_ITERS)
     assert len(_RecordingTree.matches) == len(matches)
     for got, want in zip(_RecordingTree.matches, matches):
         assert np.array_equal(got, want)
@@ -94,26 +100,45 @@ def _blob():
 @pytest.mark.parametrize("view", ["bottle", "tumbler", "wand", "blob"])
 @pytest.mark.parametrize("category", ["bottle", "tumbler", "wand"])
 def test_icp_residual_never_rises(monkeypatch, library, category, view):
-    # each iteration matches every point to its nearest template point,
-    # which cannot raise the residual of the current similarity, and then
-    # takes the least-squares similarity of those pairs, which cannot
-    # either: so icp_init keeps its last state and needs no guard
-    residuals = []
+    # each iteration matches its points to their nearest template points
+    # under the similarity it starts from, and then takes the
+    # least-squares similarity of those pairs, which cannot raise their
+    # residual. On the whole cloud the matching cannot raise it either,
+    # so the residual never rises over the full phase and icp_init keeps
+    # its last state with no guard. The coarse phase matches a different
+    # quarter of the cloud each iteration, so only the first holds there,
+    # and the residual may jump where the whole cloud takes over
+    template = library.get(category)
+    observed = _blob() if view == "blob" else _half_view(view, 3)
+    canon = template.dense_points
+    rms = [np.sqrt(((x - x.mean(axis=0)) ** 2).sum(axis=1).mean())
+           for x in (observed, canon)]
+    sigma = rms[0] / rms[1]
+    similarity = [(sigma, np.eye(3), observed.mean(axis=0)
+                   - sigma * canon.mean(axis=0))]
+    steps = []
     umeyama = fit._umeyama
 
-    def recording(source, target):
-        s, R, t = umeyama(source, target)
+    def residual(s, R, t, source, target):
         moved = (source @ R.T) * s + t
-        residuals.append(float(np.sqrt(((target - moved) ** 2)
-                                       .sum(axis=1).mean())))
-        return s, R, t
+        return float(np.sqrt(((target - moved) ** 2).sum(axis=1).mean()))
+
+    def recording(source, target):
+        result = umeyama(source, target)
+        steps.append((len(target), residual(*similarity[-1], source, target),
+                      residual(*result, source, target)))
+        similarity.append(result)
+        return result
 
     monkeypatch.setattr(fit, "_umeyama", recording)
-    observed = _blob() if view == "blob" else _half_view(view, 3)
-    state = fit.icp_init(observed, library.get(category))
-    assert len(residuals) >= 2
-    assert np.all(np.diff(residuals) <= 1e-12)
-    assert state.icp_residual == residuals[-1]
+    state = fit.icp_init(observed, template)
+    n = len(observed)
+    sizes, before, after = (np.array(column) for column in zip(*steps))
+    full = after[fit.ICP_COARSE_ITERS:]
+    assert np.all(sizes[fit.ICP_COARSE_ITERS:] == n) and len(full) >= 2
+    assert np.all(after <= before + 1e-12)
+    assert np.all(np.diff(full) <= 1e-12)
+    assert state.icp_residual == full[-1]
 
 
 def test_icp_builds_one_tree_per_template(monkeypatch, library):
@@ -131,3 +156,27 @@ def test_icp_builds_one_tree_per_template(monkeypatch, library):
     for seed in (3, 4):
         fit.icp_init(_half_view("wand", seed), template)
     assert built == [len(template.dense_points)]
+
+
+def test_icp_queries_every_4th_point_for_40_iterations(monkeypatch, library):
+    # counts, times nothing: on a seeded half view, iterations 1-40 match
+    # every 4th of the N points, from offset k % 4 at iteration k (so
+    # ceil(N/4) or one fewer), later ones all N, and there are at most 60
+    rows = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    template = library.get("bottle")
+    monkeypatch.setattr(template, "_tree",
+                        CountingTree(template.dense_points))
+    observed = _half_view("bottle", 3)
+    n = len(observed)
+    fit.icp_init(observed, template)
+    assert len(rows) <= 60
+    assert rows[:40] == [math.ceil((n - k % 4) / 4) for k in range(40)]
+    assert sum(rows[:4]) == n
+    assert len(rows) > 40
+    assert rows[40:] == [n] * (len(rows) - 40)

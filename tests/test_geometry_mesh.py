@@ -181,3 +181,21 @@ def test_ply_ascii_short_rows_are_invalid_input(tmp_path, load, body,
     with pytest.raises(InvalidInputError) as info:
         load(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("header,body", [
+    (_PLY_XYZ, b"0 0 0\n1 0 0\n0 1 0\n"),
+    (_binary_triangle(3, face=False).replace(
+        b"element face 1\nproperty list uchar int vertex_indices\n", b""),
+     b""),
+], ids=["ascii", "binary"])
+def test_ply_unknown_property_type_is_invalid_input(tmp_path, header, body):
+    # only the binary reader checked property types: an ASCII cloud whose
+    # z had the unknown type foo loaded as three points
+    path = tmp_path / "foo.ply"
+    path.write_bytes(header.replace(b"property float z", b"property foo z")
+                     + body)
+    with pytest.raises(InvalidInputError) as info:
+        load_point_cloud(path)
+    assert str(info.value) == (f"{path}: PLY element 'vertex' property "
+                               f"'z': unknown type 'foo'")

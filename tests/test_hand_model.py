@@ -538,6 +538,32 @@ def test_builtin_hand_parts_are_frozen(hand):
                 setattr(part, f.name, getattr(part, f.name))
 
 
+SPEC_FIELDS = ("name", "links", "anchors", "fingertip_frames",
+               "human_joint_map", "dof", "lower", "upper", "coupling",
+               "actuated_names", "actuated_limits", "doa")
+
+
+def test_spec_fields_are_every_public_attribute():
+    assert {k for k in vars(builtin_hand("coupled9"))
+            if not k.startswith("_")} == set(SPEC_FIELDS)
+
+
+@pytest.mark.parametrize("name", SPEC_FIELDS)
+def test_builtin_hand_field_cannot_be_rebound(name):
+    # a rebound field used to reach every later caller of the shared
+    # spec: after s.upper = s.upper * 0, builtin_hand("pinch1").upper read
+    # [0. 0.]
+    spec = builtin_hand("pinch1")
+    before = handspec_to_dict(spec)
+    value = getattr(spec, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(spec, name, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(spec, name)
+    assert getattr(builtin_hand("pinch1"), name) is value
+    assert handspec_to_dict(builtin_hand("pinch1")) == before
+
+
 def test_handspec_owns_what_it_is_given():
     links = two_link_finger_links()
     local = np.array([0.1, 0.0, 0.0])
